@@ -10,7 +10,6 @@
 #include "runtime/events.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/trace_format.hh"
-#include "trace/trace_source.hh"
 
 namespace heapmd
 {
@@ -812,29 +811,16 @@ lintTraceFlow(std::string_view data, Report &report,
 }
 
 FlowLintStats
-lintTraceFlowFile(const std::string &path, Report &report,
+lintTraceFlowFile(const trace::LoadedTrace &trace, Report &report,
                   FlowAnalysis *analysis)
 {
     HEAPMD_TRACE_SPAN("audit.flow");
     HEAPMD_PHASE_SPAN_NAMED(phase, "phase.deep_audit");
     HEAPMD_COUNTER_INC("audit.flow_lints");
     const std::size_t before = report.findings().size();
-    trace::FileSource source(path);
-    if (!source.ok()) {
-        report.error("trace.io",
-                     "cannot open trace file '" + path + "'");
-        HEAPMD_COUNTER_INC("audit.findings");
-        return {};
-    }
-    const std::string_view data =
-        source.size() == 0
-            ? std::string_view()
-            : std::string_view(
-                  reinterpret_cast<const char *>(source.data()),
-                  source.size());
     const FlowLintStats stats =
-        lintTraceFlow(data, report, analysis);
-    phase.addBytes(source.size());
+        lintTraceFlow(trace.bytes(), report, analysis);
+    phase.addBytes(trace.bytes().size());
     HEAPMD_COUNTER_ADD("audit.findings",
                        report.findings().size() - before);
     return stats;

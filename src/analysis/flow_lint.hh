@@ -65,6 +65,7 @@
 
 #include "analysis/report.hh"
 #include "support/types.hh"
+#include "trace/trace_source.hh"
 
 namespace heapmd
 {
@@ -141,8 +142,13 @@ FlowAnalysis analyzeTraceFlow(std::string_view data);
 FlowLintStats lintTraceFlow(std::string_view data, Report &report,
                             FlowAnalysis *analysis = nullptr);
 
-/** Flow-lint the trace file at @p path (mapped read-only). */
-FlowLintStats lintTraceFlowFile(const std::string &path,
+/**
+ * Flow-lint a trace file loaded by trace::LoadedTrace, counted as
+ * one deep audit (audit.flow span, phase.deep_audit, audit.flow_lints
+ * and audit.findings).  @p trace must be ok(): the trace linter owns
+ * the trace.io finding for a file that failed to load.
+ */
+FlowLintStats lintTraceFlowFile(const trace::LoadedTrace &trace,
                                 Report &report,
                                 FlowAnalysis *analysis = nullptr);
 

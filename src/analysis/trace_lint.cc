@@ -1,14 +1,12 @@
 #include "analysis/trace_lint.hh"
 
 #include <map>
-#include <sstream>
 #include <string_view>
 #include <vector>
 
 #include "analysis/trace_scan.hh"
 #include "runtime/events.hh"
 #include "telemetry/telemetry.hh"
-#include "trace/gzip_source.hh"
 #include "trace/segment_set.hh"
 #include "trace/trace_format.hh"
 #include "trace/trace_source.hh"
@@ -411,52 +409,22 @@ lintTrace(std::string_view data, Report &report)
 }
 
 TraceLintStats
-lintTrace(std::istream &is, Report &report)
-{
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    return lintTrace(buffer.str(), report);
-}
-
-TraceLintStats
-lintTraceFile(const std::string &path, Report &report)
+lintTraceFile(const trace::LoadedTrace &trace, Report &report)
 {
     HEAPMD_TRACE_SPAN("audit.trace");
     HEAPMD_COUNTER_INC("audit.trace_lints");
     const std::size_t before = report.findings().size();
-    // A ".heapmd.gz" trace is inflated into a heap buffer first; a
-    // plain trace is mapped read-only and linted in place (FileSource
-    // falls back to a buffered read when the platform cannot mmap).
-    if (trace::isGzipPath(path)) {
-        std::vector<unsigned char> raw;
-        std::string why;
-        if (!trace::gzipDecodeFile(path, raw, why)) {
-            report.error("trace.io", "cannot read gzip trace '" +
-                                         path + "': " + why);
-            HEAPMD_COUNTER_INC("audit.findings");
-            return {};
-        }
-        const std::string_view data(
-            reinterpret_cast<const char *>(raw.data()), raw.size());
-        const TraceLintStats stats = lintTrace(data, report);
-        HEAPMD_COUNTER_ADD("audit.findings",
-                           report.findings().size() - before);
-        return stats;
-    }
-    trace::FileSource source(path);
-    if (!source.ok()) {
+    if (!trace.ok()) {
         report.error("trace.io",
-                     "cannot open trace file '" + path + "'");
+                     trace.compressed()
+                         ? "cannot read gzip trace '" + trace.path() +
+                               "': " + trace.error()
+                         : "cannot open trace file '" + trace.path() +
+                               "'");
         HEAPMD_COUNTER_INC("audit.findings");
         return {};
     }
-    const std::string_view data =
-        source.size() == 0
-            ? std::string_view()
-            : std::string_view(
-                  reinterpret_cast<const char *>(source.data()),
-                  source.size());
-    const TraceLintStats stats = lintTrace(data, report);
+    const TraceLintStats stats = lintTrace(trace.bytes(), report);
     HEAPMD_COUNTER_ADD("audit.findings",
                        report.findings().size() - before);
     return stats;
@@ -510,34 +478,18 @@ lintSegmentSet(const std::string &base, Report &report)
         // Compressed segments are inflated up front; the lint then
         // sees the same raw bytes either way (stats.bytes counts raw
         // trace bytes, not on-disk bytes).
-        std::vector<unsigned char> inflated;
-        trace::FileSource source(path);
-        std::string_view data;
-        if (trace::isGzipPath(path)) {
-            std::string why;
-            if (!trace::gzipDecodeFile(path, inflated, why)) {
-                report.error("trace.io",
-                             "cannot read gzip segment '" + path +
-                                 "': " + why);
-                continue;
-            }
-            data = std::string_view(
-                reinterpret_cast<const char *>(inflated.data()),
-                inflated.size());
-        } else {
-            if (!source.ok()) {
-                report.error("trace.io",
-                             "cannot open trace segment '" + path +
-                                 "'");
-                continue;
-            }
-            if (source.size() != 0)
-                data = std::string_view(
-                    reinterpret_cast<const char *>(source.data()),
-                    source.size());
+        const trace::LoadedTrace segment(path);
+        if (!segment.ok()) {
+            report.error("trace.io",
+                         segment.compressed()
+                             ? "cannot read gzip segment '" + path +
+                                   "': " + segment.error()
+                             : "cannot open trace segment '" + path +
+                                   "'");
+            continue;
         }
-        Linter linter(data, report);
-        linter.stats.bytes = data.size();
+        Linter linter(segment.bytes(), report);
+        linter.stats.bytes = segment.bytes().size();
         linter.extents = std::move(extents);
         linter.truncation_is_error = i + 1 < indices.size();
         linter.run();

@@ -42,11 +42,11 @@
 #define HEAPMD_ANALYSIS_TRACE_LINT_HH
 
 #include <cstdint>
-#include <istream>
 #include <string>
 #include <string_view>
 
 #include "analysis/report.hh"
+#include "trace/trace_source.hh"
 
 namespace heapmd
 {
@@ -74,15 +74,15 @@ struct TraceLintStats
  */
 TraceLintStats lintTrace(std::string_view data, Report &report);
 
-/** Lint a trace read fully from @p is (binary). */
-TraceLintStats lintTrace(std::istream &is, Report &report);
-
 /**
- * Lint the trace file at @p path.  The file is mapped read-only
- * (trace::FileSource) and linted in place, so pre-flighting a large
- * trace costs no buffering copy.
+ * Lint a trace file loaded once by trace::LoadedTrace, in place (a
+ * mapped plain file costs no buffering copy; a gzip trace was
+ * inflated by the loader).  Counts as one audit: the audit.trace span
+ * and the audit.trace_lints / audit.findings counters.  A file that
+ * failed to load is one trace.io finding.
  */
-TraceLintStats lintTraceFile(const std::string &path, Report &report);
+TraceLintStats lintTraceFile(const trace::LoadedTrace &trace,
+                             Report &report);
 
 /**
  * Lint a rotating segment set (trace::segmentPath naming) rooted at

@@ -164,6 +164,7 @@ runCapture(const std::vector<std::string> &argv,
         ::_exit(127);
     }
 
+    result.pid = static_cast<std::uint32_t>(pid);
     int status = 0;
     for (;;) {
         if (::waitpid(pid, &status, 0) >= 0)
@@ -186,7 +187,7 @@ runCapture(const std::vector<std::string> &argv,
     // child killed by signal (or _exit before finalize) cannot; the
     // host owns the cleanup so no run leaks a /dev/shm entry.  ENOENT
     // after a clean exit is the expected case.
-    obsv::unlinkSegmentForPid(static_cast<std::uint32_t>(pid));
+    obsv::unlinkSegmentForPid(result.pid);
 
     if (result.exited && result.exitCode == 127) {
         error = "child failed to exec '" + argv.front() + "'";

@@ -77,6 +77,12 @@ struct SessionResult
     int termSignal = 0;
 
     /**
+     * The child's pid, which names its stats segment
+     * (`/dev/shm/heapmd.<pid>`); 0 when the fork failed.
+     */
+    std::uint32_t pid = 0;
+
+    /**
      * Paths actually used.  Under rotation tracePath is the *base*
      * path segment names derive from (the file itself is not
      * created); segmentPaths lists the segments that exist after the

@@ -20,6 +20,13 @@ boundSlack(const DetectorConfig &config, const HeapModel::Entry &entry)
     return slack;
 }
 
+SlackedRange
+slackedRange(const DetectorConfig &config, const HeapModel::Entry &entry)
+{
+    const double slack = boundSlack(config, entry);
+    return {slack, entry.minValue - slack, entry.maxValue + slack};
+}
+
 AnomalyDetector::AnomalyDetector(const HeapModel &model,
                                  DetectorConfig config)
     : model_(model), config_(config)
@@ -57,11 +64,9 @@ AnomalyDetector::onSample(const MetricSample &sample,
         const double span =
             std::max(e.maxValue - e.minValue, config_.minSpan);
         const double margin = config_.approachFraction * span;
-        const double slack = boundSlack(config_, e);
-        const double lo = e.minValue - slack;
-        const double hi = e.maxValue + slack;
+        const SlackedRange range = slackedRange(config_, e);
         const double slope = state.hasPrev ? v - state.prev : 0.0;
-        const bool violating = v < lo || v > hi;
+        const bool violating = range.violatedBy(v);
 
         if (violating && !state.inViolation) {
             // A new excursion: open a report, keep logging for the
@@ -74,7 +79,7 @@ AnomalyDetector::onSample(const MetricSample &sample,
             state.pending = BugReport{};
             state.pending.klass = BugClass::HeapAnomaly;
             state.pending.metric = e.id;
-            state.pending.direction = v > hi
+            state.pending.direction = v > range.hi
                                           ? AnomalyDirection::AboveMax
                                           : AnomalyDirection::BelowMin;
             state.pending.observedValue = v;
@@ -87,9 +92,9 @@ AnomalyDetector::onSample(const MetricSample &sample,
         }
 
         const bool approaching_max =
-            v >= hi - slack - margin && slope > 0.0;
+            v >= range.hi - range.slack - margin && slope > 0.0;
         const bool approaching_min =
-            v <= lo + slack + margin && slope < 0.0;
+            v <= range.lo + range.slack + margin && slope < 0.0;
         const bool want_armed = state.pendingReport || violating ||
                                 approaching_max || approaching_min;
         if (want_armed != state.armed) {

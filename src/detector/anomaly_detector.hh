@@ -77,6 +77,28 @@ double boundSlack(const DetectorConfig &config,
                   const HeapModel::Entry &entry);
 
 /**
+ * The detection range of one model entry:
+ * [min - boundSlack, max + boundSlack].  Every checker -- batch,
+ * persistent-violation and online -- judges samples against this.
+ */
+struct SlackedRange
+{
+    double slack = 0.0;
+    double lo = 0.0;
+    double hi = 0.0;
+
+    /** True when @p value lies outside [lo, hi]. */
+    bool violatedBy(double value) const
+    {
+        return value < lo || value > hi;
+    }
+};
+
+/** The slacked detection range of @p entry. */
+SlackedRange slackedRange(const DetectorConfig &config,
+                          const HeapModel::Entry &entry);
+
+/**
  * Checks each metric sample against a HeapModel and assembles
  * BugReports.  Attach to the monitored Process with attach(); call
  * finish() when the run ends to flush a pending report.

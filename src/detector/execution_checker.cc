@@ -83,9 +83,7 @@ ExecutionChecker::checkPersistentViolation(const MetricSeries &series,
         if (already_reported)
             continue;
 
-        const double slack = boundSlack(config_.detector, e);
-        const double lo = e.minValue - slack;
-        const double hi = e.maxValue + slack;
+        const SlackedRange range = slackedRange(config_.detector, e);
 
         std::size_t below = 0, above = 0;
         double worst = 0.0;
@@ -94,12 +92,12 @@ ExecutionChecker::checkPersistentViolation(const MetricSeries &series,
         for (std::size_t i = first; i < last; ++i) {
             const double v = series.at(i).value(e.id);
             double excess = -1.0;
-            if (v < lo) {
+            if (v < range.lo) {
                 ++below;
-                excess = lo - v;
-            } else if (v > hi) {
+                excess = range.lo - v;
+            } else if (v > range.hi) {
                 ++above;
-                excess = v - hi;
+                excess = v - range.hi;
             }
             if (excess > worst_excess) {
                 worst_excess = excess;

@@ -1,10 +1,9 @@
 #include "fleet/fleet_model.hh"
 
-#include <cinttypes>
-#include <cstdio>
 #include <sstream>
 
 #include "diag/json.hh"
+#include "telemetry/prom_text.hh"
 #include "telemetry/trace_json.hh"
 
 namespace heapmd
@@ -17,6 +16,10 @@ namespace
 
 using diag::JsonWriter;
 using telemetry::JsonValue;
+using telemetry::prom::appendF64;
+using telemetry::prom::appendHeader;
+using telemetry::prom::appendU64;
+using telemetry::prom::escapeLabelValue;
 
 bool
 fail(std::string *error, const std::string &what)
@@ -24,64 +27,6 @@ fail(std::string *error, const std::string &what)
     if (error != nullptr)
         *error = "fleet model: " + what;
     return false;
-}
-
-/** Prometheus label-value escaping (\\, \", \n). */
-std::string
-escapeLabel(const std::string &value)
-{
-    std::string out;
-    out.reserve(value.size());
-    for (const char c : value) {
-        switch (c) {
-        case '\\': out += "\\\\"; break;
-        case '"': out += "\\\""; break;
-        case '\n': out += "\\n"; break;
-        default: out += c; break;
-        }
-    }
-    return out;
-}
-
-void
-appendHeader(std::string &out, const char *name, const char *type,
-             const char *help)
-{
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += ' ';
-    out += type;
-    out += '\n';
-}
-
-void
-appendU64(std::string &out, const char *name,
-          const std::string &labels, std::uint64_t value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-    out += name;
-    out += labels;
-    out += ' ';
-    out += buf;
-    out += '\n';
-}
-
-void
-appendF64(std::string &out, const char *name,
-          const std::string &labels, double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f", value);
-    out += name;
-    out += labels;
-    out += ' ';
-    out += buf;
-    out += '\n';
 }
 
 } // namespace
@@ -376,7 +321,7 @@ renderFleetPrometheus(const FleetModel &model)
                  "Members that sampled the metric.");
     for (const FleetMetricRange &range : model.metrics) {
         appendU64(out, "heapmd_fleet_metric_members",
-                  "{metric=\"" + escapeLabel(range.metric) + "\"}",
+                  "{metric=\"" + escapeLabelValue(range.metric) + "\"}",
                   range.members);
     }
 
@@ -404,7 +349,7 @@ renderFleetPrometheus(const FleetModel &model)
         appendHeader(out, field.name, "gauge", field.help);
         for (const FleetMetricRange &range : model.metrics) {
             appendF64(out, field.name,
-                      "{metric=\"" + escapeLabel(range.metric) +
+                      "{metric=\"" + escapeLabelValue(range.metric) +
                           "\"}",
                       range.*(field.value));
         }
@@ -414,8 +359,8 @@ renderFleetPrometheus(const FleetModel &model)
                  "Leave-one-out z-score of each attributed outlier.");
     for (const FleetOutlier &outlier : model.outliers) {
         appendF64(out, "heapmd_fleet_outlier_score",
-                  "{path=\"" + escapeLabel(outlier.path) +
-                      "\",metric=\"" + escapeLabel(outlier.metric) +
+                  "{path=\"" + escapeLabelValue(outlier.path) +
+                      "\",metric=\"" + escapeLabelValue(outlier.metric) +
                       "\"}",
                   outlier.score);
     }
@@ -427,7 +372,7 @@ renderFleetPrometheus(const FleetModel &model)
                  "Bundles folded into each incident cluster.");
     for (const FleetIncident &incident : model.incidents) {
         appendU64(out, "heapmd_fleet_incident_bundles",
-                  "{signature=\"" + escapeLabel(incident.signature) +
+                  "{signature=\"" + escapeLabelValue(incident.signature) +
                       "\"}",
                   incident.count);
     }

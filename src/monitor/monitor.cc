@@ -9,8 +9,8 @@
 #include <utility>
 
 #include "capture/capture_env.hh"
-#include "obsv/prometheus.hh"
 #include "obsv/segment.hh"
+#include "telemetry/prom_text.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/segment_set.hh"
 
@@ -24,6 +24,10 @@ namespace
 {
 
 namespace fs = std::filesystem;
+using telemetry::prom::appendF64;
+using telemetry::prom::appendHeader;
+using telemetry::prom::appendU64;
+using telemetry::prom::escapeLabelValue;
 
 void
 sleepMs(std::uint64_t ms)
@@ -35,52 +39,10 @@ sleepMs(std::uint64_t ms)
     }
 }
 
-void
-appendHeader(std::string &out, const char *name, const char *type,
-             const char *help)
-{
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += ' ';
-    out += type;
-    out += '\n';
-}
-
 std::string
 metricLabels(MetricId id)
 {
-    return "{metric=\"" + obsv::escapeLabelValue(metricName(id)) +
-           "\"}";
-}
-
-void
-appendU64(std::string &out, const char *name,
-          const std::string &labels, std::uint64_t value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64, value);
-    out += name;
-    out += labels;
-    out += ' ';
-    out += buf;
-    out += '\n';
-}
-
-void
-appendF64(std::string &out, const char *name,
-          const std::string &labels, double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f", value);
-    out += name;
-    out += labels;
-    out += ' ';
-    out += buf;
-    out += '\n';
+    return "{metric=\"" + escapeLabelValue(metricName(id)) + "\"}";
 }
 
 } // namespace

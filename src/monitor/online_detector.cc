@@ -64,12 +64,13 @@ OnlineDetector::observe(const MetricSample &sample,
                                          sample.pointIndex, value,
                                          frames});
 
-        const double slack = boundSlack(config_.detector, entry);
-        const double lo = entry.minValue - slack;
-        const double hi = entry.maxValue + slack;
-        const bool violating = value < lo || value > hi;
+        const SlackedRange range =
+            slackedRange(config_.detector, entry);
+        const bool violating = range.violatedBy(value);
         state.lastDistance =
-            violating ? (value < lo ? lo - value : value - hi) : 0.0;
+            violating ? (value < range.lo ? range.lo - value
+                                          : value - range.hi)
+                      : 0.0;
         if (violating)
             ++state.violatingSamples;
 
@@ -156,13 +157,14 @@ OnlineDetector::views() const
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const HeapModel::Entry &entry = entries[i];
         const MetricState &state = states_[i];
-        const double slack = boundSlack(config_.detector, entry);
+        const SlackedRange range =
+            slackedRange(config_.detector, entry);
         MetricView view;
         view.id = entry.id;
         view.observed = state.observed;
         view.value = state.lastValue;
-        view.lo = entry.minValue - slack;
-        view.hi = entry.maxValue + slack;
+        view.lo = range.lo;
+        view.hi = range.hi;
         view.distance = state.lastDistance;
         view.phase = state.phase;
         view.violatingSamples = state.violatingSamples;

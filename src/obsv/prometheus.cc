@@ -5,10 +5,8 @@
 
 #include "obsv/prometheus.hh"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "metrics/metric.hh"
+#include "telemetry/prom_text.hh"
 
 namespace heapmd
 {
@@ -17,6 +15,10 @@ namespace obsv
 
 namespace
 {
+
+using telemetry::prom::appendF64;
+using telemetry::prom::appendHeader;
+using telemetry::prom::appendU64;
 
 /** One {pid,program} label set, rendered once per snapshot. */
 std::string
@@ -73,65 +75,7 @@ constexpr SlotFamily kSlotFamilies[] = {
      "Degree-metric samples published by the shim."},
 };
 
-void
-appendHeader(std::string &out, const char *name, const char *type,
-             const char *help)
-{
-    out += "# HELP ";
-    out += name;
-    out += ' ';
-    out += help;
-    out += "\n# TYPE ";
-    out += name;
-    out += ' ';
-    out += type;
-    out += '\n';
-}
-
-void
-appendU64Sample(std::string &out, const char *name,
-                const std::string &labels, std::uint64_t value)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%" PRIu64,
-                  static_cast<std::uint64_t>(value));
-    out += name;
-    out += labels;
-    out += ' ';
-    out += buf;
-    out += '\n';
-}
-
-void
-appendF64Sample(std::string &out, const char *name,
-                const std::string &labels, double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6f", value);
-    out += name;
-    out += labels;
-    out += ' ';
-    out += buf;
-    out += '\n';
-}
-
 } // namespace
-
-std::string
-escapeLabelValue(std::string_view value)
-{
-    std::string out;
-    out.reserve(value.size());
-    for (const char c : value) {
-        switch (c) {
-        case '\\': out += "\\\\"; break;
-        case '"': out += "\\\""; break;
-        case '\n': out += "\\n"; break;
-        default: out += c; break;
-        }
-    }
-    return out;
-}
 
 std::string
 renderPrometheus(const std::vector<SegmentSnapshot> &snapshots)
@@ -145,14 +89,14 @@ renderPrometheus(const std::vector<SegmentSnapshot> &snapshots)
     for (const SlotFamily &family : kSlotFamilies) {
         appendHeader(out, family.name, family.type, family.help);
         for (std::size_t i = 0; i < snapshots.size(); ++i)
-            appendU64Sample(out, family.name, labels[i],
+            appendU64(out, family.name, labels[i],
                             snapshots[i].value(family.slot));
     }
 
     appendHeader(out, "heapmd_scan_seconds_total", "counter",
                  "Wall-clock seconds spent inside pointer scans.");
     for (std::size_t i = 0; i < snapshots.size(); ++i)
-        appendF64Sample(
+        appendF64(
             out, "heapmd_scan_seconds_total", labels[i],
             static_cast<double>(snapshots[i].value(Slot::ScanNanos)) /
                 1e9);
@@ -170,7 +114,7 @@ renderPrometheus(const std::vector<SegmentSnapshot> &snapshots)
                 "\",program=\"" + escapeLabelValue(snap.program) +
                 "\",metric=\"" + escapeLabelValue(metricName(id)) +
                 "\"}";
-            appendF64Sample(out, "heapmd_metric_percent",
+            appendF64(out, "heapmd_metric_percent",
                             metric_labels, snap.metricPercent(id));
         }
     }
@@ -180,12 +124,12 @@ renderPrometheus(const std::vector<SegmentSnapshot> &snapshots)
     appendHeader(out, "heapmd_start_monotonic_ms", "gauge",
                  "Writer CLOCK_MONOTONIC at segment creation.");
     for (std::size_t i = 0; i < snapshots.size(); ++i)
-        appendU64Sample(out, "heapmd_start_monotonic_ms", labels[i],
+        appendU64(out, "heapmd_start_monotonic_ms", labels[i],
                         snapshots[i].startMonoMs);
     appendHeader(out, "heapmd_heartbeat_monotonic_ms", "gauge",
                  "Writer CLOCK_MONOTONIC at the last publish.");
     for (std::size_t i = 0; i < snapshots.size(); ++i)
-        appendU64Sample(out, "heapmd_heartbeat_monotonic_ms",
+        appendU64(out, "heapmd_heartbeat_monotonic_ms",
                         labels[i], snapshots[i].heartbeatMonoMs);
     return out;
 }

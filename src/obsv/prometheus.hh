@@ -15,21 +15,18 @@
 #define HEAPMD_OBSV_PROMETHEUS_HH
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obsv/segment.hh"
+#include "telemetry/prom_text.hh"
 
 namespace heapmd
 {
 namespace obsv
 {
 
-/**
- * Escape a label value per the exposition format: backslash, double
- * quote, and newline become \\, \", and \n.
- */
-std::string escapeLabelValue(std::string_view value);
+/** Label escaping, shared by every heapmd scrape. */
+using telemetry::prom::escapeLabelValue;
 
 /** Render every snapshot into one exposition document. */
 std::string

@@ -316,10 +316,10 @@ unlinkSegmentForPid(std::uint32_t pid)
 }
 
 ReapResult
-reapDeadSegments()
+reapDeadSegments(const std::vector<std::uint32_t> &pids)
 {
     ReapResult result;
-    for (const std::uint32_t pid : listSegmentPids()) {
+    for (const std::uint32_t pid : pids) {
         if (pidAlive(pid)) {
             result.alive.push_back(pid);
         } else if (unlinkSegmentForPid(pid)) {

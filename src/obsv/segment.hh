@@ -175,8 +175,13 @@ struct ReapResult
     std::vector<std::uint32_t> alive;
 };
 
-/** Garbage-collect segments of dead pids (`heapmd top --reap`). */
-ReapResult reapDeadSegments();
+/**
+ * Garbage-collect the segments of dead pids among @p pids; by
+ * default every segment in /dev/shm (`heapmd top --reap`).
+ */
+ReapResult
+reapDeadSegments(const std::vector<std::uint32_t> &pids =
+                     listSegmentPids());
 
 } // namespace obsv
 } // namespace heapmd

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "telemetry/telemetry.hh"
+#include "trace/gzip_source.hh"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define HEAPMD_TRACE_HAVE_MMAP 1
@@ -131,6 +132,23 @@ FileSource::next(const unsigned char *&data)
     consumed_ = true;
     data = data_;
     return size_;
+}
+
+LoadedTrace::LoadedTrace(const std::string &path)
+    : path_(path), compressed_(isGzipPath(path))
+{
+    if (compressed_) {
+        ok_ = gzipDecodeFile(path, inflated_, error_);
+        if (ok_) {
+            data_ = inflated_.data();
+            size_ = inflated_.size();
+        }
+        return;
+    }
+    const FileSource &file = file_.emplace(path);
+    ok_ = file.ok();
+    data_ = file.data();
+    size_ = file.size();
 }
 
 } // namespace trace

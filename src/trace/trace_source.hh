@@ -12,7 +12,10 @@
  *  - MemorySource: a single in-memory chunk;
  *  - FileSource: mmap(2)s a whole trace file read-only (falling back
  *    to a heap read where mmap is unavailable) and exposes the
- *    mapping for whole-buffer consumers like the trace linter.
+ *    mapping as one flat buffer.
+ *
+ * LoadedTrace sits on top: the one place a trace path becomes HMDT
+ * bytes, shared by every stage that reads the trace.
  */
 
 #ifndef HEAPMD_TRACE_TRACE_SOURCE_HH
@@ -20,7 +23,9 @@
 
 #include <cstddef>
 #include <istream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace heapmd
@@ -82,7 +87,7 @@ class MemorySource : public Source
  *
  * Construct, then test ok() before use; error() describes an open
  * failure.  data()/size() expose the whole file for consumers that
- * want the flat buffer (the trace linter).
+ * want the flat buffer (LoadedTrace).
  */
 class FileSource : public Source
 {
@@ -112,6 +117,54 @@ class FileSource : public Source
     bool mapped_ = false;
     bool ok_ = false;
     bool consumed_ = false;
+};
+
+/**
+ * A whole trace file as HMDT bytes, loaded once for every stage that
+ * reads it (lint, flow lint, replay).  A plain file is mapped in
+ * place (FileSource); a `.heapmd.gz` file is inflated once into
+ * memory (gzipDecodeFile), so both kinds get the same checks.
+ *
+ * Construct, then test ok() before use.
+ */
+class LoadedTrace
+{
+  public:
+    explicit LoadedTrace(const std::string &path);
+
+    LoadedTrace(const LoadedTrace &) = delete;
+    LoadedTrace &operator=(const LoadedTrace &) = delete;
+
+    /** False when the file could not be opened or inflated. */
+    bool ok() const { return ok_; }
+
+    /** The path named a gzip trace, so a failure is a decode one. */
+    bool compressed() const { return compressed_; }
+
+    /** The gzip error when a compressed trace failed; else empty. */
+    const std::string &error() const { return error_; }
+
+    const std::string &path() const { return path_; }
+
+    /** The trace bytes; empty when !ok(). */
+    std::string_view
+    bytes() const
+    {
+        return {reinterpret_cast<const char *>(data_), size_};
+    }
+
+    /** A fresh single-pass Source over bytes(), one per decode. */
+    MemorySource source() const { return MemorySource(data_, size_); }
+
+  private:
+    std::string path_;
+    std::optional<FileSource> file_;
+    std::vector<unsigned char> inflated_;
+    const unsigned char *data_ = nullptr;
+    std::size_t size_ = 0;
+    std::string error_;
+    bool compressed_ = false;
+    bool ok_ = false;
 };
 
 } // namespace trace

@@ -366,7 +366,6 @@ class PreloadCaptureTest : public ::testing::Test
                   ->name() +
               ".trace"))
                 .string();
-        baseline_segments_ = obsv::listSegmentPids();
     }
 
     void
@@ -408,7 +407,7 @@ class PreloadCaptureTest : public ::testing::Test
     audit()
     {
         analysis::Report report;
-        analysis::lintTraceFile(trace_path_, report);
+        analysis::lintTraceFile(trace::LoadedTrace(trace_path_), report);
         return report;
     }
 
@@ -434,27 +433,23 @@ class PreloadCaptureTest : public ::testing::Test
     }
 
     /**
-     * Stats segments that appeared in /dev/shm since SetUp.  Must be
-     * empty once a capture session has finished: the shim unlinks on
-     * atexit and the host reaps after waitpid, whichever path the
-     * child died through.  Pre-existing segments (captures run by
-     * other processes on the host) are not ours to judge.
+     * True when the stats segment of @p result's child is still in
+     * /dev/shm.  It must be gone once a capture session has finished:
+     * the shim unlinks on atexit and the host reaps after waitpid,
+     * whichever path the child died through.  Other captures
+     * (parallel tests, other processes on the host) own their
+     * segments and are not ours to judge.
      */
-    std::vector<std::uint32_t>
-    leakedSegments() const
+    static bool
+    segmentLeaked(const capture::SessionResult &result)
     {
-        std::vector<std::uint32_t> leaked;
-        for (std::uint32_t pid : obsv::listSegmentPids()) {
-            if (std::find(baseline_segments_.begin(),
-                          baseline_segments_.end(),
-                          pid) == baseline_segments_.end())
-                leaked.push_back(pid);
-        }
-        return leaked;
+        EXPECT_NE(result.pid, 0u) << "capture reported no child pid";
+        const std::vector<std::uint32_t> pids = obsv::listSegmentPids();
+        return std::find(pids.begin(), pids.end(), result.pid) !=
+               pids.end();
     }
 
     std::string trace_path_;
-    std::vector<std::uint32_t> baseline_segments_;
 };
 
 TEST_F(PreloadCaptureTest, BasicRunAuditsCleanAndReplays)
@@ -573,7 +568,7 @@ TEST_F(PreloadCaptureTest, SegmentUnlinkedAfterCleanExit)
 {
     const capture::SessionResult result = captureChild("basic");
     ASSERT_TRUE(result.exited);
-    EXPECT_TRUE(leakedSegments().empty());
+    EXPECT_FALSE(segmentLeaked(result));
 }
 
 TEST_F(PreloadCaptureTest, SegmentUnlinkedAfterStorm)
@@ -582,7 +577,7 @@ TEST_F(PreloadCaptureTest, SegmentUnlinkedAfterStorm)
                                                        /*frq=*/5000);
     ASSERT_TRUE(result.exited);
     EXPECT_EQ(result.exitCode, 0);
-    EXPECT_TRUE(leakedSegments().empty());
+    EXPECT_FALSE(segmentLeaked(result));
 }
 
 TEST_F(PreloadCaptureTest, SegmentUnlinkedWhenAtexitIsSkipped)
@@ -591,7 +586,7 @@ TEST_F(PreloadCaptureTest, SegmentUnlinkedWhenAtexitIsSkipped)
     // runCapture must reap the child's segment after waitpid.
     const capture::SessionResult result = captureChild("exit");
     ASSERT_TRUE(result.exited);
-    EXPECT_TRUE(leakedSegments().empty());
+    EXPECT_FALSE(segmentLeaked(result));
 }
 
 TEST_F(PreloadCaptureTest, ForkedChildDoesNotUnlinkParentSegment)
@@ -606,7 +601,7 @@ TEST_F(PreloadCaptureTest, ForkedChildDoesNotUnlinkParentSegment)
                                                        /*frq=*/50);
     ASSERT_TRUE(result.exited);
     EXPECT_EQ(result.exitCode, 0);
-    EXPECT_TRUE(leakedSegments().empty());
+    EXPECT_FALSE(segmentLeaked(result));
 }
 
 // ---------------------------------------------------------------

@@ -176,7 +176,10 @@ TEST_F(ObsvSegmentTest, ListAndReapDeadSegments)
     const std::vector<std::uint32_t> pids = listSegmentPids();
     EXPECT_NE(std::find(pids.begin(), pids.end(), pid), pids.end());
 
-    const ReapResult result = reapDeadSegments();
+    // Reap only this test's segment: a bare reapDeadSegments() would
+    // also unlink the fake-pid segments of obsv tests running in
+    // parallel (all fake pids are dead).
+    const ReapResult result = reapDeadSegments({pid});
     EXPECT_NE(std::find(result.reaped.begin(), result.reaped.end(),
                         pid),
               result.reaped.end());

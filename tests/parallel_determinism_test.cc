@@ -4,7 +4,9 @@
  * batch checking must produce byte-identical artifacts regardless of
  * the worker count, both through the library API and through the CLI
  * (where HEAPMD_JOBS selects the worker count without perturbing the
- * manifest-recorded command line).
+ * manifest-recorded command line).  The CLI cases also pin the output
+ * of a deep audit across trace encodings (raw vs `.heapmd.gz`) and the
+ * usage-error exit of malformed flag values.
  */
 
 #include <sys/wait.h>
@@ -18,6 +20,10 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#if HEAPMD_HAVE_ZLIB
+#include <zlib.h>
+#endif
 
 #include "core/heapmd.hh"
 #include "trace/trace_writer.hh"
@@ -359,6 +365,78 @@ TEST_F(CliDeterminismTest, InvalidJobsValuesAreUsageErrors)
     EXPECT_NE(slurp("bad2.log").find("invalid HEAPMD_JOBS value"),
               std::string::npos);
 }
+
+TEST_F(CliDeterminismTest, MalformedNumericFlagsAreUsageErrors)
+{
+    // The whole value must parse: junk used to abort (SIGABRT from an
+    // uncaught std::stoull), "-1" wrapped to 2^64-1 and "1e3" read as
+    // 1.  Each is now a usage error naming the flag, before any file
+    // is opened.
+    EXPECT_EQ(run("1", "replay --trace none.trace --model none "
+                       "--frq abc",
+                  "frq.log"),
+              2);
+    EXPECT_EQ(run("1", "audit --trace none.trace --max-findings -1",
+                  "max.log"),
+              2);
+    EXPECT_EQ(run("1", "check --app Multimedia --model none "
+                       "--inputs 1e3",
+                  "inputs.log"),
+              2);
+    EXPECT_NE(slurp("frq.log").find("invalid --frq value 'abc'"),
+              std::string::npos)
+        << slurp("frq.log");
+    EXPECT_NE(slurp("max.log").find("invalid --max-findings value"),
+              std::string::npos)
+        << slurp("max.log");
+    EXPECT_NE(slurp("inputs.log").find("invalid --inputs value '1e3'"),
+              std::string::npos)
+        << slurp("inputs.log");
+}
+
+#if HEAPMD_HAVE_ZLIB
+
+TEST_F(CliDeterminismTest, DeepAuditOfGzipTraceMatchesRaw)
+{
+    // A `.heapmd.gz` trace is the same trace: every flow_* corpus
+    // case prints the same findings and exit code either way.
+    std::size_t cases = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(HEAPMD_TEST_DATA_DIR)) {
+        const std::string raw = entry.path().string();
+        const std::string stem = entry.path().stem().string();
+        if (stem.rfind("flow_", 0) != 0 ||
+            entry.path().extension() != ".trace")
+            continue;
+        ++cases;
+
+        std::ifstream in(raw, std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        const std::string data = bytes.str();
+        const std::string gz = path(stem + ".heapmd.gz");
+        gzFile out = gzopen(gz.c_str(), "wb");
+        ASSERT_NE(out, nullptr) << gz;
+        ASSERT_EQ(gzwrite(out, data.data(),
+                          static_cast<unsigned>(data.size())),
+                  static_cast<int>(data.size()));
+        ASSERT_EQ(gzclose(out), Z_OK);
+
+        const int raw_status =
+            run("1", "audit --deep 1 --trace " + raw, stem + ".raw");
+        const int gz_status =
+            run("1", "audit --deep 1 --trace " + gz, stem + ".gz");
+        EXPECT_EQ(gz_status, raw_status) << stem;
+        std::string expected = slurp(stem + ".raw");
+        for (std::size_t at = expected.find(raw);
+             at != std::string::npos; at = expected.find(raw, at))
+            expected.replace(at, raw.size(), gz);
+        EXPECT_EQ(slurp(stem + ".gz"), expected) << stem;
+    }
+    EXPECT_GE(cases, 6u);
+}
+
+#endif // HEAPMD_HAVE_ZLIB
 
 #endif // HEAPMD_CLI_PATH
 

@@ -61,6 +61,7 @@
  *                --graph run.graph
  */
 
+#include <charconv>
 #include <chrono>
 #include <cerrno>
 #include <cstdio>
@@ -71,6 +72,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -432,24 +434,42 @@ class Args
         return positionals_;
     }
 
+    /**
+     * Integer flag: the whole value must be decimal digits.  A sign,
+     * an exponent or trailing junk is a usage error naming the flag
+     * -- not std::stoull, which aborts on junk and wraps "-1".
+     */
     std::uint64_t
     num(const std::string &key, std::uint64_t fallback) const
     {
-        auto it = values_.find(key);
-        return it == values_.end() ? fallback
-                                   : std::stoull(it->second.back());
+        return parsed(key, fallback, "a non-negative integer");
     }
 
+    /** Floating-point flag, parsed as strictly as num(). */
     double
     real(const std::string &key, double fallback) const
     {
-        auto it = values_.find(key);
-        return it == values_.end()
-                   ? fallback
-                   : std::stod(it->second.back());
+        return parsed(key, fallback, "a number");
     }
 
   private:
+    template <typename T>
+    T
+    parsed(const std::string &key, T fallback, const char *expected) const
+    {
+        auto it = values_.find(key);
+        if (it == values_.end())
+            return fallback;
+        const std::string &text = it->second.back();
+        const char *end = text.data() + text.size();
+        T value{};
+        const auto [stop, ec] = std::from_chars(text.data(), end, value);
+        if (text.empty() || ec != std::errc() || stop != end)
+            badInvocation("invalid --" + key + " value '" + text +
+                          "' (expected " + expected + ")");
+        return value;
+    }
+
     std::map<std::string, std::vector<std::string>> values_;
     std::vector<std::string> positionals_;
 };
@@ -517,11 +537,11 @@ preflightModel(const std::string &path)
 }
 
 void
-preflightTrace(const std::string &path)
+preflightTrace(const trace::LoadedTrace &trace)
 {
     analysis::Report report;
-    analysis::lintTraceFile(path, report);
-    preflight("trace", path, report);
+    analysis::lintTraceFile(trace, report);
+    preflight("trace", trace.path(), report);
 }
 
 /** Copy the config knobs a run manifest records from parsed flags. */
@@ -645,83 +665,83 @@ cmdListApps()
 }
 
 /**
- * A trace opened for replay: the byte Source plus the inflated
- * buffer backing it when the file was a `capture --compress` gzip
- * segment.  Gzip decodes up front -- replay then reads from memory
- * exactly like the mmap path reads from the page cache.
+ * One trace replayed into a fresh Process by replayLoadedTrace().
+ * The checker is declared first so the Process, which still holds it
+ * as an observer, is destroyed before it.
  */
-struct OpenedTrace
+struct TraceReplay
 {
-    std::vector<unsigned char> inflated;
-    std::unique_ptr<trace::Source> source;
-};
-
-/** Open @p path, transparently inflating `.heapmd.gz` files. */
-OpenedTrace
-openTraceSource(const std::string &path)
-{
-    OpenedTrace out;
-    if (trace::isGzipPath(path)) {
-        std::string error;
-        if (!trace::gzipDecodeFile(path, out.inflated, error))
-            HEAPMD_FATAL("cannot decode trace '", path, "': ",
-                         error);
-        out.source = std::make_unique<trace::MemorySource>(
-            out.inflated.data(), out.inflated.size());
-        return out;
-    }
-    auto file = std::make_unique<trace::FileSource>(path);
-    if (!file->ok())
-        HEAPMD_FATAL("cannot open trace '", path, "'");
-    out.source = std::move(file);
-    return out;
-}
-
-/** What one trace replay yields for model training / manifests. */
-struct TraceRunOutcome
-{
-    MetricSeries series;
-    HeapGraph::Stats graphStats;
-    std::uint64_t liveBlocks = 0;
-    Tick finalTick = 0;
+    std::unique_ptr<ExecutionChecker> checker;
+    std::unique_ptr<Process> process;
+    CheckResult check; //!< empty unless replayed under a model
     std::uint64_t events = 0;
-    std::uint64_t reusedRangeFrees = 0;
+    std::uint64_t wallNanos = 0; //!< replay + check wall time
     bool captureProvenance = false;
-    std::vector<std::string> functionNames;
 };
 
 /**
- * Replay one trace into a fresh Process and collect its metrics.
+ * Replay a loaded trace into a fresh Process, under @p model's
+ * checker when non-null.  A trace that failed to load is fatal here
+ * (with --no-audit 1 no pre-flight reported it).
  *
- * @p frq 0 means auto: capture-provenance traces sample at every
- * scan-marker function entry (the shim emits exactly one marker per
- * scan pass), synthetic traces keep the replay default of 300.
- * Capture traces also tolerate allocator address reuse (a Free the
- * shim missed shows up as an Alloc over a live range).
+ * The capture-provenance rule lives here and only here: a
+ * live-capture trace samples at every scan-marker function entry (the
+ * shim emits exactly one marker per scan pass) unless @p frq is
+ * nonzero, and tolerates allocator address reuse (a Free the shim
+ * missed shows up as an Alloc over a live range).  Any other trace
+ * samples every @p frq function entries, 300 when @p frq is 0.
  */
-TraceRunOutcome
-replayTraceForMetrics(const std::string &path, std::uint64_t frq)
+TraceReplay
+replayLoadedTrace(const trace::LoadedTrace &trace, std::uint64_t frq,
+                  const HeapModel *model = nullptr)
 {
-    const OpenedTrace opened = openTraceSource(path);
-    TraceReader reader(*opened.source);
+    if (!trace.ok() && trace.compressed())
+        HEAPMD_FATAL("cannot decode trace '", trace.path(), "': ",
+                     trace.error());
+    if (!trace.ok())
+        HEAPMD_FATAL("cannot open trace '", trace.path(), "'");
+    trace::MemorySource source = trace.source();
+    TraceReader reader(source);
 
+    TraceReplay out;
+    out.captureProvenance = reader.captureProvenance();
     ProcessConfig pcfg;
     pcfg.metricFrequency =
-        frq != 0 ? frq : (reader.captureProvenance() ? 1 : 300);
-    pcfg.tolerateAddressReuse = reader.captureProvenance();
-    Process process(pcfg);
-
-    TraceRunOutcome out;
-    out.events = replayTrace(reader, process);
-    out.captureProvenance = reader.captureProvenance();
-    out.series = process.series();
-    out.series.label = "trace:" + path;
-    out.graphStats = process.graph().stats();
-    out.liveBlocks = process.graph().vertexCount();
-    out.finalTick = process.now();
-    out.reusedRangeFrees = process.reusedRangeFrees();
-    out.functionNames = reader.functionNames();
+        frq != 0 ? frq : (out.captureProvenance ? 1 : 300);
+    pcfg.tolerateAddressReuse = out.captureProvenance;
+    out.process = std::make_unique<Process>(pcfg);
+    if (model != nullptr) {
+        out.checker = std::make_unique<ExecutionChecker>(*model);
+        out.checker->attach(*out.process);
+    }
+    const auto wall_start = std::chrono::steady_clock::now();
+    out.events = replayTrace(reader, *out.process);
+    if (out.checker)
+        out.check = out.checker->finalize(*out.process);
+    // Callers snapshot the Registry while the Process is still alive;
+    // fold the batched graph counters first.
+    out.process->flushTelemetry();
+    out.wallNanos = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - wall_start)
+            .count());
     return out;
+}
+
+/**
+ * Print a checked replay's reports and write one incident bundle per
+ * report under --bundle-dir; returns the bundle paths.
+ */
+std::vector<std::string>
+printReports(const TraceReplay &replay, const Args &args)
+{
+    const FunctionRegistry &registry = replay.process->registry();
+    for (const BugReport &report : replay.check.reports)
+        std::printf("\n%s", report.describe(registry).c_str());
+    if (!args.has("bundle-dir"))
+        return {};
+    return writeBundles(args.str("bundle-dir"), replay.check.reports,
+                        registry, replay.process->series());
 }
 
 /**
@@ -740,22 +760,28 @@ cmdTrainFromTraces(const Args &args)
     // of --jobs; only the replays themselves fan out.
     if (args.num("no-audit", 0) == 0) {
         for (const std::string &path : traces)
-            preflightTrace(path);
+            preflightTrace(trace::LoadedTrace(path));
     }
-    const std::uint64_t frq =
-        args.has("frq") ? args.num("frq", 300) : 0;
-    std::vector<TraceRunOutcome> runs(traces.size());
+    // Workers keep only each run's series, so at most --jobs heap
+    // graphs are alive at once.
+    const std::uint64_t frq = args.num("frq", 0);
+    std::vector<TraceReplay> runs(traces.size());
+    std::vector<MetricSeries> series(traces.size());
     parallelForIndexed(traces.size(), cfg.jobs, [&](std::size_t i) {
-        runs[i] = replayTraceForMetrics(traces[i], frq);
+        runs[i] =
+            replayLoadedTrace(trace::LoadedTrace(traces[i]), frq);
+        series[i] = runs[i].process->series();
+        series[i].label = "trace:" + traces[i];
+        runs[i].process.reset();
     });
     for (std::size_t i = 0; i < traces.size(); ++i) {
-        const TraceRunOutcome &run = runs[i];
         std::printf("replayed %s: %llu events, %zu samples%s\n",
                     traces[i].c_str(),
-                    static_cast<unsigned long long>(run.events),
-                    run.series.samples().size(),
-                    run.captureProvenance ? " (live capture)" : "");
-        summarizer.addRun(run.series);
+                    static_cast<unsigned long long>(runs[i].events),
+                    series[i].samples().size(),
+                    runs[i].captureProvenance ? " (live capture)"
+                                              : "");
+        summarizer.addRun(series[i]);
     }
 
     const std::string name = args.has("name")
@@ -958,63 +984,38 @@ cmdRecord(const Args &args)
 int
 cmdReplay(const Args &args)
 {
-    HeapMDConfig cfg = configFrom(args);
+    const std::uint64_t frq = args.num("frq", 0);
+    const std::string model_path = args.str("model");
+    const trace::LoadedTrace trace(args.str("trace"));
     if (args.num("no-audit", 0) == 0) {
-        preflightModel(args.str("model"));
-        preflightTrace(args.str("trace"));
+        preflightModel(model_path);
+        preflightTrace(trace);
     }
-    const HeapModel model = loadModel(args.str("model"));
-
-    const OpenedTrace opened = openTraceSource(args.str("trace"));
-    TraceReader reader(*opened.source);
-    if (reader.captureProvenance()) {
-        // Live-capture traces sample at the shim's scan markers and
-        // see real allocator address reuse.
-        if (!args.has("frq"))
-            cfg.process.metricFrequency = 1;
-        cfg.process.tolerateAddressReuse = true;
-    }
-    Process process(cfg.process);
-    ExecutionChecker checker(model);
-    checker.attach(process);
-    const auto wall_start = std::chrono::steady_clock::now();
-    const std::uint64_t events = replayTrace(reader, process);
-    const CheckResult result = checker.finalize(process);
-    // The manifest below snapshots the Registry while the Process is
-    // still alive; fold the batched graph counters first.
-    process.flushTelemetry();
-    const auto wall_nanos =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
+    const HeapModel model = loadModel(model_path);
+    const TraceReplay replay = replayLoadedTrace(trace, frq, &model);
+    const Process &process = *replay.process;
+    const CheckResult &result = replay.check;
 
     std::printf("replayed %llu events: %zu report(s)\n",
-                static_cast<unsigned long long>(events),
+                static_cast<unsigned long long>(replay.events),
                 result.reports.size());
-    for (const BugReport &report : result.reports)
-        std::printf("\n%s",
-                    report.describe(process.registry()).c_str());
-
-    std::vector<std::string> bundles;
-    if (args.has("bundle-dir"))
-        bundles = writeBundles(args.str("bundle-dir"), result.reports,
-                               process.registry(), process.series());
+    const std::vector<std::string> bundles = printReports(replay, args);
     if (args.has("manifest")) {
         // Replay bypasses HeapMD::observe(), so assemble the outcome
         // the manifest builder expects from the Process directly.
         RunOutcome run;
         run.series = process.series();
         if (run.series.label.empty())
-            run.series.label = "replay:" + args.str("trace");
+            run.series.label = "replay:" + trace.path();
         run.graphStats = process.graph().stats();
         run.liveBlocksAtExit = process.graph().vertexCount();
         run.finalTick = process.now();
-        run.wallNanos = static_cast<std::uint64_t>(wall_nanos);
+        run.wallNanos = replay.wallNanos;
         diag::RunManifest manifest = diag::makeRunManifest(
             "replay", g_command_line, run, &result);
         fillManifestConfig(manifest, args, 0);
-        diag::addManifestInput(manifest, "model", args.str("model"));
-        diag::addManifestInput(manifest, "trace", args.str("trace"));
+        diag::addManifestInput(manifest, "model", model_path);
+        diag::addManifestInput(manifest, "trace", trace.path());
         manifest.bundlePaths = bundles;
         writeManifest(manifest, args.str("manifest"));
     }
@@ -1024,58 +1025,31 @@ cmdReplay(const Args &args)
 #if defined(HEAPMD_HAVE_CAPTURE)
 
 /**
- * Chained `capture --check MODEL`: replay the fresh capture trace
- * under the anomaly detector.  Returns the command exit status
- * contribution (0 clean, 3 findings).
+ * Chained `capture --check MODEL`.  A monolithic capture replays its
+ * loaded @p trace under the batch checker; a rotating one (@p trace
+ * empty) is consumed through the monitor's --once path, which runs
+ * the same checker over the segment set rooted at @p base.  Returns
+ * the command exit status contribution (0 clean, 3 findings).
  */
 int
-checkCapturedTrace(const std::string &trace_path,
-                   const std::string &model_path, const Args &args)
+checkCapture(const std::optional<trace::LoadedTrace> &trace,
+             const std::string &base, const std::string &model_path,
+             const Args &args)
 {
     preflightModel(model_path);
     const HeapModel model = loadModel(model_path);
 
-    const OpenedTrace opened = openTraceSource(trace_path);
-    TraceReader reader(*opened.source);
-
-    ProcessConfig pcfg;
-    pcfg.metricFrequency = 1; // one sample per shim scan marker
-    pcfg.tolerateAddressReuse = true;
-    Process process(pcfg);
-    ExecutionChecker checker(model);
-    checker.attach(process);
-    const std::uint64_t events = replayTrace(reader, process);
-    const CheckResult result = checker.finalize(process);
-    process.flushTelemetry();
-
-    std::printf("checked capture (%llu events): %zu report(s) over "
-                "%llu samples\n",
-                static_cast<unsigned long long>(events),
-                result.reports.size(),
-                static_cast<unsigned long long>(
-                    result.samplesChecked));
-    for (const BugReport &report : result.reports)
-        std::printf("\n%s",
-                    report.describe(process.registry()).c_str());
-    if (args.has("bundle-dir"))
-        writeBundles(args.str("bundle-dir"), result.reports,
-                     process.registry(), process.series());
-    return result.anomalous() ? kExitFindings : 0;
-}
-
-#if defined(HEAPMD_HAVE_OBSV)
-
-/**
- * Chained `capture --rotate-bytes N --check MODEL`: consume the
- * fresh segment set through the monitor's --once path, which replays
- * it under the same batch checker as `check`/`replay`.
- */
-int
-checkCapturedSegments(const std::string &base,
-                      const std::string &model_path, const Args &args)
-{
-    preflightModel(model_path);
-    const HeapModel model = loadModel(model_path);
+    if (trace) {
+        const TraceReplay replay = replayLoadedTrace(*trace, 0, &model);
+        std::printf("checked capture (%llu events): %zu report(s) "
+                    "over %llu samples\n",
+                    static_cast<unsigned long long>(replay.events),
+                    replay.check.reports.size(),
+                    static_cast<unsigned long long>(
+                        replay.check.samplesChecked));
+        printReports(replay, args);
+        return replay.check.anomalous() ? kExitFindings : 0;
+    }
 
     monitor::MonitorOptions options;
     options.segmentsBase = base;
@@ -1105,8 +1079,6 @@ checkCapturedSegments(const std::string &base,
                     options.bundleDir.c_str());
     return session.anomalous() ? kExitFindings : 0;
 }
-
-#endif // HEAPMD_HAVE_OBSV
 
 #endif // HEAPMD_HAVE_CAPTURE
 
@@ -1176,12 +1148,15 @@ cmdCapture(const Args &args)
     // Audit the fresh trace against the static rule catalog.  The
     // capture-provenance header downgrades truncation findings (a
     // killed child) to warnings; anything error-severity here is a
-    // shim bug and must fail loudly.
+    // shim bug and must fail loudly.  A monolithic trace is loaded
+    // once and the same bytes feed the audit, --train-out and --check.
+    std::optional<trace::LoadedTrace> trace;
+    if (options.rotateBytes == 0)
+        trace.emplace(session.tracePath);
     analysis::Report audit;
     const analysis::TraceLintStats lint_stats =
-        options.rotateBytes > 0
-            ? analysis::lintSegmentSet(session.tracePath, audit)
-            : analysis::lintTraceFile(session.tracePath, audit);
+        trace ? analysis::lintTraceFile(*trace, audit)
+              : analysis::lintSegmentSet(session.tracePath, audit);
     if (!audit.findings().empty())
         std::fprintf(stderr, "audit of trace '%s':\n%s",
                      session.tracePath.c_str(),
@@ -1198,10 +1173,9 @@ cmdCapture(const Args &args)
 
     int status = 0;
     if (args.has("train-out")) {
-        const TraceRunOutcome run =
-            replayTraceForMetrics(session.tracePath, 0);
+        const TraceReplay run = replayLoadedTrace(trace.value(), 0);
         MetricSummarizer summarizer(configFrom(args).summarizer);
-        summarizer.addRun(run.series);
+        summarizer.addRun(run.process->series());
         const HeapModel model = summarizer.buildModel(
             std::filesystem::path(g_capture_argv.front())
                 .filename()
@@ -1215,18 +1189,9 @@ cmdCapture(const Args &args)
         std::printf("model written to %s\n",
                     args.str("train-out").c_str());
     }
-    if (args.has("check")) {
-#if defined(HEAPMD_HAVE_OBSV)
-        status = options.rotateBytes > 0
-                     ? checkCapturedSegments(session.tracePath,
-                                             args.str("check"), args)
-                     : checkCapturedTrace(session.tracePath,
-                                          args.str("check"), args);
-#else
-        status = checkCapturedTrace(session.tracePath,
-                                    args.str("check"), args);
-#endif
-    }
+    if (args.has("check"))
+        status = checkCapture(trace, session.tracePath,
+                              args.str("check"), args);
 
     if (args.has("manifest")) {
         diag::RunManifest manifest;
@@ -1333,8 +1298,9 @@ auditTraces(const Args &args, const std::vector<std::string> &traces,
     std::vector<char> clean(traces.size(), 1);
     parallelForIndexed(traces.size(), g_jobs, [&](std::size_t i) {
         analysis::Report report(max_findings);
+        const trace::LoadedTrace trace(traces[i]);
         const analysis::TraceLintStats stats =
-            analysis::lintTraceFile(traces[i], report);
+            analysis::lintTraceFile(trace, report);
         char line[512];
         std::snprintf(line, sizeof line,
                       "trace %s: %llu bytes, %llu events, %llu "
@@ -1347,11 +1313,10 @@ auditTraces(const Args &args, const std::vector<std::string> &traces,
         std::string text = line;
         // Skip the deep pass when the file itself was unreadable --
         // it would only duplicate the trace.io finding.
-        if (deep && !report.has("trace.io")) {
+        if (deep && trace.ok()) {
             analysis::FlowAnalysis flow;
             const analysis::FlowLintStats fstats =
-                analysis::lintTraceFlowFile(traces[i], report,
-                                            &flow);
+                analysis::lintTraceFlowFile(trace, report, &flow);
             std::snprintf(
                 line, sizeof line,
                 "flow: %llu live object(s) at exit holding %llu "
