@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <set>
 #include <utility>
 
 #include "analysis/trace_scan.hh"
+#include "heapgraph/extent_arena.hh"
 #include "runtime/events.hh"
+#include "support/small_map.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/trace_format.hh"
 
@@ -42,7 +43,16 @@ extent(Addr base, std::uint64_t size)
     return "[" + hex(base) + ", " + hex(base + size) + ")";
 }
 
-/** One tracked heap object, live or freed-awaiting-reuse. */
+/** Inline capacity of a shadow object's edge maps (typical degree is
+ *  0-2) before they spill to a hash map. */
+constexpr std::size_t kInlineEdges = 2;
+
+/**
+ * One tracked heap object, live or freed-awaiting-reuse.  Objects are
+ * named by their ExtentArena slot; edges are keyed by the absolute
+ * address of the pointer slot, which is fixed while the source object
+ * lives (an in-place realloc keeps its base).
+ */
 struct ShadowObject
 {
     Addr base = kNullAddr;
@@ -50,11 +60,16 @@ struct ShadowObject
     FlowSite alloc;
     FlowSite freed; //!< valid once is_freed
     bool is_freed = false;
-    /** Pointer slots written into this object: offset -> target uid. */
-    std::map<std::uint64_t, std::uint64_t> slots;
-    /** Edges aimed at this object: (source uid, source offset). */
-    std::set<std::pair<std::uint64_t, std::uint64_t>> incoming;
+    /** Pointer slots written into this object: slot address ->
+     *  target object. */
+    SmallMap<Addr, std::uint32_t, kInlineEdges> slots;
+    /** Edges aimed at this object: slot address -> source object.
+     *  Mirrors the sources' @c slots entries. */
+    SmallMap<Addr, std::uint32_t, kInlineEdges> incoming;
 };
+
+using ShadowHeap = ExtentArena<ShadowObject>;
+constexpr std::uint32_t kNoObject = ShadowHeap::kNone;
 
 /**
  * A live pointer slot whose target was freed and then recycled.  The
@@ -106,20 +121,24 @@ class FlowPass
     FlowAnalysis run();
 
   private:
-    using ExtentMap = std::map<Addr, std::uint64_t>; // base -> uid
-
     ScanCursor cursor_;
     FlowAnalysis result_;
     bool capture_ = false;
     std::uint64_t event_index_ = 0;
     std::vector<FnId> fn_stack_;
-    std::uint64_t next_uid_ = 0;
-    ExtentMap live_;
-    ExtentMap freed_;
-    std::map<std::uint64_t, ShadowObject> objects_;
+    /**
+     * The shadow heap: live and freed objects in one page-indexed
+     * arena.  Their extents are disjoint -- an allocation sweeps every
+     * object it overlaps before it is inserted -- so one owner lookup
+     * answers both "live?" and "freed?".
+     */
+    ShadowHeap objects_;
     /** Slot address -> evidence of the recycled target it points at. */
     std::map<Addr, StaleSlot> stale_;
     PendingDeref pending_;
+    /** Scratch for sweeps: overlapping objects, doomed slot keys. */
+    std::vector<std::uint32_t> hits_;
+    std::vector<Addr> doomed_;
 
     FnId currentFn() const
     {
@@ -148,33 +167,17 @@ class FlowPass
     FlowFinding &emit(const char *rule, Severity severity,
                       std::uint64_t offset);
 
-    /** Extent containing @p addr, or map.end(). */
-    ExtentMap::iterator find(ExtentMap &map, Addr addr)
-    {
-        auto it = map.upper_bound(addr);
-        if (it == map.begin())
-            return map.end();
-        --it;
-        const ShadowObject &obj = objects_.at(it->second);
-        return addr - obj.base < obj.size ? it : map.end();
-    }
-
     bool readFields(std::uint64_t *fields, int count);
-    void setSlot(std::uint64_t source_uid, std::uint64_t offset,
-                 Addr value);
-    void clearSlot(std::uint64_t source_uid, std::uint64_t offset);
-    void dropOutgoing(std::uint64_t uid, std::uint64_t from_offset);
-    void eraseObject(std::uint64_t uid);
+    void setSlot(std::uint32_t source, Addr slot_addr, Addr value);
+    void clearSlot(std::uint32_t source, Addr slot_addr);
+    void dropOutgoing(std::uint32_t obj, std::uint64_t from_offset);
+    void eraseObject(std::uint32_t obj);
     void clearStaleRange(Addr base, std::uint64_t size);
-    std::uint64_t resolveTarget(Addr value);
 
     /** Sink for findings emitted past the retention cap. */
     FlowFinding overflow_;
 
-    void recycleFreed(Addr addr, std::uint64_t span,
-                      std::uint64_t offset);
-    void consumeLive(Addr addr, std::uint64_t span,
-                     std::uint64_t offset);
+    void sweep(Addr addr, std::uint64_t span, std::uint64_t offset);
     void handleAlloc(Addr addr, std::uint64_t size,
                      std::uint64_t offset);
     void handleFree(Addr addr, std::uint64_t offset, bool realloc);
@@ -218,78 +221,54 @@ FlowPass::readFields(std::uint64_t *fields, int count)
     return true;
 }
 
-/** Target object (live preferred, then freed) containing @p value. */
-std::uint64_t
-FlowPass::resolveTarget(Addr value)
+void
+FlowPass::clearSlot(std::uint32_t source, Addr slot_addr)
 {
-    auto it = find(live_, value);
-    if (it != live_.end())
-        return it->second;
-    it = find(freed_, value);
-    if (it != freed_.end())
-        return it->second;
-    return ~std::uint64_t(0);
+    ShadowObject &obj = objects_[source];
+    auto slot = obj.slots.find(slot_addr);
+    if (slot == obj.slots.end())
+        return;
+    objects_[slot->second].incoming.erase(slot_addr);
+    obj.slots.erase(slot);
 }
 
 void
-FlowPass::clearSlot(std::uint64_t source_uid, std::uint64_t offset)
+FlowPass::setSlot(std::uint32_t source, Addr slot_addr, Addr value)
 {
-    auto obj = objects_.find(source_uid);
-    if (obj == objects_.end())
+    clearSlot(source, slot_addr);
+    // The target may be live or freed: a stale pointer still names
+    // its old object until the extent is recycled.
+    const std::uint32_t target = objects_.owner(value);
+    if (target == kNoObject)
         return;
-    auto slot = obj->second.slots.find(offset);
-    if (slot == obj->second.slots.end())
-        return;
-    auto target = objects_.find(slot->second);
-    if (target != objects_.end())
-        target->second.incoming.erase({source_uid, offset});
-    obj->second.slots.erase(slot);
+    objects_[source].slots.emplace(slot_addr, target);
+    objects_[target].incoming.emplace(slot_addr, source);
 }
 
+/** Drop object @p obj's outgoing edges at offsets >= @p from_offset. */
 void
-FlowPass::setSlot(std::uint64_t source_uid, std::uint64_t offset,
-                  Addr value)
+FlowPass::dropOutgoing(std::uint32_t obj, std::uint64_t from_offset)
 {
-    clearSlot(source_uid, offset);
-    const std::uint64_t target_uid = resolveTarget(value);
-    if (target_uid == ~std::uint64_t(0))
-        return;
-    objects_.at(source_uid).slots[offset] = target_uid;
-    objects_.at(target_uid).incoming.insert({source_uid, offset});
-}
-
-/** Drop object @p uid's outgoing edges at offsets >= @p from_offset. */
-void
-FlowPass::dropOutgoing(std::uint64_t uid, std::uint64_t from_offset)
-{
-    ShadowObject &obj = objects_.at(uid);
-    auto it = obj.slots.lower_bound(from_offset);
-    while (it != obj.slots.end()) {
-        auto target = objects_.find(it->second);
-        if (target != objects_.end())
-            target->second.incoming.erase({uid, it->first});
-        it = obj.slots.erase(it);
+    ShadowObject &rec = objects_[obj];
+    doomed_.clear();
+    for (const auto &[slot_addr, target] : rec.slots) {
+        if (slot_addr - rec.base >= from_offset)
+            doomed_.push_back(slot_addr);
     }
+    for (Addr slot_addr : doomed_)
+        clearSlot(obj, slot_addr);
 }
 
-/** Remove every trace of object @p uid from the shadow heap. */
+/** Remove every trace of object @p obj from the shadow heap. */
 void
-FlowPass::eraseObject(std::uint64_t uid)
+FlowPass::eraseObject(std::uint32_t obj)
 {
-    auto it = objects_.find(uid);
-    if (it == objects_.end())
-        return;
-    ShadowObject &obj = it->second;
-    dropOutgoing(uid, 0);
-    for (const auto &[source, offset] : obj.incoming) {
-        auto src = objects_.find(source);
-        if (src != objects_.end())
-            src->second.slots.erase(offset);
-    }
-    live_.erase(obj.base);
-    freed_.erase(obj.base);
-    clearStaleRange(obj.base, obj.size);
-    objects_.erase(it);
+    dropOutgoing(obj, 0);
+    const ShadowObject &rec = objects_[obj];
+    for (const auto &[slot_addr, source] : rec.incoming)
+        objects_[source].slots.erase(slot_addr);
+    clearStaleRange(rec.base, rec.size);
+    objects_.erase(obj);
 }
 
 /**
@@ -306,37 +285,36 @@ FlowPass::clearStaleRange(Addr base, std::uint64_t size)
 }
 
 /**
- * Sweep freed extents overlapping [addr, addr+span) out of the
- * shadow heap: the allocator just recycled that space.  Live edges
+ * Sweep every object overlapping [addr, addr+span) out of the shadow
+ * heap before an allocation claims the range: the freed ones first,
+ * then the live ones, each in ascending address order.
+ *
+ * Freed objects: the allocator just recycled their space.  Live edges
  * still aimed at a recycled extent are the dangerous half of a
  * dangling pointer -- the slots now alias an unrelated object -- but
  * clean programs routinely keep such addresses around as inert keys,
  * so instead of firing here each stale slot is tainted; a later load
  * of the slot fires flow.dangling_edge (see handleRead).
+ *
+ * Live objects: a structural bug on replay traces
+ * (flow.overlap_alloc); on capture traces the shim's missed-free
+ * address reuse, so the overlapped objects are implicitly freed
+ * instead.
  */
 void
-FlowPass::recycleFreed(Addr addr, std::uint64_t span,
-                       std::uint64_t offset)
+FlowPass::sweep(Addr addr, std::uint64_t span, std::uint64_t offset)
 {
-    (void)offset;
-    for (;;) {
-        auto it = freed_.upper_bound(addr);
-        if (it != freed_.begin()) {
-            auto prev = std::prev(it);
-            const ShadowObject &o = objects_.at(prev->second);
-            if (addr - o.base < o.size)
-                it = prev;
-        }
-        if (it == freed_.end() || it->first >= addr + span)
-            break;
-        const std::uint64_t uid = it->second;
-        ShadowObject &victim = objects_.at(uid);
-        for (const auto &[src_uid, src_off] : victim.incoming) {
-            auto src = objects_.find(src_uid);
-            if (src == objects_.end() || src->second.is_freed)
+    objects_.overlapping(addr, span, hits_);
+    const auto live = std::stable_partition(
+        hits_.begin(), hits_.end(),
+        [&](std::uint32_t obj) { return objects_[obj].is_freed; });
+
+    for (auto it = hits_.begin(); it != live; ++it) {
+        const ShadowObject &victim = objects_[*it];
+        for (const auto &[slot_addr, source] : victim.incoming) {
+            if (objects_[source].is_freed)
                 continue;
-            StaleSlot &taint =
-                stale_[src->second.base + src_off];
+            StaleSlot &taint = stale_[slot_addr];
             taint.victim_base = victim.base;
             taint.victim_size = victim.size;
             taint.victim_alloc = victim.alloc;
@@ -344,32 +322,11 @@ FlowPass::recycleFreed(Addr addr, std::uint64_t span,
             taint.recycle_addr = addr;
             taint.recycle_event = event_index_;
         }
-        eraseObject(uid);
+        eraseObject(*it);
     }
-}
 
-/**
- * Sweep live extents overlapping [addr, addr+span): a structural bug
- * on replay traces (flow.overlap_alloc); on capture traces the shim's
- * missed-free address reuse, so the overlapped objects are implicitly
- * freed instead.
- */
-void
-FlowPass::consumeLive(Addr addr, std::uint64_t span,
-                      std::uint64_t offset)
-{
-    for (;;) {
-        auto it = live_.upper_bound(addr);
-        if (it != live_.begin()) {
-            auto prev = std::prev(it);
-            const ShadowObject &o = objects_.at(prev->second);
-            if (addr - o.base < o.size)
-                it = prev;
-        }
-        if (it == live_.end() || it->first >= addr + span)
-            break;
-        const std::uint64_t uid = it->second;
-        const ShadowObject &victim = objects_.at(uid);
+    for (auto it = live; it != hits_.end(); ++it) {
+        const ShadowObject &victim = objects_[*it];
         if (!capture_) {
             FlowFinding &f = emit("flow.overlap_alloc",
                                   Severity::Error, offset);
@@ -381,7 +338,7 @@ FlowPass::consumeLive(Addr addr, std::uint64_t span,
                         " overlaps live object " +
                         extent(victim.base, victim.size);
         }
-        eraseObject(uid);
+        eraseObject(*it);
     }
 }
 
@@ -400,38 +357,29 @@ FlowPass::handleAlloc(Addr addr, std::uint64_t size,
         return;
     }
     const std::uint64_t span = size == 0 ? 1 : size;
-    recycleFreed(addr, span, offset);
-    consumeLive(addr, span, offset);
+    sweep(addr, span, offset);
 
-    const std::uint64_t uid = next_uid_++;
     ShadowObject obj;
     obj.base = addr;
     obj.size = span;
     obj.alloc = here(offset);
-    objects_.emplace(uid, std::move(obj));
-    live_[addr] = uid;
+    objects_.insert(std::move(obj));
 }
 
 void
 FlowPass::handleFree(Addr addr, std::uint64_t offset, bool realloc)
 {
     const char *verb = realloc ? "realloc" : "free";
-    auto exact = live_.find(addr);
-    if (exact != live_.end()) {
-        const std::uint64_t uid = exact->second;
-        dropOutgoing(uid, 0);
-        ShadowObject &obj = objects_.at(uid);
-        obj.is_freed = true;
-        obj.freed = here(offset);
-        freed_[addr] = uid;
-        live_.erase(exact);
-        clearStaleRange(obj.base, obj.size);
-        return;
-    }
-
-    auto interior = find(live_, addr);
-    if (interior != live_.end()) {
-        const ShadowObject &obj = objects_.at(interior->second);
+    const std::uint32_t owner = objects_.owner(addr);
+    if (owner != kNoObject && !objects_[owner].is_freed) {
+        ShadowObject &obj = objects_[owner];
+        if (addr == obj.base) {
+            dropOutgoing(owner, 0);
+            obj.is_freed = true;
+            obj.freed = here(offset);
+            clearStaleRange(obj.base, obj.size);
+            return;
+        }
         FlowFinding &f =
             emit("flow.size_mismatch", Severity::Error, offset);
         f.addr = addr;
@@ -445,9 +393,8 @@ FlowPass::handleFree(Addr addr, std::uint64_t offset, bool realloc)
         return;
     }
 
-    auto freed = find(freed_, addr);
-    if (freed != freed_.end()) {
-        const ShadowObject &obj = objects_.at(freed->second);
+    if (owner != kNoObject) {
+        const ShadowObject &obj = objects_[owner];
         FlowFinding &f =
             emit("flow.double_free", Severity::Error, offset);
         f.addr = addr;
@@ -492,22 +439,19 @@ FlowPass::handleRealloc(Addr old_addr, Addr new_addr,
     if (old_addr != kNullAddr && old_addr == new_addr) {
         // In-place resize: keep the object's identity and alloc
         // site, adjust the span, drop slots beyond the new end.
-        auto it = live_.find(old_addr);
-        if (it != live_.end()) {
-            const std::uint64_t uid = it->second;
+        const std::uint32_t obj = objects_.startAt(old_addr);
+        if (obj != kNoObject && !objects_[obj].is_freed) {
             const std::uint64_t span = size == 0 ? 1 : size;
-            const std::uint64_t old_span = objects_.at(uid).size;
+            const std::uint64_t old_span = objects_[obj].size;
             if (span < old_span) {
-                dropOutgoing(uid, span);
+                dropOutgoing(obj, span);
                 clearStaleRange(old_addr + span, old_span - span);
             } else if (span > old_span) {
                 // The grown tail recycles whatever sat there.
-                recycleFreed(old_addr + old_span, span - old_span,
-                             offset);
-                consumeLive(old_addr + old_span, span - old_span,
-                            offset);
+                sweep(old_addr + old_span, span - old_span, offset);
             }
-            objects_.at(uid).size = span;
+            if (span != old_span)
+                objects_.resize(obj, span);
             return;
         }
         // Resizing something that is not a live base: same taxonomy
@@ -528,15 +472,14 @@ FlowPass::handleWrite(Addr addr, Addr value, std::uint64_t offset)
 {
     checkPendingDeref(addr, offset, true);
     stale_.erase(addr); // overwriting the slot retires the taint
-    auto owner = find(live_, addr);
-    if (owner != live_.end()) {
-        setSlot(owner->second, addr - owner->first, value);
+    const std::uint32_t owner = objects_.owner(addr);
+    if (owner != kNoObject && !objects_[owner].is_freed) {
+        setSlot(owner, addr, value);
         return;
     }
 
-    auto freed = find(freed_, addr);
-    if (freed != freed_.end()) {
-        const ShadowObject &obj = objects_.at(freed->second);
+    if (owner != kNoObject) {
+        const ShadowObject &obj = objects_[owner];
         FlowFinding &f = emit("flow.write_freed",
                               relaxed(Severity::Error), offset);
         f.addr = addr;
@@ -644,18 +587,20 @@ FlowPass::reportLeaks(std::uint64_t footer_offset)
         Addr first_base = kNullAddr;
     };
     std::map<FnId, SiteLeak> sites;
-    for (const auto &[base, uid] : live_) {
-        const ShadowObject &obj = objects_.at(uid);
+    objects_.forEach([&](std::uint32_t, const ShadowObject &obj) {
+        if (obj.is_freed)
+            return;
+        // Each site names its lowest-addressed live object.
         SiteLeak &leak = sites[obj.alloc.fn];
-        if (leak.objects == 0) {
+        if (leak.objects == 0 || obj.base < leak.first_base) {
             leak.first = obj.alloc;
-            leak.first_base = base;
+            leak.first_base = obj.base;
         }
         ++leak.objects;
         leak.bytes += obj.size;
         ++result_.stats.liveAtExit;
         result_.stats.leakedBytes += obj.size;
-    }
+    });
     if (sites.empty())
         return;
 

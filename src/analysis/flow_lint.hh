@@ -3,10 +3,11 @@
  * Shadow-heap dataflow analyzer for HMDT traces (`audit --deep`).
  *
  * A single forward pass over the decoded event stream maintains a
- * *shadow heap*: an interval map of live and freed extents, each
- * extent carrying its allocation-site provenance (innermost function,
- * event index, byte offset), the pointer slots written into it, and
- * the set of incoming edges from other objects.  Unlike the trace
+ * *shadow heap*: the live and freed extents in one page-indexed
+ * arena (heapgraph/extent_arena.hh), each extent carrying its
+ * allocation-site provenance (innermost function, event index, byte
+ * offset), the pointer slots written into it, and the incoming edges
+ * from other objects.  Unlike the trace
  * linter -- which checks that the artifact obeys the format spec --
  * this pass decides *program* properties that are statically evident
  * from the trace alone: no model, no replay, no detector thresholds.

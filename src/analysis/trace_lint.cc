@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "analysis/trace_scan.hh"
+#include "heapgraph/extent_arena.hh"
 #include "runtime/events.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/segment_set.hh"
@@ -28,7 +29,12 @@ readVarint(Cursor &cursor, std::uint64_t &value)
     return scanVarint(cursor, value);
 }
 
-/** Tracks live/freed extents to check event-ordering rules. */
+/**
+ * Live and freed extents, for the event-ordering rules.  The two are
+ * disjoint -- an allocation sweeps the freed extents it overlaps and
+ * is rejected if it overlaps a live one, and a free turns a live
+ * extent into a freed one -- so both share one page-indexed arena.
+ */
 class ExtentTracker
 {
   public:
@@ -37,71 +43,50 @@ class ExtentTracker
     allocate(Addr addr, std::uint64_t size)
     {
         // Address reuse resurrects freed ranges as live again.
-        eraseOverlapping(freed_, addr, size);
-        if (overlaps(live_, addr, size))
-            return false;
-        live_[addr] = size;
-        return true;
+        bool clash = false;
+        extents_.overlapping(addr, size, hits_);
+        for (std::uint32_t slot : hits_) {
+            if (extents_[slot].freed)
+                extents_.erase(slot);
+            else
+                clash = true;
+        }
+        if (!clash)
+            extents_.insert(Extent{addr, size, false});
+        return !clash;
     }
 
     /** @return false when @p addr is not the start of a live extent. */
     bool
     free(Addr addr)
     {
-        auto it = live_.find(addr);
-        if (it == live_.end())
+        const std::uint32_t slot = extents_.startAt(addr);
+        if (slot == ExtentArena<Extent>::kNone || extents_[slot].freed)
             return false;
-        freed_[addr] = it->second;
-        live_.erase(it);
+        extents_[slot].freed = true;
         return true;
     }
 
-    /** Owner lookup: true when @p addr falls inside a live extent. */
-    bool insideLive(Addr addr) const { return owns(live_, addr); }
-
     /** True when @p addr falls inside a freed (not reused) extent. */
-    bool insideFreed(Addr addr) const { return owns(freed_, addr); }
+    bool
+    insideFreed(Addr addr) const
+    {
+        const std::uint32_t slot = extents_.owner(addr);
+        return slot != ExtentArena<Extent>::kNone && extents_[slot].freed;
+    }
+
+    void clear() { extents_.clear(); }
 
   private:
-    using ExtentMap = std::map<Addr, std::uint64_t>;
-
-    static bool
-    owns(const ExtentMap &map, Addr addr)
+    struct Extent
     {
-        auto it = map.upper_bound(addr);
-        if (it == map.begin())
-            return false;
-        --it;
-        return addr - it->first < it->second;
-    }
+        Addr base = 0;
+        std::uint64_t size = 0;
+        bool freed = false;
+    };
 
-    static bool
-    overlaps(const ExtentMap &map, Addr addr, std::uint64_t size)
-    {
-        auto it = map.lower_bound(addr);
-        if (it != map.end() && it->first < addr + size)
-            return true;
-        if (it == map.begin())
-            return false;
-        --it;
-        return addr - it->first < it->second;
-    }
-
-    static void
-    eraseOverlapping(ExtentMap &map, Addr addr, std::uint64_t size)
-    {
-        auto it = map.lower_bound(addr);
-        if (it != map.begin()) {
-            auto prev = std::prev(it);
-            if (addr - prev->first < prev->second)
-                it = prev;
-        }
-        while (it != map.end() && it->first < addr + size)
-            it = map.erase(it);
-    }
-
-    ExtentMap live_;
-    ExtentMap freed_;
+    ExtentArena<Extent> extents_;
+    std::vector<std::uint32_t> hits_; //!< overlapping() scratch
 };
 
 /** Shared state of one lint pass. */
@@ -110,7 +95,7 @@ struct Linter
     Cursor cursor;
     Report &report;
     TraceLintStats stats;
-    ExtentTracker extents;
+    ExtentTracker &extents;
     /** First offset each function id was referenced at. */
     std::map<FnId, std::uint64_t> fn_uses;
     /** Header declared live-capture provenance. */
@@ -124,8 +109,8 @@ struct Linter
      */
     bool truncation_is_error = false;
 
-    Linter(std::string_view data, Report &rep)
-        : cursor(data), report(rep)
+    Linter(std::string_view data, Report &rep, ExtentTracker &ext)
+        : cursor(data), report(rep), extents(ext)
     {
     }
 
@@ -261,7 +246,7 @@ Linter::lintEvent(std::uint64_t offset, EventKind kind)
         if (!readFields(offset, "Write", f, 2))
             return false;
         const Addr addr = f[0];
-        if (!extents.insideLive(addr) && extents.insideFreed(addr)) {
+        if (extents.insideFreed(addr)) {
             report.errorAtByte(
                 "trace.write-after-free", offset,
                 "pointer-write at address " + std::to_string(addr) +
@@ -401,7 +386,8 @@ Linter::run()
 TraceLintStats
 lintTrace(std::string_view data, Report &report)
 {
-    Linter linter(data, report);
+    ExtentTracker extents;
+    Linter linter(data, report, extents);
     linter.stats.bytes = data.size();
     linter.stats.segments = 1;
     linter.run();
@@ -463,7 +449,7 @@ lintSegmentSet(const std::string &base, Report &report)
                     "); extent state resets at the gap");
             // Ordering checks across the hole would be noise; framing
             // checks on the remaining segments are still worth it.
-            extents = ExtentTracker();
+            extents.clear();
         }
         expected = index + 1;
 
@@ -488,12 +474,10 @@ lintSegmentSet(const std::string &base, Report &report)
                                    "'");
             continue;
         }
-        Linter linter(segment.bytes(), report);
+        Linter linter(segment.bytes(), report, extents);
         linter.stats.bytes = segment.bytes().size();
-        linter.extents = std::move(extents);
         linter.truncation_is_error = i + 1 < indices.size();
         linter.run();
-        extents = std::move(linter.extents);
 
         total.bytes += linter.stats.bytes;
         total.events += linter.stats.events;

@@ -374,9 +374,12 @@ HeapGraph::checkConsistency() const
             objectAt(rec.addr - 1) == &rec)
             HEAPMD_PANIC("page index lookup overshoots extent of ",
                          id);
+        // (Side-list extents write no spanners.)
         const std::uint64_t first_page = PageIndex::pageOf(rec.addr);
         const std::uint64_t last_page =
-            PageIndex::pageOf(rec.addr + rec.size - 1);
+            PageIndex::isWide(rec.addr, rec.size)
+                ? first_page
+                : PageIndex::pageOf(rec.addr + rec.size - 1);
         for (std::uint64_t p = first_page + 1; p <= last_page; ++p) {
             if (objectAt(p << PageIndex::kPageShift) != &rec)
                 HEAPMD_PANIC("page spanner missing for ", id,
@@ -450,6 +453,13 @@ HeapGraph::checkConsistency() const
                 HEAPMD_PANIC("page spanner does not cover page ",
                              page_no);
         }
+    });
+    // Side-list extents: wide ones only, each a live object's extent.
+    pages_.forEachWide([&](const PageIndex::Wide &w) {
+        if (!PageIndex::isWide(w.addr, w.size) || !alloc_.live(w.slot) ||
+            hot_[w.slot].addr != w.addr || hot_[w.slot].size != w.size)
+            HEAPMD_PANIC("page index side list drifted at ", w.addr);
+        ++seen_starts;
     });
     if (seen_starts != pages_.startCount())
         HEAPMD_PANIC("page index start count disagrees with pages");

@@ -27,6 +27,15 @@
  * Ordered iteration (freeOverlapping, consistency oracles) walks the
  * page range ascending and visits each page's start array in offset
  * order; no global ordered structure is kept.
+ *
+ * Work is bounded by the pages an extent starts in, never by its
+ * size.  An extent wider than one leaf (or one whose end passes the
+ * top of the address space, which is then its end) skips the page
+ * grid: it sits in a small address-sorted side list, consulted only
+ * when the list is non-empty.  Every grid extent therefore covers at
+ * most kLeafSize + 1 pages, so insert/erase write at most that many
+ * spanners, and a range walk spanning more leaves than exist visits
+ * only the materialized ones.
  */
 
 #ifndef HEAPMD_HEAPGRAPH_PAGE_INDEX_HH
@@ -58,6 +67,9 @@ class PageIndex
                                                << kLeafBits;
     static constexpr std::uint64_t kLeafMask = kLeafSize - 1;
 
+    /** Bytes of address space one leaf covers (2 MiB). */
+    static constexpr std::uint64_t kLeafSpan = kLeafSize << kPageShift;
+
     /** Sentinel slot ("no object"). */
     static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
@@ -83,16 +95,51 @@ class PageIndex
         }
     };
 
+    /** An extent kept in the side list instead of the page grid. */
+    struct Wide
+    {
+        Addr addr = 0;
+        std::uint64_t size = 0;
+        std::uint32_t slot = kNoSlot;
+    };
+
     static constexpr std::uint64_t
     pageOf(Addr addr)
     {
         return addr >> kPageShift;
     }
 
+    /**
+     * Last byte of the extent [addr, addr + size), size > 0; an
+     * extent whose end passes 2^64 ends at the top of the space.
+     */
+    static constexpr Addr
+    lastByte(Addr addr, std::uint64_t size)
+    {
+        const Addr last = addr + (size - 1);
+        return last < addr ? ~Addr{0} : last;
+    }
+
+    /** True when the extent goes to the side list, not the grid. */
+    static constexpr bool
+    isWide(Addr addr, std::uint64_t size)
+    {
+        return size > kLeafSpan || addr + (size - 1) < addr;
+    }
+
     /** Index the extent [addr, addr + size) under @p slot. */
     void
     insert(Addr addr, std::uint64_t size, std::uint32_t slot)
     {
+        if (isWide(addr, size)) {
+            if (startAt(addr) != kNoSlot)
+                HEAPMD_PANIC("page index: duplicate start at ", addr);
+            wide_.insert(wideLowerBound(addr), Wide{addr, size, slot});
+            ++start_count_;
+            return;
+        }
+        if (!wide_.empty() && wideAt(addr) != wide_.end())
+            HEAPMD_PANIC("page index: duplicate start at ", addr);
         const std::uint64_t first = pageOf(addr);
         const std::uint64_t last = pageOf(addr + size - 1);
         Page &pg = page(first);
@@ -112,6 +159,15 @@ class PageIndex
     void
     erase(Addr addr, std::uint64_t size)
     {
+        if (isWide(addr, size)) {
+            const auto it = wideAt(addr);
+            if (it == wide_.end())
+                HEAPMD_PANIC("page index: erase of unindexed start ",
+                             addr);
+            wide_.erase(it);
+            --start_count_;
+            return;
+        }
         const std::uint64_t first = pageOf(addr);
         const std::uint64_t last = pageOf(addr + size - 1);
         Page *pg = findPage(first);
@@ -136,6 +192,14 @@ class PageIndex
     std::uint32_t
     lookup(Addr addr) const
     {
+        if (!wide_.empty()) {
+            // A wide extent containing addr is the owner: extents are
+            // disjoint, so no grid extent can contain it too.
+            const auto it = wideUpperBound(addr);
+            if (it != wide_.begin() &&
+                addr - std::prev(it)->addr < std::prev(it)->size)
+                return std::prev(it)->slot;
+        }
         const Page *pg = findPage(pageOf(addr));
         if (pg == nullptr)
             return kNoSlot;
@@ -153,6 +217,11 @@ class PageIndex
     std::uint32_t
     startAt(Addr addr) const
     {
+        if (!wide_.empty()) {
+            const auto it = wideAt(addr);
+            if (it != wide_.end())
+                return it->slot;
+        }
         const Page *pg = findPage(pageOf(addr));
         if (pg == nullptr)
             return kNoSlot;
@@ -167,31 +236,74 @@ class PageIndex
 
     /**
      * Visit every object start in [lo, hi) in ascending address
-     * order, as f(Addr start, std::uint32_t slot).  One pass over the
-     * covered pages.
+     * order, as f(Addr start, std::uint32_t slot).  @p f must not
+     * modify the index.
      */
     template <typename F>
     void
     forEachStartIn(Addr lo, Addr hi, F &&f) const
     {
-        if (lo >= hi)
+        if (lo < hi)
+            forEachStartBetween(lo, hi - 1, f);
+    }
+
+    /**
+     * Visit every object start in [lo, last] -- inclusive, so a range
+     * can reach the top of the address space -- in ascending address
+     * order.  One pass over the covered pages of materialized leaves,
+     * merged with the side list.
+     */
+    template <typename F>
+    void
+    forEachStartBetween(Addr lo, Addr last_byte, F &&f) const
+    {
+        if (lo > last_byte)
             return;
-        const std::uint64_t first = pageOf(lo);
-        const std::uint64_t last = pageOf(hi - 1);
-        for (std::uint64_t p = first; p <= last; ++p) {
-            const Page *pg = findPage(p);
-            if (pg == nullptr)
-                continue;
-            const Addr base = p << kPageShift;
-            for (const Start &s : pg->starts) {
-                const Addr start = base + s.offset;
-                if (start < lo)
-                    continue;
-                if (start >= hi)
-                    break;
-                f(start, s.slot);
-            }
+        auto wide = wide_.end();
+        auto wide_end = wide_.end();
+        if (!wide_.empty()) {
+            wide = wideLowerBound(lo);
+            wide_end = wideUpperBound(last_byte);
         }
+        // Side-list starts below @p bound, in order, before it.
+        const auto flushWide = [&](Addr bound) {
+            for (; wide != wide_end && wide->addr < bound; ++wide)
+                f(wide->addr, wide->slot);
+        };
+        const std::uint64_t first = pageOf(lo);
+        const std::uint64_t last = pageOf(last_byte);
+        forEachLeafIn(first >> kLeafBits, last >> kLeafBits,
+                      [&](std::uint64_t leaf_no, const Leaf &leaf) {
+            const std::uint64_t leaf_first = leaf_no << kLeafBits;
+            const std::uint64_t p0 = std::max(first, leaf_first);
+            const std::uint64_t p1 =
+                std::min(last, leaf_first + kLeafMask);
+            for (std::uint64_t p = p0; p <= p1; ++p) {
+                const Page &pg = leaf.pages[p & kLeafMask];
+                if (pg.starts.empty())
+                    continue;
+                const Addr base = p << kPageShift;
+                auto s = pg.starts.begin();
+                if (base < lo) {
+                    const auto off =
+                        static_cast<std::uint16_t>(lo & kPageMask);
+                    s = std::lower_bound(
+                        pg.starts.begin(), pg.starts.end(), off,
+                        [](const Start &st, std::uint16_t o) {
+                            return st.offset < o;
+                        });
+                }
+                for (; s != pg.starts.end(); ++s) {
+                    const Addr start = base + s->offset;
+                    if (start > last_byte)
+                        break;
+                    flushWide(start);
+                    f(start, s->slot);
+                }
+            }
+        });
+        for (; wide != wide_end; ++wide)
+            f(wide->addr, wide->slot);
     }
 
     /**
@@ -219,6 +331,7 @@ class PageIndex
     /**
      * Visit every materialized page as f(pageNumber, const Page &).
      * Unordered across leaves; used by consistency checks only.
+     * Side-list extents are not in any page: see forEachWide().
      */
     template <typename F>
     void
@@ -233,10 +346,20 @@ class PageIndex
         }
     }
 
+    /** Visit every side-list extent as f(const Wide &), ascending. */
+    template <typename F>
+    void
+    forEachWide(F &&f) const
+    {
+        for (const Wide &w : wide_)
+            f(w);
+    }
+
     void
     clear()
     {
         leaves_.clear();
+        wide_.clear();
         cache_.fill(CacheEntry{});
         start_count_ = 0;
     }
@@ -262,6 +385,61 @@ class PageIndex
         std::uint64_t leaf_no = ~std::uint64_t{0};
         Leaf *leaf = nullptr;
     };
+
+    using WideList = std::vector<Wide>;
+
+    WideList::const_iterator
+    wideLowerBound(Addr addr) const
+    {
+        return std::lower_bound(
+            wide_.begin(), wide_.end(), addr,
+            [](const Wide &w, Addr a) { return w.addr < a; });
+    }
+
+    WideList::const_iterator
+    wideUpperBound(Addr addr) const
+    {
+        return std::upper_bound(
+            wide_.begin(), wide_.end(), addr,
+            [](Addr a, const Wide &w) { return a < w.addr; });
+    }
+
+    WideList::const_iterator
+    wideAt(Addr addr) const
+    {
+        const auto it = wideLowerBound(addr);
+        return it != wide_.end() && it->addr == addr ? it : wide_.end();
+    }
+
+    /**
+     * Visit the materialized leaves numbered [first, last] in
+     * ascending order, as f(leafNumber, const Leaf &).  Probes each
+     * number in the range, or -- when the range spans more leaves
+     * than exist -- sorts the directory's own keys instead.
+     */
+    template <typename F>
+    void
+    forEachLeafIn(std::uint64_t first, std::uint64_t last, F &&f) const
+    {
+        if (last - first < leaves_.size()) {
+            for (std::uint64_t n = first; n <= last; ++n) {
+                const Leaf *leaf =
+                    const_cast<PageIndex *>(this)->leafFor(
+                        n << kLeafBits, /*create=*/false);
+                if (leaf != nullptr)
+                    f(n, *leaf);
+            }
+            return;
+        }
+        std::vector<std::uint64_t> present;
+        for (const auto &[leaf_no, leaf] : leaves_) {
+            if (leaf_no >= first && leaf_no <= last)
+                present.push_back(leaf_no);
+        }
+        std::sort(present.begin(), present.end());
+        for (std::uint64_t n : present)
+            f(n, *leaves_.at(n));
+    }
 
     Page &
     page(std::uint64_t page_no)
@@ -303,6 +481,8 @@ class PageIndex
 
     std::unordered_map<std::uint64_t, std::unique_ptr<Leaf>> leaves_;
     std::array<CacheEntry, kCacheSize> cache_{};
+    /** Wide extents (isWide), ascending by start address. */
+    WideList wide_;
     std::size_t start_count_ = 0;
 };
 

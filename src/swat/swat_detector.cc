@@ -1,5 +1,7 @@
 #include "swat/swat_detector.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace heapmd
@@ -20,56 +22,71 @@ SwatDetector::attach(Process &process)
 }
 
 void
+SwatDetector::track(Tracked t)
+{
+    // A stream that reuses a tracked range without freeing it first
+    // (a capture with missed frees) retires the overlapped objects,
+    // as the heap-graph does.
+    t.size = t.bytes == 0 ? 1 : t.bytes;
+    live_.overlapping(t.base, t.size, hits_);
+    for (std::uint32_t slot : hits_)
+        live_.erase(slot);
+    live_.insert(t);
+}
+
+void
 SwatDetector::onEvent(const Event &event, Tick tick)
 {
     switch (event.kind) {
       case EventKind::Alloc: {
         Tracked t;
-        t.size = event.size;
+        t.base = event.addr;
+        t.bytes = event.size;
         t.allocSite =
             process_ != nullptr ? process_->callStack().top()
                                 : kNoFunction;
         t.allocTick = tick;
         t.lastAccess = tick; // allocation counts as an access
-        by_addr_[event.addr] = t;
+        track(t);
         break;
       }
       case EventKind::Free: {
-        auto it = by_addr_.find(event.addr);
-        if (it == by_addr_.end())
+        const std::uint32_t slot = live_.startAt(event.addr);
+        if (slot == ExtentArena<Tracked>::kNone)
             break;
         // SWAT runs *during* execution: an object that sat stale past
         // the threshold was already reported before this (cleanup)
         // free.  Record it sticky so end-of-run teardown cannot hide
         // the report.
-        const Tracked &t = it->second;
+        const Tracked &t = live_[slot];
         if (tick - t.allocTick >= config_.minObjectAge &&
             tick - t.lastAccess >= config_.stalenessThreshold) {
             LeakReport leak;
             leak.addr = event.addr;
-            leak.size = t.size;
+            leak.size = t.bytes;
             leak.allocSite = t.allocSite;
             leak.allocTick = t.allocTick;
             leak.lastAccess = t.lastAccess;
             leak.staleness = tick - t.lastAccess;
             sticky_.push_back(leak);
         }
-        by_addr_.erase(it);
+        live_.erase(slot);
         break;
       }
       case EventKind::Realloc: {
-        auto it = by_addr_.find(event.addr);
+        const std::uint32_t slot = live_.startAt(event.addr);
         Tracked t;
-        if (it != by_addr_.end()) {
-            t = it->second;
-            by_addr_.erase(it);
+        if (slot != ExtentArena<Tracked>::kNone) {
+            t = live_[slot];
+            live_.erase(slot);
         } else {
             t.allocTick = tick;
         }
-        t.size = event.size;
+        t.base = event.value;
+        t.bytes = event.size;
         t.lastAccess = tick;
         if (event.size > 0)
-            by_addr_[event.value] = t;
+            track(t);
         break;
       }
       case EventKind::Write:
@@ -85,58 +102,53 @@ SwatDetector::onEvent(const Event &event, Tick tick)
 std::vector<LeakReport>
 SwatDetector::finalize(Tick end_tick) const
 {
-    std::vector<LeakReport> leaks = sticky_;
-    for (const auto &[addr, t] : by_addr_) {
+    std::vector<LeakReport> live;
+    live_.forEach([&](std::uint32_t, const Tracked &t) {
         if (end_tick - t.allocTick < config_.minObjectAge)
-            continue; // too young to judge
+            return; // too young to judge
         const Tick staleness = end_tick - t.lastAccess;
         if (staleness < config_.stalenessThreshold)
-            continue;
+            return;
         LeakReport leak;
-        leak.addr = addr;
-        leak.size = t.size;
+        leak.addr = t.base;
+        leak.size = t.bytes;
         leak.allocSite = t.allocSite;
         leak.allocTick = t.allocTick;
         leak.lastAccess = t.lastAccess;
         leak.staleness = staleness;
-        leaks.push_back(leak);
-    }
+        live.push_back(leak);
+    });
+    // Live leaks are reported in address order.
+    std::sort(live.begin(), live.end(),
+              [](const LeakReport &a, const LeakReport &b) {
+                  return a.addr < b.addr;
+              });
+    std::vector<LeakReport> leaks = sticky_;
+    leaks.insert(leaks.end(), live.begin(), live.end());
     return leaks;
-}
-
-std::map<Addr, SwatDetector::Tracked>::iterator
-SwatDetector::ownerOf(Addr addr)
-{
-    if (by_addr_.empty())
-        return by_addr_.end();
-    auto it = by_addr_.upper_bound(addr);
-    if (it == by_addr_.begin())
-        return by_addr_.end();
-    --it;
-    const Addr start = it->first;
-    if (addr >= start && addr - start < it->second.size)
-        return it;
-    return by_addr_.end();
 }
 
 void
 SwatDetector::recordAccess(Addr addr, Tick tick)
 {
     ++total_;
-    auto it = ownerOf(addr);
-    if (it == by_addr_.end())
+    const std::uint32_t slot = live_.owner(addr);
+    if (slot == ExtentArena<Tracked>::kNone)
         return;
+    Tracked &t = live_[slot];
+    if (addr - t.base >= t.bytes)
+        return; // the one indexed byte of a 0-byte allocation
 
     // Adaptive sampling: frequently-accessed allocation sites are
     // observed at a decaying rate.
-    std::uint64_t &n = site_accesses_[it->second.allocSite];
+    std::uint64_t &n = site_accesses_[t.allocSite];
     const double rate = config_.samplingK /
                         (config_.samplingK + static_cast<double>(n));
     if (!rng_.chance(rate))
         return;
     ++n;
     ++sampled_;
-    it->second.lastAccess = tick;
+    t.lastAccess = tick;
 }
 
 } // namespace heapmd

@@ -22,10 +22,10 @@
 #define HEAPMD_SWAT_SWAT_DETECTOR_HH
 
 #include <cstdint>
-#include <map>
 #include <unordered_map>
 #include <vector>
 
+#include "heapgraph/extent_arena.hh"
 #include "runtime/process.hh"
 #include "support/random.hh"
 #include "support/types.hh"
@@ -94,7 +94,7 @@ class SwatDetector : public EventObserver
     std::vector<LeakReport> finalize(Tick end_tick) const;
 
     /** Objects currently tracked live. */
-    std::size_t liveCount() const { return by_addr_.size(); }
+    std::size_t liveCount() const { return live_.size(); }
 
     /** Accesses that were sampled (observed) vs total. */
     std::uint64_t sampledAccesses() const { return sampled_; }
@@ -103,20 +103,24 @@ class SwatDetector : public EventObserver
   private:
     struct Tracked
     {
-        std::uint64_t size = 0;
+        Addr base = kNullAddr;
+        std::uint64_t size = 0; //!< indexed extent (>= 1 byte)
+        std::uint64_t bytes = 0; //!< allocation size as reported
         FnId allocSite = kNoFunction;
         Tick allocTick = 0;
         Tick lastAccess = 0;
     };
 
-    /** Owner lookup over the tracked live set. */
-    std::map<Addr, Tracked>::iterator ownerOf(Addr addr);
+    /** Start tracking @p t, dropping tracked objects it overlaps. */
+    void track(Tracked t);
 
     void recordAccess(Addr addr, Tick tick);
 
     SwatConfig config_;
     Process *process_ = nullptr;
-    std::map<Addr, Tracked> by_addr_;
+    /** Live objects by extent (page-indexed, DESIGN.md §16). */
+    ExtentArena<Tracked> live_;
+    std::vector<std::uint32_t> hits_; //!< track() scratch
     /** Objects that went stale and were later freed (still reported). */
     std::vector<LeakReport> sticky_;
     /** Per-allocation-site observed access counts (adaptive rate). */

@@ -209,6 +209,29 @@ TEST(TraceLintTest, AddressReuseAfterFreeIsNotAUseAfterFree)
     EXPECT_TRUE(report.findings().empty()) << report.describe();
 }
 
+TEST(TraceLintTest, RejectedAllocationStillRecyclesFreedExtents)
+{
+    // An allocation overlapping a live extent is rejected, but the
+    // freed extents it overlaps are recycled all the same: a later
+    // write there is not a use after free.
+    std::stringstream ss;
+    FunctionRegistry registry;
+    TraceWriter writer(ss, registry);
+    writer.onEvent(Event::alloc(0x1000, 64), 1);
+    writer.onEvent(Event::free(0x1000), 2);
+    writer.onEvent(Event::alloc(0x1040, 64), 3);
+    writer.onEvent(Event::alloc(0x1020, 64), 4); // freed + live
+    writer.onEvent(Event::write(0x1008, 0), 5);
+    writer.onEvent(Event::write(0x1060, 0), 6);
+    writer.onEvent(Event::free(0x1040), 7);
+    writer.finish();
+
+    Report report;
+    analysis::lintTrace(ss.str(), report);
+    ASSERT_EQ(report.findings().size(), 1u) << report.describe();
+    EXPECT_TRUE(report.has("trace.alloc-overlap"));
+}
+
 // --- Model linter ---------------------------------------------------
 
 std::string

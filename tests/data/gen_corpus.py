@@ -17,6 +17,10 @@ FOOTER = b"\xff"
 
 ALLOC, FREE, REALLOC, WRITE, READ, FN_ENTER, FN_EXIT = range(7)
 
+# Bases of giant_alloc.trace's two wide extents.
+GIANT_A = 0x10000000
+GIANT_B = 1 << 45
+
 
 def varint(value):
     out = bytearray()
@@ -188,6 +192,23 @@ CORPUS = {
     "capture_leak.trace": header2(1)
     + event(ALLOC, 0x1000, 64)
     + footer(),
+    # Zero findings, but two extents far wider than an index leaf: a
+    # 16 TiB allocation and one just under 2^63 bytes, with pointer
+    # writes deep inside both.  Every address index must handle them
+    # in bounded work (audit, train --trace and replay stay fast).
+    "giant_alloc.trace": header()
+    + event(FN_ENTER, 0)
+    + event(ALLOC, 0x1000, 64)
+    + event(ALLOC, GIANT_A, 1 << 44)
+    + event(WRITE, GIANT_A + (1 << 43), 0x1000)
+    + event(WRITE, 0x1000, GIANT_A + (1 << 40))
+    + event(ALLOC, GIANT_B, (1 << 63) - 4096)
+    + event(WRITE, GIANT_B + (1 << 62), GIANT_B)
+    + event(FREE, GIANT_B)
+    + event(FREE, GIANT_A)
+    + event(FREE, 0x1000)
+    + event(FN_EXIT, 0)
+    + footer(["main"]),
 }
 
 

@@ -10,7 +10,8 @@
  * -- the seeded double free, UAF write and leak must surface under
  * their exact rule ids, and fault-free recordings must audit with
  * zero flow findings.  A truncation/corruption fuzz pass asserts the
- * analyzer never crashes on damaged input.
+ * flow and trace linters never crash on damaged input and pins their
+ * reports with a digest.
  */
 
 #include <gtest/gtest.h>
@@ -24,10 +25,12 @@
 
 #include "analysis/diag_lint.hh"
 #include "analysis/flow_lint.hh"
+#include "analysis/trace_lint.hh"
 #include "apps/app.hh"
 #include "diag/flow_incident.hh"
 #include "runtime/events.hh"
 #include "runtime/process.hh"
+#include "support/hash.hh"
 #include "trace/trace_writer.hh"
 
 namespace heapmd
@@ -40,6 +43,13 @@ using analysis::FlowAnalysis;
 using analysis::FlowFinding;
 using analysis::Report;
 using analysis::Severity;
+
+/**
+ * Digest of FlowFuzz's reports, recorded with the ordered-map shadow
+ * heaps the page-indexed ones replaced.  It changes only when a lint
+ * rule's output is meant to change.
+ */
+const char *const kFuzzDigest = "fnv1a:20f7516aafde88eb";
 
 std::string
 corpusPath(const std::string &name)
@@ -346,8 +356,50 @@ TEST(CaptureMatrix, LeakDowngradesToNote)
 
 // --- Damage tolerance -----------------------------------------------
 
+/**
+ * Everything both trace linters report about one input, as text: the
+ * trace linter's findings and stats, then every field of the flow
+ * pass's structured findings and its stats.
+ */
+std::string
+lintRendering(const std::string &data)
+{
+    Report report;
+    const analysis::TraceLintStats ts = analysis::lintTrace(data, report);
+    std::ostringstream out;
+    out << report.describe() << ts.bytes << ' ' << ts.events << ' '
+        << ts.functions << ' ' << ts.segments << ' '
+        << ts.captureProvenance << '\n';
+    const FlowAnalysis flow = analysis::analyzeTraceFlow(data);
+    EXPECT_LE(flow.findings.size(), 4096u);
+    for (const FlowFinding &f : flow.findings) {
+        out << f.rule << ' ' << static_cast<int>(f.severity) << ' '
+            << f.byteOffset << ' ' << f.eventIndex << ' ' << f.addr
+            << ' ' << f.base << ' ' << f.size << ' '
+            << f.lifetimeEvents << ' ' << f.objects << ' ' << f.bytes
+            << ' ' << f.message << '\n';
+    }
+    const analysis::FlowLintStats &fs = flow.stats;
+    out << fs.bytes << ' ' << fs.events << ' ' << fs.functions << ' '
+        << fs.liveAtExit << ' ' << fs.leakedBytes << ' '
+        << fs.captureProvenance << ' ' << fs.sawFooter << '\n';
+    return out.str();
+}
+
+/**
+ * Both linters over every prefix and every single-byte corruption of
+ * five corpus seeds, over ~256 prefixes of a recorded app trace, and
+ * over whole recordings with and without seeded faults.
+ * None may crash, and every report is folded into one FNV-1a digest:
+ * the linters' output on damaged input is pinned byte for byte, so a
+ * rewrite of their shadow heaps cannot change a single finding.
+ */
 TEST(FlowFuzz, TruncationAndCorruptionNeverCrash)
 {
+    std::string digests;
+    const auto fold = [&](const std::string &data) {
+        digests += hashFingerprint(fnv1a64(lintRendering(data)));
+    };
     const char *kSeeds[] = {
         "clean.trace",          "flow_dangling_reuse.trace",
         "capture_addr_reuse.trace", "write_after_free.trace",
@@ -358,12 +410,12 @@ TEST(FlowFuzz, TruncationAndCorruptionNeverCrash)
         ASSERT_FALSE(data.empty()) << name;
         // Every prefix, as a kill mid-write would leave it.
         for (std::size_t len = 0; len <= data.size(); ++len)
-            analysis::analyzeTraceFlow(data.substr(0, len));
+            fold(data.substr(0, len));
         // Every single-byte corruption.
         for (std::size_t i = 0; i < data.size(); ++i) {
             std::string bent = data;
             bent[i] = static_cast<char>(bent[i] ^ 0xFF);
-            analysis::analyzeTraceFlow(bent);
+            fold(bent);
         }
     }
 
@@ -371,12 +423,35 @@ TEST(FlowFuzz, TruncationAndCorruptionNeverCrash)
     const std::string recorded = recordApp("gzip", nullptr);
     ASSERT_GT(recorded.size(), 512u);
     const std::size_t stride = recorded.size() / 256 + 1;
-    for (std::size_t len = 0; len < recorded.size(); len += stride) {
-        const FlowAnalysis a =
-            analysis::analyzeTraceFlow(recorded.substr(0, len));
-        EXPECT_LE(a.findings.size(), 4096u);
+    for (std::size_t len = 0; len < recorded.size(); len += stride)
+        fold(recorded.substr(0, len));
+    // Whole recordings, clean and with seeded leaks and double frees:
+    // leak ranking and sweeps over many live objects.
+    fold(recorded);
+    fold(recordApp("gzip", "small-leak"));
+    fold(recordApp("Multimedia", "shared-state-free"));
+
+    EXPECT_EQ(hashFingerprint(fnv1a64(digests)), kFuzzDigest);
+}
+
+TEST(FlowShadowHeap, OverlapSweepReportsVictimsInAddressOrder)
+{
+    // Victims allocated out of order, one of them wider than an index
+    // leaf: the sweep still reports them by ascending base.
+    const std::string trace =
+        traceHeader() + ev(EventKind::Alloc, {0x60000000, 16}) +
+        ev(EventKind::Alloc, {0x10000000, 0x40000000}) +
+        ev(EventKind::Alloc, {0x1000, 16}) +
+        ev(EventKind::Alloc, {0x2000, 16}) +
+        ev(EventKind::Alloc, {0x800, 0x70000000}) + traceFooter();
+    const FlowAnalysis a = analysis::analyzeTraceFlow(trace);
+    std::vector<Addr> bases;
+    for (const FlowFinding &f : a.findings) {
+        if (f.rule == "flow.overlap_alloc")
+            bases.push_back(f.base);
     }
-    SUCCEED();
+    EXPECT_EQ(bases, (std::vector<Addr>{0x1000, 0x2000, 0x10000000,
+                                        0x60000000}));
 }
 
 // --- End-to-end: fault injections surface under exact rule ids ------

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
 #include <vector>
 
@@ -234,6 +235,112 @@ TEST_P(HeapGraphChurnTest, AddressReuseNeverAliasesVertices)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HeapGraphChurnTest,
                          ::testing::Values(101, 202, 303, 404, 505));
+
+/**
+ * Mixed-width extents: grid-sized objects, ones straddling the
+ * one-leaf side-list threshold, wide ones up to 16 TiB and one that
+ * ends exactly at 2^64.  Every allocation first sweeps its range with
+ * freeOverlapping(), which must free exactly what the ordered-map
+ * oracle says overlaps; in-place reallocs move extents across the
+ * threshold both ways.
+ */
+class HeapGraphWideExtentTest
+    : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(HeapGraphWideExtentTest, MixedWidthExtentsMatchOracle)
+{
+    Rng rng(GetParam());
+    HeapGraph g;
+    ExtentOracle oracle;
+    const Addr kBase = Addr{1} << 32;
+    const Addr kTopObject = ~Addr{0} - ((Addr{1} << 30) - 1);
+
+    const auto randomSize = [&]() -> std::uint64_t {
+        const std::uint64_t cls = rng.below(10);
+        if (cls < 5)
+            return 1 + rng.below(3 * PageIndex::kPageSize);
+        if (cls < 8) // around the one-leaf threshold
+            return PageIndex::kLeafSpan - 4096 + rng.below(8192);
+        return (std::uint64_t{1} << (22 + rng.below(23))) +
+               rng.below(4096);
+    };
+    const auto overlapCount = [&](Addr addr, std::uint64_t size) {
+        std::size_t n = 0;
+        for (const auto &[start, ext] : oracle.extents) {
+            const Addr last = addr + (size - 1);
+            const Addr ext_last = start + (ext.first - 1);
+            if (start <= last && addr <= ext_last)
+                ++n;
+        }
+        return n;
+    };
+    const auto sweepAndAllocate = [&](Addr addr, std::uint64_t size) {
+        const std::size_t expected = overlapCount(addr, size);
+        ASSERT_EQ(g.freeOverlapping(addr, size, kNullAddr), expected)
+            << "sweep of [" << addr << ", +" << size << ")";
+        for (auto it = oracle.extents.begin();
+             it != oracle.extents.end();) {
+            const Addr ext_last = it->first + (it->second.first - 1);
+            if (it->first <= addr + (size - 1) && addr <= ext_last)
+                it = oracle.extents.erase(it);
+            else
+                ++it;
+        }
+        oracle.insert(addr, size, g.allocate(addr, size));
+    };
+
+    // One object ending exactly at the top of the address space.
+    sweepAndAllocate(kTopObject, Addr{1} << 30);
+
+    for (int op = 0; op < 600; ++op) {
+        const std::uint64_t kind = rng.below(10);
+        if (kind < 4 || oracle.extents.size() < 4) {
+            const Addr addr =
+                kBase + rng.below(Addr{1} << 46) / 16 * 16;
+            sweepAndAllocate(addr, randomSize());
+        } else if (kind < 6) {
+            auto it = oracle.extents.begin();
+            std::advance(it, rng.below(oracle.extents.size()));
+            const Addr addr = it->first;
+            ASSERT_TRUE(g.free(addr));
+            oracle.erase(addr);
+        } else if (kind < 7) {
+            // In-place resize: shrink, or grow into a free range.
+            auto it = oracle.extents.begin();
+            std::advance(it, rng.below(oracle.extents.size()));
+            const Addr addr = it->first;
+            const std::uint64_t old_size = it->second.first;
+            std::uint64_t size = randomSize();
+            if (size > old_size &&
+                (addr + (size - 1) < addr ||
+                 overlapCount(addr, size) != 1))
+                size = 1 + rng.below(old_size);
+            const ObjectId id = g.reallocate(addr, addr, size);
+            oracle.erase(addr);
+            oracle.insert(addr, size, id);
+        } else {
+            // A pointer write deep inside one object to another.
+            auto src = oracle.extents.begin();
+            std::advance(src, rng.below(oracle.extents.size()));
+            auto dst = oracle.extents.begin();
+            std::advance(dst, rng.below(oracle.extents.size()));
+            g.write(src->first + rng.below(src->second.first),
+                    dst->first + rng.below(dst->second.first));
+        }
+        if (op % 50 == 0) {
+            g.checkConsistency();
+            expectLookupsMatchOracle(g, oracle, rng);
+        }
+    }
+    expectCensusMatches(g);
+    g.checkConsistency();
+    expectLookupsMatchOracle(g, oracle, rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HeapGraphWideExtentTest,
+                         ::testing::Values(7, 11, 19, 23));
 
 } // namespace
 

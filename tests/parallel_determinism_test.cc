@@ -11,6 +11,7 @@
 
 #include <sys/wait.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -392,6 +393,40 @@ TEST_F(CliDeterminismTest, MalformedNumericFlagsAreUsageErrors)
     EXPECT_NE(slurp("inputs.log").find("invalid --inputs value '1e3'"),
               std::string::npos)
         << slurp("inputs.log");
+}
+
+TEST_F(CliDeterminismTest, GiantExtentTraceRunsInBoundedTime)
+{
+    // giant_alloc.trace holds a 16 TiB extent and one just under
+    // 2^63 bytes.  Index work must not grow with extent size: every
+    // command that reads the trace finishes well under a second.
+    const std::string trace =
+        std::string(HEAPMD_TEST_DATA_DIR) + "/giant_alloc.trace";
+    ASSERT_EQ(run("1", "train --app gzip --inputs 2 --scale 0.1 "
+                       "--out gzip.model",
+                  "model.log"),
+              0)
+        << slurp("model.log");
+    const struct
+    {
+        const char *name;
+        std::string args;
+    } kCommands[] = {
+        {"audit", "audit --deep 1 --trace " + trace},
+        {"train", "train --trace " + trace + " --out giant.model"},
+        {"replay", "replay --trace " + trace + " --model gzip.model"},
+    };
+    for (const auto &command : kCommands) {
+        const auto start = std::chrono::steady_clock::now();
+        const int status = run("1", command.args, "giant.log");
+        const double seconds =
+            std::chrono::duration<double>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+        EXPECT_EQ(status, 0) << command.name << ": "
+                             << slurp("giant.log");
+        EXPECT_LT(seconds, 1.0) << command.name;
+    }
 }
 
 #if HEAPMD_HAVE_ZLIB

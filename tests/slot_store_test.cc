@@ -9,11 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "heapgraph/extent_arena.hh"
 #include "heapgraph/heap_graph.hh"
 #include "heapgraph/page_index.hh"
 #include "support/chunked_vector.hh"
+#include "support/random.hh"
 #include "support/slot_map.hh"
 
 namespace heapmd
@@ -219,6 +224,149 @@ TEST(PageIndexTest, EraseIsExactAndClearDropsEverything)
     idx.clear();
     EXPECT_EQ(idx.startCount(), 0u);
     EXPECT_EQ(idx.lookup(0x1010), PageIndex::kNoSlot);
+}
+
+TEST(PageIndexTest, WideExtentsLiveInTheSideList)
+{
+    PageIndex idx;
+    const Addr giant = 0x10000000;
+    const std::uint64_t giant_size = std::uint64_t{1} << 44;
+    ASSERT_TRUE(PageIndex::isWide(giant, giant_size));
+    ASSERT_FALSE(PageIndex::isWide(0x1000, PageIndex::kLeafSpan));
+    idx.insert(0x1000, 64, 0);
+    idx.insert(giant, giant_size, 1);
+    idx.insert(giant + giant_size, 32, 2);
+    EXPECT_EQ(idx.startCount(), 3u);
+    EXPECT_EQ(idx.lookup(giant), 1u);
+    EXPECT_EQ(idx.lookup(giant + (giant_size >> 1)), 1u);
+    EXPECT_EQ(idx.lookup(giant + giant_size - 1), 1u);
+    EXPECT_EQ(idx.lookup(giant + giant_size), 2u);
+    EXPECT_EQ(idx.lookup(0x1010), 0u);
+    EXPECT_EQ(idx.startAt(giant), 1u);
+    EXPECT_EQ(idx.startAt(giant + 8), PageIndex::kNoSlot);
+
+    // Range walks merge side-list starts into page order.
+    std::vector<Addr> seen;
+    idx.forEachStartIn(0, ~Addr{0},
+                       [&](Addr a, std::uint32_t) { seen.push_back(a); });
+    EXPECT_EQ(seen, (std::vector<Addr>{0x1000, giant, giant + giant_size}));
+
+    idx.erase(giant, giant_size);
+    EXPECT_EQ(idx.lookup(giant + 4096), PageIndex::kNoSlot);
+    EXPECT_EQ(idx.startCount(), 2u);
+}
+
+TEST(PageIndexTest, ExtentsReachTheTopOfTheAddressSpace)
+{
+    const Addr top = ~Addr{0};
+    // Ends exactly at 2^64: a one-page grid extent.
+    PageIndex grid;
+    grid.insert(top - 4095, 4096, 0);
+    EXPECT_EQ(grid.lookup(top), 0u);
+    std::vector<Addr> seen;
+    grid.forEachStartBetween(top - 4095, top,
+                             [&](Addr a, std::uint32_t) {
+                                 seen.push_back(a);
+                             });
+    EXPECT_EQ(seen, (std::vector<Addr>{top - 4095}));
+
+    // An end past 2^64 is clamped to the top: a side-list extent.
+    PageIndex side;
+    const Addr base = top - (Addr{1} << 20);
+    ASSERT_TRUE(PageIndex::isWide(base, 4096 + (Addr{1} << 20)));
+    EXPECT_EQ(PageIndex::lastByte(base, 4096 + (Addr{1} << 20)), top);
+    side.insert(base, 4096 + (Addr{1} << 20), 1);
+    EXPECT_EQ(side.lookup(top), 1u);
+    EXPECT_EQ(side.lookup(base - 1), PageIndex::kNoSlot);
+    side.erase(base, 4096 + (Addr{1} << 20));
+    EXPECT_EQ(side.lookup(top), PageIndex::kNoSlot);
+}
+
+TEST(PageIndexTest, RangeWalksVisitOnlyMaterializedLeaves)
+{
+    // Three leaves far apart; a walk over the whole address space is
+    // 2^43 leaves wide but must touch only these (it would not finish
+    // otherwise).
+    PageIndex idx;
+    const std::vector<Addr> starts = {0x1000, Addr{1} << 40,
+                                      (Addr{1} << 62) + 0x40};
+    for (std::size_t i = 0; i < starts.size(); ++i)
+        idx.insert(starts[i], 16, static_cast<std::uint32_t>(i));
+    std::vector<Addr> seen;
+    idx.forEachStartIn(1, ~Addr{0},
+                       [&](Addr a, std::uint32_t) { seen.push_back(a); });
+    EXPECT_EQ(seen, starts);
+    Addr first = 0;
+    std::uint32_t slot = PageIndex::kNoSlot;
+    EXPECT_TRUE(idx.firstStartIn(0x1001, ~Addr{0}, first, slot));
+    EXPECT_EQ(first, Addr{1} << 40);
+}
+
+// -------------------------------------------------------- ExtentArena
+
+TEST(ExtentArenaTest, OverlapSweepsMatchAnOrderedMapOracle)
+{
+    // Random sweep-then-insert churn over grid-sized, leaf-straddling
+    // and wide extents, one of them reaching the top of the address
+    // space; every overlapping() answer must be the oracle's, in
+    // ascending base order, and owner() must agree at random probes.
+    struct Rec
+    {
+        Addr base = 0;
+        std::uint64_t size = 0;
+    };
+    ExtentArena<Rec> arena;
+    std::map<Addr, std::pair<std::uint64_t, std::uint32_t>> oracle;
+    Rng rng(42);
+    std::vector<std::uint32_t> hits;
+
+    const auto expected = [&](Addr addr, std::uint64_t size) {
+        std::vector<std::uint32_t> out;
+        const Addr last = PageIndex::lastByte(addr, size);
+        for (const auto &[base, ext] : oracle) {
+            if (base <= last &&
+                addr <= PageIndex::lastByte(base, ext.first))
+                out.push_back(ext.second);
+        }
+        return out;
+    };
+    const auto sweepInsert = [&](Addr addr, std::uint64_t size) {
+        arena.overlapping(addr, size, hits);
+        ASSERT_EQ(hits, expected(addr, size));
+        for (std::uint32_t slot : hits) {
+            oracle.erase(arena[slot].base);
+            arena.erase(slot);
+        }
+        oracle[addr] = {size, arena.insert(Rec{addr, size})};
+    };
+
+    sweepInsert(~Addr{0} - 0xfff, Addr{1} << 40); // clamped at the top
+    for (int op = 0; op < 4000; ++op) {
+        const std::uint64_t cls = rng.below(10);
+        const std::uint64_t size =
+            cls < 6   ? 1 + rng.below(3 * PageIndex::kPageSize)
+            : cls < 8 ? PageIndex::kLeafSpan - 4096 + rng.below(8192)
+                      : (std::uint64_t{1} << (22 + rng.below(20)));
+        const Addr addr = rng.below(Addr{1} << 44) / 8 * 8 + 8;
+        if (rng.below(4) != 0 || oracle.empty()) {
+            sweepInsert(addr, size);
+        } else {
+            auto it = oracle.begin();
+            std::advance(it, rng.below(oracle.size()));
+            arena.erase(it->second.second);
+            oracle.erase(it);
+        }
+        const Addr probe = rng.below(Addr{1} << 44);
+        auto owner = oracle.upper_bound(probe);
+        std::uint32_t want = ExtentArena<Rec>::kNone;
+        if (owner != oracle.begin()) {
+            --owner;
+            if (probe - owner->first < owner->second.first)
+                want = owner->second.second;
+        }
+        ASSERT_EQ(arena.owner(probe), want) << "probe " << probe;
+    }
+    EXPECT_EQ(arena.size(), oracle.size());
 }
 
 // ------------------------------------------- HeapGraph id-reuse rules
