@@ -26,10 +26,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <vector>
 
+#include "heapgraph/extent_arena.hh"
 #include "metrics/metric.hh"
 
 namespace heapmd
@@ -64,6 +63,13 @@ struct DegreeCensus
 /**
  * Tracks the extents of live allocations plus the edge set the last
  * scan reported, so each pass emits only the delta.
+ *
+ * Extents are records of an ExtentArena (DESIGN.md §16): O(1) owner
+ * lookup on the page index.  Each record owns a run of edge entries,
+ * one per slot whose word resolved at the last scan, sorted by
+ * offset.  An entry names its target by arena slot and generation;
+ * erasing an extent bumps its slot's generation, so every edge into
+ * it goes stale at once with no reverse index to walk.
  */
 class LiveTable
 {
@@ -72,7 +78,10 @@ class LiveTable
     using EmitFn =
         std::function<void(std::uintptr_t slot, std::uintptr_t value)>;
 
-    /** Register a live extent.  @p addr must not be tracked already. */
+    /**
+     * Register a live extent of @p size > 0 bytes.  It must not
+     * overlap a tracked extent (the shim sweeps overlaps first).
+     */
     void insert(std::uintptr_t addr, std::size_t size);
 
     /**
@@ -92,6 +101,19 @@ class LiveTable
      * @return false when @p addr is not tracked.
      */
     bool resize(std::uintptr_t addr, std::size_t new_size);
+
+    /**
+     * realloc(@p old_addr, @p new_size) returning @p new_addr, with
+     * HeapGraph::reallocate's semantics: in place, a resize; moved,
+     * the extent's out-edges at offsets below @p new_size travel with
+     * the copied words, except edges into the old extent itself (a
+     * copied self-pointer still holds the old address), and every
+     * in-edge is forgotten.
+     *
+     * @return false when @p old_addr is not tracked.
+     */
+    bool reallocate(std::uintptr_t old_addr, std::uintptr_t new_addr,
+                    std::size_t new_size);
 
     /** True when an extent starts exactly at @p addr. */
     bool contains(std::uintptr_t addr) const;
@@ -118,14 +140,23 @@ class LiveTable
         const std::function<void(std::uintptr_t, std::size_t)> &fn)
         const;
 
+    /**
+     * Residency sweep: starts of the extents that touch a page
+     * mincore(2) reports unmapped, in address order.  Extents are
+     * walked in address order and each contiguous run of pages they
+     * cover is asked about in one call; only a run with a hole in it
+     * is re-asked extent by extent.  Never reads tracked memory.
+     */
+    std::vector<std::uintptr_t> unmappedExtents() const;
+
     /** Live extents currently tracked. */
-    std::size_t objectCount() const { return live_.size(); }
+    std::size_t objectCount() const { return arena_.size(); }
 
     /** Bytes currently tracked. */
     std::uint64_t liveBytes() const { return live_bytes_; }
 
-    /** Edges the previous scan left established. */
-    std::size_t edgeCount() const { return edges_.size(); }
+    /** Slots whose edge the previous scan left established. */
+    std::size_t edgeCount() const { return edge_count_; }
 
     /**
      * Conservatively scan all live extents and emit the edge delta
@@ -137,26 +168,65 @@ class LiveTable
     /**
      * Degree percentages over the current table, using the edge set
      * the last scan established (call right after scan() for a
-     * point-in-time sample).  O(V + E log V); allocates, so shim
-     * callers must hold the reentrancy guard.
+     * point-in-time sample).  Degrees count distinct neighbours,
+     * self-edges included, as MetricEngine::sample does on the
+     * replayed graph.  One O(V + E) pass over flat per-slot
+     * counters, which allocate only when the table outgrows them.
      */
     DegreeCensus degreeCensus() const;
 
   private:
-    struct EdgeState
+    struct Extent
     {
-        std::uintptr_t value;       //!< word observed at the slot
-        std::uintptr_t targetStart; //!< start of the extent it hit
+        Addr base = 0;
+        std::uint64_t size = 0;
+        std::uint32_t first = 0; //!< index of its first entry in edges_
+        std::uint32_t count = 0; //!< its entries, ascending by offset
     };
 
-    void dropEdge(std::map<std::uintptr_t, EdgeState>::iterator it);
-    void dropEdgesFrom(std::uintptr_t begin, std::uintptr_t end);
+    struct Edge
+    {
+        std::uint64_t offset; //!< slot address - extent base
+        std::uintptr_t value; //!< word observed at the slot
+        std::uint32_t target; //!< arena slot of the extent it hit
+        std::uint32_t gen;    //!< that slot's generation then
+    };
 
-    std::map<std::uintptr_t, std::size_t> live_;
-    std::map<std::uintptr_t, EdgeState> edges_;
-    /** Reverse index: extent start -> slots whose edge targets it. */
-    std::map<std::uintptr_t, std::set<std::uintptr_t>> in_refs_;
+    /** Per-slot census counters. */
+    struct Degree
+    {
+        std::uint32_t in = 0;
+        std::uint32_t out = 0;
+        std::uint32_t lastSource = 0; //!< dedups a source's targets
+    };
+
+    /** True while the edge's target is the extent it resolved to. */
+    bool
+    current(const Edge &edge) const
+    {
+        return gen_[edge.target] == edge.gen;
+    }
+
+    void unlink(const Edge &edge);
+    void dropEdgesFrom(Extent &rec, std::uint64_t offset);
+    void retire(std::uint32_t slot);
+    std::uint32_t track(Extent rec);
+    const std::vector<std::uint32_t> &ascending() const;
+
+    ExtentArena<Extent> arena_;
+    /** Edge entries; each record owns [first, first + count). */
+    std::vector<Edge> edges_;
+    /** The next scan's entries, swapped into edges_ at its end. */
+    std::vector<Edge> next_edges_;
+    /** Per arena slot: generation, bumped when its extent goes. */
+    std::vector<std::uint32_t> gen_;
+    /** Per arena slot: current entries targeting it. */
+    std::vector<std::uint32_t> in_slots_;
     std::uint64_t live_bytes_ = 0;
+    std::size_t edge_count_ = 0;
+    /** Scratch for the const walks (the table is single-threaded). */
+    mutable std::vector<std::uint32_t> order_;
+    mutable std::vector<Degree> degrees_;
 };
 
 } // namespace capture

@@ -15,7 +15,7 @@
  *    dlsym itself calls calloc, so allocations made while resolution
  *    is in flight are served from a static bootstrap arena;
  *  - a thread-local guard makes the shim's own bookkeeping
- *    allocations (std::map nodes, trace buffers) invisible: any
+ *    allocations (table arena growth, trace buffers) invisible: any
  *    allocator entry while the guard is up passes straight through to
  *    the real allocator, counted as capture.dropped_reentrant;
  *  - one global mutex serializes table + writer access (correct event
@@ -41,13 +41,11 @@
 #include <fstream>
 #include <new>
 #include <ostream>
-#include <vector>
 
 #include <dlfcn.h>
 #include <fcntl.h>
 #include <pthread.h>
 #include <sched.h>
-#include <sys/mman.h>
 #include <unistd.h>
 
 #include "capture/bootstrap_arena.hh"
@@ -638,10 +636,10 @@ publishOpLocked(Sink &sink)
 
 /**
  * Full scan-time publish: every counter plus the degree-metric
- * percentages from a fresh census.  The census allocates (the
- * caller holds the reentrancy guard, so those allocations pass
- * through unrecorded); the publish itself is one seqlock write of
- * the staged slot array.
+ * percentages from a fresh census.  The census allocates only when
+ * the table has outgrown its counters (the caller holds the
+ * reentrancy guard, so those allocations pass through unrecorded);
+ * the publish itself is one seqlock write of the staged slot array.
  */
 void
 publishScanLocked(Sink &sink)
@@ -695,28 +693,6 @@ publishScanLocked(Sink &sink)
     sink.segment.publish(s);
 }
 
-/** True when every page of [addr, addr + size) is still mapped. */
-bool
-rangeMapped(std::uintptr_t addr, std::size_t size)
-{
-    static const std::uintptr_t page =
-        static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-    std::uintptr_t lo = addr & ~(page - 1);
-    const std::uintptr_t hi =
-        (addr + (size > 0 ? size : 1) + page - 1) & ~(page - 1);
-    unsigned char vec[256];
-    while (lo < hi) {
-        std::uintptr_t span = hi - lo;
-        if (span > page * sizeof(vec))
-            span = page * sizeof(vec);
-        if (::mincore(reinterpret_cast<void *>(lo), span, vec) != 0 &&
-            errno == ENOMEM)
-            return false; // some page in the range is unmapped
-        lo += span;
-    }
-    return true;
-}
-
 /**
  * Drop live-table entries whose memory is no longer mapped.
  *
@@ -724,9 +700,10 @@ rangeMapped(std::uintptr_t addr, std::size_t size)
  * the lock, so a pointer freed by another thread in that window is
  * recorded as live with no Free ever pairing it.  For large chunks
  * glibc munmaps on free, and a conservative scan dereferencing the
- * stale range would fault; mincore asks "still mapped?" without
- * touching the memory.  Each dead extent gets the Free the race
- * swallowed, keeping the trace alloc/free-paired.  (Stale entries
+ * stale range would fault; the table's residency sweep asks mincore
+ * "still mapped?" once per contiguous page run, without touching the
+ * memory.  Each dead extent gets the Free the race swallowed,
+ * keeping the trace alloc/free-paired.  (Stale entries
  * over still-mapped heap pages are safe to read -- conservative
  * scanning tolerates garbage -- and are repaired by
  * reclaimOverlapLocked when the range is recycled.)
@@ -734,13 +711,7 @@ rangeMapped(std::uintptr_t addr, std::size_t size)
 void
 reclaimUnmappedLocked(Sink &sink)
 {
-    std::vector<std::uintptr_t> dead;
-    sink.table.forEachExtent(
-        [&dead](std::uintptr_t addr, std::size_t size) {
-            if (!rangeMapped(addr, size))
-                dead.push_back(addr);
-        });
-    for (const std::uintptr_t addr : dead) {
+    for (const std::uintptr_t addr : sink.table.unmappedExtents()) {
         writeEvent(sink, Event::free(addr));
         ++sink.counters.freeEvents;
         ++sink.counters.scanReclaimedDead;
@@ -1050,16 +1021,12 @@ realloc(void *ptr, std::size_t size)
                 writeEvent(*sink, Event::alloc(new_addr, recorded));
                 ++sink->counters.allocEvents;
             } else {
-                if (new_addr == old_addr) {
-                    reclaimOverlapLocked(*sink, new_addr, recorded,
-                                         old_addr);
-                    sink->table.resize(old_addr, recorded);
-                } else {
-                    sink->table.erase(old_addr);
-                    reclaimOverlapLocked(*sink, new_addr, recorded,
-                                         0);
-                    sink->table.insert(new_addr, recorded);
-                }
+                // Moved or not, the table keeps the out-edges replay
+                // keeps, so a copied slot overwritten before the next
+                // scan still gets its Write(slot, 0).
+                reclaimOverlapLocked(*sink, new_addr, recorded,
+                                     old_addr);
+                sink->table.reallocate(old_addr, new_addr, recorded);
                 writeEvent(*sink, Event::realloc(old_addr, new_addr,
                                                  recorded));
                 ++sink->counters.reallocEvents;

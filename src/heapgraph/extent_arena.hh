@@ -3,17 +3,17 @@
  * Records with disjoint address extents, stored in a free-listed
  * arena and indexed by a PageIndex (DESIGN.md §16).
  *
- * The shadow heaps of the trace linters and the SWAT baseline keep
- * one record per heap extent and ask three questions of it: which
- * record contains an address, which one starts exactly at it, and
- * which ones overlap a new extent (in ascending address order, so
- * sweeps report deterministically).  ExtentArena answers all three
- * on the page index the replay graph uses -- O(1) owner lookup and
- * bounded sweeps -- with records in a chunked arena addressed by the
- * index's 32-bit slots (growth never moves a record, so references
- * stay valid across insert()).  T needs `Addr base` and
- * `std::uint64_t size` (> 0) members; callers keep extents disjoint
- * by sweeping overlaps before insert().
+ * The shadow heaps of the trace linters, the SWAT baseline and the
+ * capture shim's live table keep one record per heap extent and ask
+ * three questions of it: which record contains an address, which one
+ * starts exactly at it, and which ones overlap a new extent (in
+ * ascending address order, so sweeps report deterministically).
+ * ExtentArena answers all three on the page index the replay graph
+ * uses -- O(1) owner lookup and bounded sweeps -- with records in a
+ * chunked arena addressed by the index's 32-bit slots (growth never
+ * moves a record, so references stay valid across insert()).  T
+ * needs `Addr base` and `std::uint64_t size` (> 0) members; callers
+ * keep extents disjoint by sweeping overlaps before insert().
  */
 
 #ifndef HEAPMD_HEAPGRAPH_EXTENT_ARENA_HH
@@ -134,6 +134,20 @@ class ExtentArena
             if (live_[slot])
                 f(static_cast<std::uint32_t>(slot), records_[slot]);
         }
+    }
+
+    /**
+     * Visit every record as f(slot, const T &), ascending by base.
+     * @p f must not insert or erase records.
+     */
+    template <typename F>
+    void
+    forEachAscending(F &&f) const
+    {
+        index_.forEachStartBetween(
+            0, ~Addr{0}, [&](Addr, std::uint32_t slot) {
+                f(slot, records_[slot]);
+            });
     }
 
     /** Number of records held. */

@@ -31,6 +31,14 @@
  *          %leaves jump far above the steady ranges *while the
  *          process is still running* -- the seeded fault for the
  *          live-monitor gate
+ *   realloc in each of four phases, point a node a at b, give a scan
+ *          at --frq 4 room to see it, realloc a past glibc's mmap
+ *          threshold (so it moves) and at once overwrite the copied
+ *          pointer with NULL; a2 and b stay live.  Each phase has
+ *          nine allocator calls, so the four reallocs land on every
+ *          residue of the scan period and in three of them no scan
+ *          runs between the move and the overwrite.  Exits 5 unless
+ *          every realloc moved
  */
 
 #include <chrono>
@@ -331,6 +339,37 @@ runDrift(int steady_ms, int hold_ms)
     return 0;
 }
 
+/** Escapes what runRealloc keeps, so no allocation is elided. */
+void *volatile g_kept[32];
+
+int
+runRealloc()
+{
+    constexpr int kPhases = 4;
+    constexpr std::size_t kMovedSize = 200000;
+    int kept = 0;
+    int moved = 0;
+    for (int phase = 0; phase < kPhases; ++phase) {
+        void **a = static_cast<void **>(std::malloc(64));
+        void *b = std::calloc(1, 64);
+        if (a == nullptr || b == nullptr)
+            return 1;
+        a[0] = b;
+        for (int i = 0; i < 5; ++i)
+            g_kept[kept++] = std::malloc(32);
+        const auto old_addr = reinterpret_cast<std::uintptr_t>(a);
+        void **a2 = static_cast<void **>(std::realloc(a, kMovedSize));
+        if (a2 == nullptr)
+            return 1;
+        moved += reinterpret_cast<std::uintptr_t>(a2) != old_addr;
+        a2[0] = nullptr;
+        g_kept[kept++] = a2;
+        g_kept[kept++] = b;
+        g_kept[kept++] = std::malloc(32);
+    }
+    return moved == kPhases ? 0 : 5;
+}
+
 int
 runFork()
 {
@@ -378,6 +417,8 @@ main(int argc, char **argv)
         return runFail();
     if (mode == "fork")
         return runFork();
+    if (mode == "realloc")
+        return runRealloc();
     if (mode == "linger")
         return runLinger(argc > 2 ? std::atoi(argv[2]) : 3000,
                          argc > 3 ? std::atoi(argv[3]) : 50);
