@@ -4,18 +4,16 @@
  *
  * Two measurements over a self-recorded corpus of traces:
  *
- *  1. Decode throughput (events/sec) of the three decode paths: the
- *     per-byte istream baseline (trace_format's getVarint over an
- *     ifstream -- the pre-optimization hot path, kept as the
- *     comparison anchor), the buffered TraceReader over the same
- *     stream, and the mmap-backed FileSource.
+ *  1. Decode throughput (events/sec) of TraceReader over its two
+ *     file sources: the block-buffered ifstream and the mmap-backed
+ *     FileSource.
  *  2. Trace-train wall-clock at --jobs 1/2/4/8: the full
  *     replay-and-summarize pipeline of `heapmd train --trace`, with
  *     a byte-compare of the resulting models proving the parallel
  *     merge is deterministic.
  *
  * Emits BENCH_replay_throughput.json into the working directory
- * (run it from the repo root) and prints the headline speedups.
+ * (run it from the repo root) and prints the headline numbers.
  * Speedup targets apply to multi-core CI hardware; the JSON records
  * hardwareConcurrency so a 1-core container result is legible, and
  * the sanitizer mode so instrumented-build numbers are never trended
@@ -36,7 +34,6 @@
 #include "core/heapmd.hh"
 #include "support/build_env.hh"
 #include "support/thread_pool.hh"
-#include "trace/trace_format.hh"
 #include "trace/trace_reader.hh"
 #include "trace/trace_source.hh"
 #include "trace/trace_writer.hh"
@@ -83,47 +80,6 @@ recordTrace(SyntheticApp &app, std::uint64_t seed,
     app.run(process, cfg);
     writer.finish();
     return writer.eventCount();
-}
-
-/**
- * The pre-optimization decode loop: per-byte virtual istream calls
- * through trace_format's getVarint, one event at a time.  Kept here
- * (not in the library) purely as the bench baseline.
- */
-std::uint64_t
-decodeIstreamBaseline(const std::string &path)
-{
-    // varints per event, indexed by tag (Alloc..FnExit).
-    static constexpr int kArgs[] = {2, 1, 3, 2, 1, 1, 1};
-    std::ifstream in(path, std::ios::binary);
-    trace::Header header;
-    if (!trace::readHeader(in, header))
-        return 0;
-    std::uint64_t events = 0;
-    for (;;) {
-        const int tag = in.get();
-        if (tag < 0 || tag == trace::kFooterMarker)
-            break;
-        if (tag > 6)
-            break;
-        std::uint64_t value;
-        for (int i = 0; i < kArgs[tag]; ++i) {
-            if (!trace::getVarint(in, value))
-                return events;
-        }
-        ++events;
-    }
-    // Footer: name count, then per-name length + bytes.
-    std::uint64_t count;
-    if (!trace::getVarint(in, count))
-        return events;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t len;
-        if (!trace::getVarint(in, len))
-            return events;
-        in.ignore(static_cast<std::streamsize>(len));
-    }
-    return events;
 }
 
 std::uint64_t
@@ -349,20 +305,14 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(total_events),
                 static_cast<double>(total_bytes) / (1024.0 * 1024.0));
 
-    const double istream_wall = timeDecode(
-        paths, decodeIstreamBaseline, total_events);
     const double buffered_wall =
         timeDecode(paths, decodeBuffered, total_events);
     const double mmap_wall =
         timeDecode(paths, decodeMmap, total_events);
-    const double istream_eps = total_events / istream_wall;
     const double buffered_eps = total_events / buffered_wall;
     const double mmap_eps = total_events / mmap_wall;
-    std::printf("decode: istream %0.2fM ev/s, buffered %0.2fM ev/s "
-                "(%0.2fx), mmap %0.2fM ev/s (%0.2fx)\n",
-                istream_eps / 1e6, buffered_eps / 1e6,
-                buffered_eps / istream_eps, mmap_eps / 1e6,
-                mmap_eps / istream_eps);
+    std::printf("decode: buffered %0.2fM ev/s, mmap %0.2fM ev/s\n",
+                buffered_eps / 1e6, mmap_eps / 1e6);
 
     const unsigned kJobs[] = {1, 2, 4, 8};
     double train_wall[4];
@@ -479,11 +429,8 @@ main(int argc, char **argv)
         "  \"totalEvents\": %llu,\n"
         "  \"totalBytes\": %llu,\n"
         "  \"decode\": {\n"
-        "    \"istreamEventsPerSec\": %0.0f,\n"
         "    \"bufferedEventsPerSec\": %0.0f,\n"
-        "    \"mmapEventsPerSec\": %0.0f,\n"
-        "    \"bufferedSpeedup\": %0.3f,\n"
-        "    \"mmapSpeedup\": %0.3f\n"
+        "    \"mmapEventsPerSec\": %0.0f\n"
         "  },\n"
         "  \"train\": [\n"
         "    {\"jobs\": 1, \"wallSeconds\": %0.4f},\n"
@@ -498,9 +445,8 @@ main(int argc, char **argv)
         "}\n",
         hw, support::kSanitizeMode, kTraceCount,
         static_cast<unsigned long long>(total_events),
-        static_cast<unsigned long long>(total_bytes), istream_eps,
-        buffered_eps, mmap_eps, buffered_eps / istream_eps,
-        mmap_eps / istream_eps, train_wall[0], train_wall[1],
+        static_cast<unsigned long long>(total_bytes), buffered_eps,
+        mmap_eps, train_wall[0], train_wall[1],
         train_wall[2], train_wall[3], speedup,
         scaling_reliable ? "false" : "true",
         publish_json.c_str(), deterministic ? "true" : "false");

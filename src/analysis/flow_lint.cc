@@ -5,12 +5,12 @@
 #include <map>
 #include <utility>
 
-#include "analysis/trace_scan.hh"
 #include "heapgraph/extent_arena.hh"
 #include "runtime/events.hh"
 #include "support/small_map.hh"
 #include "telemetry/telemetry.hh"
-#include "trace/trace_format.hh"
+#include "trace/trace_reader.hh"
+#include "trace/trace_source.hh"
 
 namespace heapmd
 {
@@ -113,7 +113,7 @@ class FlowPass
 {
   public:
     explicit FlowPass(std::string_view data)
-        : cursor_(data)
+        : data_(data)
     {
         result_.stats.bytes = data.size();
     }
@@ -121,7 +121,7 @@ class FlowPass
     FlowAnalysis run();
 
   private:
-    ScanCursor cursor_;
+    std::string_view data_;
     FlowAnalysis result_;
     bool capture_ = false;
     std::uint64_t event_index_ = 0;
@@ -167,7 +167,7 @@ class FlowPass
     FlowFinding &emit(const char *rule, Severity severity,
                       std::uint64_t offset);
 
-    bool readFields(std::uint64_t *fields, int count);
+    void handleEvent(const Event &event, std::uint64_t offset);
     void setSlot(std::uint32_t source, Addr slot_addr, Addr value);
     void clearSlot(std::uint32_t source, Addr slot_addr);
     void dropOutgoing(std::uint32_t obj, std::uint64_t from_offset);
@@ -187,7 +187,6 @@ class FlowPass
     void handleRead(Addr addr, std::uint64_t offset);
     void checkPendingDeref(Addr addr, std::uint64_t offset,
                            bool is_write);
-    void parseFooter();
     void reportLeaks(std::uint64_t footer_offset);
 };
 
@@ -206,19 +205,6 @@ FlowPass::emit(const char *rule, Severity severity,
     f.eventIndex = event_index_;
     result_.findings.push_back(std::move(f));
     return result_.findings.back();
-}
-
-bool
-FlowPass::readFields(std::uint64_t *fields, int count)
-{
-    for (int i = 0; i < count; ++i) {
-        if (scanVarint(cursor_, fields[i]) ==
-            VarintStatus::Truncated)
-            return false;
-        // Overlong varints still yield a value; the trace linter
-        // owns the encoding finding, the flow pass keeps going.
-    }
-    return true;
 }
 
 void
@@ -560,23 +546,6 @@ FlowPass::handleRead(Addr addr, std::uint64_t offset)
 }
 
 void
-FlowPass::parseFooter()
-{
-    std::uint64_t count = 0;
-    if (scanVarint(cursor_, count) != VarintStatus::Ok)
-        return;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t len = 0;
-        if (scanVarint(cursor_, len) != VarintStatus::Ok)
-            return;
-        if (len > cursor_.remaining())
-            return;
-        result_.functionNames.emplace_back(cursor_.take(len));
-        ++result_.stats.functions;
-    }
-}
-
-void
 FlowPass::reportLeaks(std::uint64_t footer_offset)
 {
     struct SiteLeak
@@ -630,73 +599,66 @@ FlowPass::reportLeaks(std::uint64_t footer_offset)
     }
 }
 
+void
+FlowPass::handleEvent(const Event &event, std::uint64_t offset)
+{
+    switch (event.kind) {
+      case EventKind::Alloc:
+        pending_.armed = false; // allocator call, not a deref
+        handleAlloc(event.addr, event.size, offset);
+        break;
+      case EventKind::Free:
+        pending_.armed = false;
+        handleFree(event.addr, offset, false);
+        break;
+      case EventKind::Realloc:
+        pending_.armed = false;
+        handleRealloc(event.addr, event.value, event.size, offset);
+        break;
+      case EventKind::Write:
+        handleWrite(event.addr, event.value, offset);
+        break;
+      case EventKind::Read:
+        handleRead(event.addr, offset);
+        break;
+      case EventKind::FnEnter:
+        fn_stack_.push_back(event.fn);
+        break;
+      case EventKind::FnExit:
+        if (!fn_stack_.empty())
+            fn_stack_.pop_back();
+        break;
+    }
+    ++event_index_;
+    ++result_.stats.events;
+}
+
 FlowAnalysis
 FlowPass::run()
 {
-    ScanCursor &c = cursor_;
-    const ScannedHeader header = scanTraceHeader(c);
-    if (!header.usable)
+    trace::MemorySource source(
+        reinterpret_cast<const unsigned char *>(data_.data()),
+        data_.size());
+    TraceReader reader(source, TraceReader::Mode::Audit);
+    if (reader.fault().inHeader())
         return std::move(result_);
-    capture_ = header.capture;
+    capture_ = reader.captureProvenance();
     result_.stats.captureProvenance = capture_;
 
-    for (;;) {
-        const std::uint64_t offset = c.offset();
-        const int tag = c.get();
-        if (tag < 0)
-            break; // truncated: the trace linter owns the finding
-        if (tag == trace::kFooterMarker) {
-            result_.stats.sawFooter = true;
-            reportLeaks(offset);
-            parseFooter();
-            break;
-        }
-        if (tag > static_cast<int>(EventKind::FnExit))
-            break; // framing lost at an unknown tag
-        std::uint64_t f[3] = {0, 0, 0};
-        switch (static_cast<EventKind>(tag)) {
-          case EventKind::Alloc:
-            if (!readFields(f, 2))
-                return std::move(result_);
-            pending_.armed = false; // allocator call, not a deref
-            handleAlloc(f[0], f[1], offset);
-            break;
-          case EventKind::Free:
-            if (!readFields(f, 1))
-                return std::move(result_);
-            pending_.armed = false;
-            handleFree(f[0], offset, false);
-            break;
-          case EventKind::Realloc:
-            if (!readFields(f, 3))
-                return std::move(result_);
-            pending_.armed = false;
-            handleRealloc(f[0], f[1], f[2], offset);
-            break;
-          case EventKind::Write:
-            if (!readFields(f, 2))
-                return std::move(result_);
-            handleWrite(f[0], f[1], offset);
-            break;
-          case EventKind::Read:
-            if (!readFields(f, 1))
-                return std::move(result_);
-            handleRead(f[0], offset);
-            break;
-          case EventKind::FnEnter:
-            if (!readFields(f, 1))
-                return std::move(result_);
-            fn_stack_.push_back(static_cast<FnId>(f[0]));
-            break;
-          case EventKind::FnExit:
-            if (!readFields(f, 1))
-                return std::move(result_);
-            if (!fn_stack_.empty())
-                fn_stack_.pop_back();
-            break;
-        }
-        ++event_index_;
-        ++result_.stats.events;
+    // Decode faults are the trace linter's findings.  An overlong
+    // event field still yields a value, so the pass keeps going; any
+    // other fault, or any fault in the function table, ends it.
+    Event event;
+    do {
+        while (reader.next(event))
+            handleEvent(event, reader.eventOffset());
+    } while (!reader.fault().inFooter() && reader.resume());
+
+    if (reader.sawFooter()) {
+        result_.stats.sawFooter = true;
+        reportLeaks(reader.eventOffset());
+        result_.functionNames = reader.functionNames();
+        result_.stats.functions = result_.functionNames.size();
     }
     return std::move(result_);
 }

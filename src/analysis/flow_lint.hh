@@ -54,6 +54,12 @@
  * stay errors: the shim observes every free directly, so those are
  * real bugs in any provenance.  A truncated trace (no footer) skips
  * leak analysis -- liveness at the cut point proves nothing.
+ *
+ * Framing: the pass decodes through TraceReader (Mode::Audit), the
+ * same decoder as the trace linter, which owns every decode finding.
+ * An overlong event varint still yields a value, so the pass resumes
+ * past it; any other fault, and any fault in the function table, ends
+ * the scan with the names decoded so far.
  */
 
 #ifndef HEAPMD_ANALYSIS_FLOW_LINT_HH

@@ -4,12 +4,11 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/trace_scan.hh"
 #include "heapgraph/extent_arena.hh"
 #include "runtime/events.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/segment_set.hh"
-#include "trace/trace_format.hh"
+#include "trace/trace_reader.hh"
 #include "trace/trace_source.hh"
 
 namespace heapmd
@@ -21,13 +20,10 @@ namespace analysis
 namespace
 {
 
-using Cursor = ScanCursor;
-
-VarintStatus
-readVarint(Cursor &cursor, std::uint64_t &value)
-{
-    return scanVarint(cursor, value);
-}
+/** Event kind names as the findings spell them, indexed by tag. */
+constexpr const char *kKindNames[] = {
+    "Alloc", "Free", "Realloc", "Write", "Read", "FnEnter", "FnExit",
+};
 
 /**
  * Live and freed extents, for the event-ordering rules.  The two are
@@ -92,7 +88,6 @@ class ExtentTracker
 /** Shared state of one lint pass. */
 struct Linter
 {
-    Cursor cursor;
     Report &report;
     TraceLintStats stats;
     ExtentTracker &extents;
@@ -109,8 +104,8 @@ struct Linter
      */
     bool truncation_is_error = false;
 
-    Linter(std::string_view data, Report &rep, ExtentTracker &ext)
-        : cursor(data), report(rep), extents(ext)
+    Linter(Report &rep, ExtentTracker &ext)
+        : report(rep), extents(ext)
     {
     }
 
@@ -133,197 +128,174 @@ struct Linter
         }
     }
 
-    /**
-     * Read the varints of one event, reporting ill-formed encodings.
-     * @return false when the stream ended inside the event.
-     */
-    bool
-    readFields(std::uint64_t event_offset, const char *kind_name,
-               std::uint64_t *fields, int count)
-    {
-        for (int i = 0; i < count; ++i) {
-            const std::uint64_t field_offset = cursor.offset();
-            switch (readVarint(cursor, fields[i])) {
-              case VarintStatus::Ok:
-                break;
-              case VarintStatus::Overlong:
-                report.errorAtByte(
-                    "trace.varint-overlong", field_offset,
-                    std::string("LEB128 varint longer than 10 bytes "
-                                "in ") +
-                        kind_name + " event");
-                break;
-              case VarintStatus::Truncated:
-                truncation(
-                    "trace.varint-truncated", field_offset,
-                    std::string("stream ends inside a LEB128 varint "
-                                "of ") +
-                        kind_name + " event at byte " +
-                        std::to_string(event_offset));
-                return false;
-            }
-        }
-        return true;
-    }
-
-    void checkHeader(bool &usable);
-    bool lintEvent(std::uint64_t offset, EventKind kind);
-    void lintFooter(std::uint64_t marker_offset);
-    void run();
+    void lintEvent(std::uint64_t offset, const Event &event);
+    void lintFault(const trace::Fault &fault, std::uint64_t size);
+    void run(std::string_view data);
 };
 
 void
-Linter::checkHeader(bool &usable)
+Linter::lintEvent(std::uint64_t offset, const Event &event)
 {
-    const ScannedHeader header = scanTraceHeader(cursor);
-    usable = header.usable;
-    if (!header.usable) {
-        report.errorAtByte(header.rule, header.offset,
-                           header.message);
-        return;
-    }
-    capture = header.capture;
-    stats.captureProvenance = capture;
-}
-
-bool
-Linter::lintEvent(std::uint64_t offset, EventKind kind)
-{
-    std::uint64_t f[3] = {0, 0, 0};
-    switch (kind) {
-      case EventKind::Alloc: {
-        if (!readFields(offset, "Alloc", f, 2))
-            return false;
-        const Addr addr = f[0];
-        const std::uint64_t size = f[1];
-        if (size == 0) {
+    switch (event.kind) {
+      case EventKind::Alloc:
+        if (event.size == 0) {
             report.errorAtByte("trace.zero-alloc", offset,
                                "allocation of size 0 at address " +
-                                   std::to_string(addr));
-        } else if (!extents.allocate(addr, size)) {
+                                   std::to_string(event.addr));
+        } else if (!extents.allocate(event.addr, event.size)) {
             report.errorAtByte(
                 "trace.alloc-overlap", offset,
-                "allocation [" + std::to_string(addr) + ", " +
-                    std::to_string(addr + size) +
+                "allocation [" + std::to_string(event.addr) + ", " +
+                    std::to_string(event.addr + event.size) +
                     ") overlaps a live object");
         }
         break;
-      }
-      case EventKind::Free: {
-        if (!readFields(offset, "Free", f, 1))
-            return false;
-        if (!extents.free(f[0])) {
+      case EventKind::Free:
+        if (!extents.free(event.addr)) {
             report.errorAtByte(
                 "trace.free-before-alloc", offset,
-                "free of address " + std::to_string(f[0]) +
+                "free of address " + std::to_string(event.addr) +
                     " which is not the start of a live object "
                     "(never allocated, already freed, or interior)");
         }
         break;
-      }
-      case EventKind::Realloc: {
-        if (!readFields(offset, "Realloc", f, 3))
-            return false;
-        const Addr old_addr = f[0];
-        const Addr new_addr = f[1];
-        const std::uint64_t size = f[2];
-        if (!extents.free(old_addr)) {
+      case EventKind::Realloc:
+        if (!extents.free(event.addr)) {
             report.errorAtByte(
                 "trace.free-before-alloc", offset,
-                "realloc of address " + std::to_string(old_addr) +
+                "realloc of address " + std::to_string(event.addr) +
                     " which is not the start of a live object");
         }
-        if (size != 0 && !extents.allocate(new_addr, size)) {
+        if (event.size != 0 &&
+            !extents.allocate(event.value, event.size)) {
             report.errorAtByte(
                 "trace.alloc-overlap", offset,
-                "realloc target [" + std::to_string(new_addr) +
-                    ", " + std::to_string(new_addr + size) +
+                "realloc target [" + std::to_string(event.value) +
+                    ", " + std::to_string(event.value + event.size) +
                     ") overlaps a live object");
         }
         break;
-      }
-      case EventKind::Write: {
-        if (!readFields(offset, "Write", f, 2))
-            return false;
-        const Addr addr = f[0];
-        if (extents.insideFreed(addr)) {
+      case EventKind::Write:
+        if (extents.insideFreed(event.addr)) {
             report.errorAtByte(
                 "trace.write-after-free", offset,
-                "pointer-write at address " + std::to_string(addr) +
+                "pointer-write at address " +
+                    std::to_string(event.addr) +
                     " lands inside a freed object");
         }
         break;
-      }
       case EventKind::Read:
-        if (!readFields(offset, "Read", f, 1))
-            return false;
         break;
       case EventKind::FnEnter:
-      case EventKind::FnExit: {
-        const char *name =
-            kind == EventKind::FnEnter ? "FnEnter" : "FnExit";
-        if (!readFields(offset, name, f, 1))
-            return false;
-        fn_uses.emplace(static_cast<FnId>(f[0]), offset);
+      case EventKind::FnExit:
+        fn_uses.emplace(event.fn, offset);
         break;
-      }
     }
     ++stats.events;
-    return true;
+}
+
+/** Render a decode fault of a @p size -byte trace as its finding. */
+void
+Linter::lintFault(const trace::Fault &fault, std::uint64_t size)
+{
+    using Site = trace::Fault::Site;
+    const bool overlong = fault.recoverable();
+    const bool unknown_tag =
+        fault.site == Site::Event &&
+        fault.tag > static_cast<int>(EventKind::FnExit);
+    std::string message;
+    switch (fault.site) {
+      case Site::None:
+        return;
+      case Site::ShortHeader:
+      case Site::Magic:
+      case Site::Version:
+      case Site::Flags:
+        message = fault.headerText();
+        break;
+      case Site::NoFooter:
+        message = "stream ends without the 0xFF footer marker (" +
+                  std::to_string(stats.events) + " events decoded)";
+        break;
+      case Site::Event:
+        if (unknown_tag) {
+            // Framing is lost: varint boundaries downstream of an
+            // unknown tag cannot be trusted, so the scan stops here.
+            message = "unknown event tag " + std::to_string(fault.tag) +
+                      "; cannot resynchronize, " +
+                      std::to_string(size - fault.offset - 1) +
+                      " byte(s) left unscanned";
+        } else if (overlong) {
+            message = std::string("LEB128 varint longer than 10 bytes "
+                                  "in ") +
+                      kKindNames[fault.tag] + " event";
+        } else {
+            message = std::string("stream ends inside a LEB128 varint "
+                                  "of ") +
+                      kKindNames[fault.tag] + " event at byte " +
+                      std::to_string(fault.eventOffset);
+        }
+        break;
+      case Site::FooterCount:
+        message = overlong
+                      ? "overlong function-table count varint"
+                      : "stream ends inside the function-table count";
+        break;
+      case Site::NameLength:
+        message = overlong
+                      ? "overlong name-length varint for function " +
+                            std::to_string(fault.index)
+                      : "stream ends inside the function table after " +
+                            std::to_string(fault.index) + " of " +
+                            std::to_string(fault.count) + " names";
+        break;
+      case Site::Name:
+        message = "function name " + std::to_string(fault.index) +
+                  " declares " + std::to_string(fault.length) +
+                  " bytes but only " +
+                  std::to_string(size - fault.offset) + " remain";
+        break;
+    }
+    // Only running out of bytes can be a killed capture's artifact.
+    if (fault.inHeader() || overlong || unknown_tag)
+        report.errorAtByte(fault.rule, fault.offset, std::move(message));
+    else
+        truncation(fault.rule, fault.offset, std::move(message));
 }
 
 void
-Linter::lintFooter(std::uint64_t marker_offset)
+Linter::run(std::string_view data)
 {
-    std::uint64_t count = 0;
-    std::uint64_t offset = cursor.offset();
-    switch (readVarint(cursor, count)) {
-      case VarintStatus::Ok:
-        break;
-      case VarintStatus::Overlong:
-        report.errorAtByte("trace.varint-overlong", offset,
-                           "overlong function-table count varint");
-        break;
-      case VarintStatus::Truncated:
-        truncation("trace.footer-truncated", offset,
-                   "stream ends inside the function-table count");
+    trace::MemorySource source(
+        reinterpret_cast<const unsigned char *>(data.data()),
+        data.size());
+    TraceReader reader(source, TraceReader::Mode::Audit);
+    if (reader.fault().inHeader()) {
+        lintFault(reader.fault(), data.size());
         return;
     }
+    capture = reader.captureProvenance();
+    stats.captureProvenance = capture;
 
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t len = 0;
-        offset = cursor.offset();
-        switch (readVarint(cursor, len)) {
-          case VarintStatus::Ok:
+    // Overlong varints are findings the scan continues past; every
+    // other fault ends it.
+    Event event;
+    for (;;) {
+        while (reader.next(event))
+            lintEvent(reader.eventOffset(), event);
+        if (!reader.malformed())
             break;
-          case VarintStatus::Overlong:
-            report.errorAtByte("trace.varint-overlong", offset,
-                               "overlong name-length varint for "
-                               "function " +
-                                   std::to_string(i));
-            break;
-          case VarintStatus::Truncated:
-            truncation(
-                "trace.footer-truncated", offset,
-                "stream ends inside the function table after " +
-                    std::to_string(i) + " of " +
-                    std::to_string(count) + " names");
+        lintFault(reader.fault(), data.size());
+        if (!reader.resume()) {
+            stats.functions = reader.functionNames().size();
             return;
         }
-        if (len > cursor.remaining()) {
-            truncation(
-                "trace.footer-truncated", cursor.offset(),
-                "function name " + std::to_string(i) + " declares " +
-                    std::to_string(len) + " bytes but only " +
-                    std::to_string(cursor.remaining()) + " remain");
-            return;
-        }
-        cursor.skip(len);
-        ++stats.functions;
     }
 
     // Function-table id continuity: every id referenced by an
     // FnEnter/FnExit event must have a name in the table.
+    const std::uint64_t count = reader.functionNames().size();
+    stats.functions = count;
     for (const auto &[fn, first_offset] : fn_uses) {
         if (fn >= count) {
             report.errorAtByte(
@@ -334,50 +306,12 @@ Linter::lintFooter(std::uint64_t marker_offset)
         }
     }
 
-    if (!cursor.atEnd()) {
+    if (reader.offset() < data.size()) {
         report.warningAtByte(
-            "trace.trailing-bytes", cursor.offset(),
-            std::to_string(cursor.remaining()) +
+            "trace.trailing-bytes", reader.offset(),
+            std::to_string(data.size() - reader.offset()) +
                 " byte(s) after the function table (footer at byte " +
-                std::to_string(marker_offset) + ")");
-    }
-}
-
-void
-Linter::run()
-{
-    bool header_ok = false;
-    checkHeader(header_ok);
-    if (!header_ok)
-        return;
-
-    for (;;) {
-        const std::uint64_t offset = cursor.offset();
-        const int tag = cursor.get();
-        if (tag < 0) {
-            truncation("trace.no-footer", offset,
-                       "stream ends without the 0xFF footer marker (" +
-                           std::to_string(stats.events) +
-                           " events decoded)");
-            return;
-        }
-        if (tag == trace::kFooterMarker) {
-            lintFooter(offset);
-            return;
-        }
-        if (tag > static_cast<int>(EventKind::FnExit)) {
-            // Framing is lost: varint boundaries downstream of an
-            // unknown tag cannot be trusted, so stop here.
-            report.errorAtByte(
-                "trace.unknown-tag", offset,
-                "unknown event tag " + std::to_string(tag) +
-                    "; cannot resynchronize, " +
-                    std::to_string(cursor.remaining()) +
-                    " byte(s) left unscanned");
-            return;
-        }
-        if (!lintEvent(offset, static_cast<EventKind>(tag)))
-            return;
+                std::to_string(reader.eventOffset()) + ")");
     }
 }
 
@@ -387,10 +321,10 @@ TraceLintStats
 lintTrace(std::string_view data, Report &report)
 {
     ExtentTracker extents;
-    Linter linter(data, report, extents);
+    Linter linter(report, extents);
     linter.stats.bytes = data.size();
     linter.stats.segments = 1;
-    linter.run();
+    linter.run(data);
     return linter.stats;
 }
 
@@ -474,10 +408,10 @@ lintSegmentSet(const std::string &base, Report &report)
                                    "'");
             continue;
         }
-        Linter linter(segment.bytes(), report, extents);
+        Linter linter(report, extents);
         linter.stats.bytes = segment.bytes().size();
         linter.truncation_is_error = i + 1 < indices.size();
-        linter.run();
+        linter.run(segment.bytes());
 
         total.bytes += linter.stats.bytes;
         total.events += linter.stats.events;

@@ -11,6 +11,13 @@
  * overlapping live extents).  Findings carry byte offsets into the
  * trace.
  *
+ * Framing: the linter decodes through TraceReader (Mode::Audit), the
+ * same decoder replay uses, and renders each trace::Fault it stops at
+ * as a finding.  An overlong varint keeps its value, so the linter
+ * resumes past it; any other fault ends the scan.  The rules that need
+ * the whole byte count (trailing bytes, bytes left after an unknown
+ * tag) and the event-level rules are the linter's own.
+ *
  * Rule catalog (see DESIGN.md, "The audit subsystem"):
  *   trace.io                unreadable input file
  *   trace.bad-magic         first 4 bytes are not "HMDT"

@@ -72,9 +72,16 @@ class Parser
         const char c = text_[pos_];
         switch (c) {
           case '{':
-            return parseObject(out);
-          case '[':
-            return parseArray(out);
+          case '[': {
+            if (depth_ == kMaxJsonDepth)
+                return fail("document nested deeper than " +
+                            std::to_string(kMaxJsonDepth) + " levels");
+            ++depth_;
+            const bool ok =
+                c == '{' ? parseObject(out) : parseArray(out);
+            --depth_;
+            return ok;
+          }
           case '"':
             out.kind = JsonValue::Kind::String;
             return parseString(out.string);
@@ -264,6 +271,7 @@ class Parser
     const std::string &text_;
     std::string *error_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0; //!< arrays/objects open at pos_
 };
 
 bool

@@ -52,8 +52,16 @@ struct JsonValue
 };
 
 /**
+ * Deepest array/object nesting parseJson accepts.  HeapMD's own
+ * documents nest at most a handful of levels; the bound keeps a
+ * hostile document from overflowing the recursive parser's stack.
+ */
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
+/**
  * Parse @p text as one JSON document (trailing whitespace allowed,
- * trailing garbage rejected).
+ * trailing garbage rejected, nesting deeper than kMaxJsonDepth
+ * rejected).
  * @return false with a position-carrying message in @p error.
  */
 bool parseJson(const std::string &text, JsonValue &out,

@@ -16,54 +16,11 @@ putVarint(std::ostream &os, std::uint64_t value)
     os.put(static_cast<char>(value));
 }
 
-bool
-getVarint(std::istream &is, std::uint64_t &value,
-          VarintError *error)
-{
-    value = 0;
-    int shift = 0;
-    int length = 0;
-    for (;;) {
-        const int ch = is.get();
-        if (ch == std::char_traits<char>::eof()) {
-            if (error != nullptr)
-                *error = VarintError::Truncated;
-            return false;
-        }
-        if (++length > kMaxVarintBytes) {
-            if (error != nullptr)
-                *error = VarintError::Overlong;
-            return false;
-        }
-        const std::uint64_t byte = static_cast<std::uint64_t>(ch);
-        value |= (byte & 0x7F) << shift;
-        if ((byte & 0x80) == 0) {
-            if (error != nullptr)
-                *error = VarintError::None;
-            return true;
-        }
-        shift += 7;
-    }
-}
-
 void
 putU32(std::ostream &os, std::uint32_t value)
 {
     for (int i = 0; i < 4; ++i)
         os.put(static_cast<char>((value >> (8 * i)) & 0xFF));
-}
-
-bool
-getU32(std::istream &is, std::uint32_t &value)
-{
-    value = 0;
-    for (int i = 0; i < 4; ++i) {
-        const int ch = is.get();
-        if (ch == std::char_traits<char>::eof())
-            return false;
-        value |= static_cast<std::uint32_t>(ch & 0xFF) << (8 * i);
-    }
-    return true;
 }
 
 void
@@ -73,33 +30,6 @@ putHeader(std::ostream &os, std::uint32_t flags)
     putU32(os, flags == 0 ? kVersion : kVersionFlags);
     if (flags != 0)
         putU32(os, flags);
-}
-
-bool
-readHeader(std::istream &is, Header &header, HeaderError *error)
-{
-    const auto fail = [&](HeaderError kind) {
-        if (error != nullptr)
-            *error = kind;
-        return false;
-    };
-    std::uint32_t magic = 0;
-    if (!getU32(is, magic))
-        return fail(HeaderError::Truncated);
-    if (magic != kMagic)
-        return fail(HeaderError::BadMagic);
-    if (!getU32(is, header.version))
-        return fail(HeaderError::Truncated);
-    if (header.version != kVersion && header.version != kVersionFlags)
-        return fail(HeaderError::BadVersion);
-    header.flags = 0;
-    if (header.version == kVersionFlags &&
-        !getU32(is, header.flags)) {
-        return fail(HeaderError::Truncated);
-    }
-    if (error != nullptr)
-        *error = HeaderError::None;
-    return true;
 }
 
 } // namespace trace

@@ -17,13 +17,15 @@
  * fields as LEB128 varints.  The function table (names interned during
  * the run, in id order) is appended as a footer so call stacks can be
  * symbolized after replay.
+ *
+ * This header holds the encoder; TraceReader (trace_reader.hh) is the
+ * one decoder.
  */
 
 #ifndef HEAPMD_TRACE_TRACE_FORMAT_HH
 #define HEAPMD_TRACE_TRACE_FORMAT_HH
 
 #include <cstdint>
-#include <istream>
 #include <ostream>
 
 namespace heapmd
@@ -65,28 +67,11 @@ struct Header
     }
 };
 
-/** Why a readHeader() call failed. */
-enum class HeaderError
-{
-    None,       //!< decode succeeded
-    Truncated,  //!< stream ended inside the header
-    BadMagic,   //!< first four bytes are not "HMDT"
-    BadVersion, //!< version is neither kVersion nor kVersionFlags
-};
-
 /**
  * Write a trace header.  Zero @p flags emits the compact version-1
  * header; any flag promotes the header to version 2.
  */
 void putHeader(std::ostream &os, std::uint32_t flags = 0);
-
-/**
- * Read and validate a trace header (either version).
- * @return false on malformed input, with the failure kind in
- *         @p error when non-null.
- */
-bool readHeader(std::istream &is, Header &header,
-                HeaderError *error = nullptr);
 
 /**
  * Longest legal LEB128 encoding of a 64-bit value.  Encodings using
@@ -95,34 +80,11 @@ bool readHeader(std::istream &is, Header &header,
  */
 inline constexpr int kMaxVarintBytes = 10;
 
-/** Why a getVarint() call failed. */
-enum class VarintError
-{
-    None,      //!< decode succeeded
-    Truncated, //!< stream ended inside the varint
-    Overlong,  //!< encoding exceeds kMaxVarintBytes
-};
-
 /** Write an unsigned LEB128 varint. */
 void putVarint(std::ostream &os, std::uint64_t value);
 
-/**
- * Read an unsigned LEB128 varint.
- *
- * Rejects truncated input and overlong (> kMaxVarintBytes) encodings
- * instead of returning partial data.
- *
- * @param error when non-null, receives the failure kind.
- * @return false on end-of-stream or malformed input.
- */
-bool getVarint(std::istream &is, std::uint64_t &value,
-               VarintError *error = nullptr);
-
 /** Write a fixed-width little-endian u32. */
 void putU32(std::ostream &os, std::uint32_t value);
-
-/** Read a fixed-width little-endian u32. */
-bool getU32(std::istream &is, std::uint32_t &value);
 
 } // namespace trace
 

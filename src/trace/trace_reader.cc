@@ -1,6 +1,8 @@
 #include "trace/trace_reader.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <string_view>
 
 #include "runtime/process.hh"
 #include "support/logging.hh"
@@ -13,36 +15,113 @@ namespace heapmd
 namespace
 {
 
-/** Rule id + description of a varint decode failure. */
+using Fault = trace::Fault;
+using Site = trace::Fault::Site;
+
+constexpr const char *kOverlongRule = "trace.varint-overlong";
+
+/** Varints carried by each event kind, indexed by tag. */
+constexpr int kFieldCount[] = {2, 1, 3, 2, 1, 1, 1};
+constexpr int kLastTag = static_cast<int>(EventKind::FnExit);
+
+/** Description of a bad varint, with its rule id. */
 std::string
-varintErrorText(trace::VarintError error)
+varintErrorText(const Fault &fault)
 {
-    switch (error) {
-      case trace::VarintError::Overlong:
+    if (fault.recoverable())
         return "LEB128 varint longer than " +
                std::to_string(trace::kMaxVarintBytes) +
                " bytes [trace.varint-overlong]";
-      case trace::VarintError::Truncated:
-      case trace::VarintError::None:
-        break;
-    }
     return "stream ends inside a LEB128 varint "
            "[trace.varint-truncated]";
 }
 
+/** The replay message of @p fault (TraceReader::error()). */
+std::string
+replayText(const Fault &fault)
+{
+    const std::string at = std::to_string(fault.eventOffset);
+    switch (fault.site) {
+      case Site::None:
+        break;
+      case Site::ShortHeader:
+      case Site::Magic:
+      case Site::Version:
+      case Site::Flags:
+        return fault.headerText() + " [" + fault.rule + "]";
+      case Site::NoFooter:
+        return "stream ends at byte " + at +
+               " without the footer marker [trace.no-footer]";
+      case Site::Event:
+        if (fault.tag > kLastTag)
+            return "unknown event tag " + std::to_string(fault.tag) +
+                   " at byte " + at + " [trace.unknown-tag]";
+        return varintErrorText(fault) + " in " +
+               eventKindName(static_cast<EventKind>(fault.tag)) +
+               " event at byte " + at;
+      case Site::FooterCount:
+        return varintErrorText(fault) +
+               " in the function-table count [trace.footer-truncated]";
+      case Site::NameLength:
+        return varintErrorText(fault) + " in the name length of "
+               "function " + std::to_string(fault.index) + " of " +
+               std::to_string(fault.count) + " [trace.footer-truncated]";
+      case Site::Name:
+        return "stream ends inside the name of function " +
+               std::to_string(fault.index) + " of " +
+               std::to_string(fault.count) + " [trace.footer-truncated]";
+    }
+    return {};
+}
+
 } // namespace
+
+namespace trace
+{
+
+bool
+Fault::recoverable() const
+{
+    return rule != nullptr && std::string_view(rule) == kOverlongRule;
+}
+
+std::string
+Fault::headerText() const
+{
+    switch (site) {
+      case Site::ShortHeader:
+        return "file too short for the 8-byte header";
+      case Site::Magic: {
+        char buf[64];
+        std::snprintf(buf, sizeof buf,
+                      "bad magic 0x%x (expected 0x%x \"HMDT\")", word,
+                      kMagic);
+        return buf;
+      }
+      case Site::Version:
+        return "unsupported trace version " + std::to_string(word) +
+               " (expected " + std::to_string(kVersion) + " or " +
+               std::to_string(kVersionFlags) + ")";
+      case Site::Flags:
+        return "version-2 header is missing its flags word";
+      default:
+        return {};
+    }
+}
+
+} // namespace trace
 
 TraceReader::TraceReader(std::istream &is, std::size_t chunk_size)
     : owned_(std::make_unique<trace::StreamSource>(is, chunk_size)),
       source_(owned_.get())
 {
-    readHeaderOrDie();
+    readHeader();
 }
 
-TraceReader::TraceReader(trace::Source &source)
-    : source_(&source)
+TraceReader::TraceReader(trace::Source &source, Mode mode)
+    : source_(&source), mode_(mode)
 {
-    readHeaderOrDie();
+    readHeader();
 }
 
 TraceReader::~TraceReader()
@@ -54,7 +133,7 @@ TraceReader::~TraceReader()
 void
 TraceReader::flushEventCounter()
 {
-    if (events_ != counted_) {
+    if (mode_ == Mode::Replay && events_ != counted_) {
         HEAPMD_COUNTER_ADD("trace.events_decoded",
                            events_ - counted_);
         counted_ = events_;
@@ -84,12 +163,12 @@ TraceReader::getByte()
     return *cur_++;
 }
 
-bool
-TraceReader::getVarint(std::uint64_t &value,
-                       trace::VarintError &error)
+inline TraceReader::Varint
+TraceReader::getVarint(std::uint64_t &value)
 {
     // Fast path: a longest-legal varint plus its overlong witness
     // byte fit in the current chunk, so decode with no bounds checks.
+    // It stays small enough to inline into every field decode.
     if (end_ - cur_ > trace::kMaxVarintBytes) {
         const unsigned char *p = cur_;
         std::uint64_t v = 0;
@@ -100,39 +179,48 @@ TraceReader::getVarint(std::uint64_t &value,
             if ((byte & 0x80) == 0) {
                 cur_ = p;
                 value = v;
-                error = trace::VarintError::None;
-                return true;
+                return Varint::Ok;
             }
             shift += 7;
         }
-        // Ten continuation bytes: consuming an eleventh byte makes
-        // the encoding overlong (same semantics as the slow path).
-        cur_ = p + 1;
-        error = trace::VarintError::Overlong;
-        return false;
     }
+    return getVarintSlow(value);
+}
 
-    // Slow path: per-byte across refill boundaries.
+/** Per-byte decode: across refill boundaries, and overlong varints. */
+TraceReader::Varint
+TraceReader::getVarintSlow(std::uint64_t &value)
+{
     value = 0;
     int shift = 0;
-    int length = 0;
-    for (;;) {
+    for (int length = 1;; ++length) {
         const int ch = getByte();
-        if (ch < 0) {
-            error = trace::VarintError::Truncated;
-            return false;
-        }
-        if (++length > trace::kMaxVarintBytes) {
-            error = trace::VarintError::Overlong;
-            return false;
-        }
+        if (ch < 0)
+            return Varint::Truncated;
         const auto byte = static_cast<std::uint64_t>(ch);
         value |= (byte & 0x7F) << shift;
-        if ((byte & 0x80) == 0) {
-            error = trace::VarintError::None;
-            return true;
-        }
+        if ((byte & 0x80) == 0)
+            return Varint::Ok;
+        if (length == trace::kMaxVarintBytes)
+            return skipOverlong();
         shift += 7;
+    }
+}
+
+/**
+ * Ten continuation bytes make a varint overlong.  Its value keeps
+ * their payload; the rest of the encoding is consumed through its
+ * terminating byte, so framing survives the fault.
+ */
+TraceReader::Varint
+TraceReader::skipOverlong()
+{
+    for (;;) {
+        const int ch = getByte();
+        if (ch < 0)
+            return Varint::Truncated;
+        if ((ch & 0x80) == 0)
+            return Varint::Overlong;
     }
 }
 
@@ -150,40 +238,60 @@ TraceReader::getU32(std::uint32_t &value)
 }
 
 void
-TraceReader::readHeaderOrDie()
+TraceReader::readHeader()
 {
-    // Same decode + failure contract as trace::readHeader.
+    Fault fault;
     std::uint32_t magic = 0;
-    if (!getU32(magic))
-        HEAPMD_FATAL("truncated trace header [trace.bad-version]");
-    if (magic != trace::kMagic)
-        HEAPMD_FATAL("not a HeapMD trace (bad magic) "
-                     "[trace.bad-magic]");
-    if (!getU32(header_.version))
-        HEAPMD_FATAL("truncated trace header [trace.bad-version]");
-    if (header_.version != trace::kVersion &&
-        header_.version != trace::kVersionFlags) {
-        HEAPMD_FATAL("unsupported trace version ", header_.version,
-                     " (this build reads versions ", trace::kVersion,
-                     " and ", trace::kVersionFlags,
-                     ") [trace.bad-version]");
+    if (!getU32(magic) || !getU32(header_.version)) {
+        fault.site = Site::ShortHeader;
+        fault.rule = "trace.bad-magic";
+    } else if (magic != trace::kMagic) {
+        fault.site = Site::Magic;
+        fault.rule = "trace.bad-magic";
+        fault.word = magic;
+    } else if (header_.version != trace::kVersion &&
+               header_.version != trace::kVersionFlags) {
+        fault.site = Site::Version;
+        fault.rule = "trace.bad-version";
+        fault.offset = 4;
+        fault.word = header_.version;
+    } else if (header_.version == trace::kVersionFlags &&
+               !getU32(header_.flags)) {
+        fault.site = Site::Flags;
+        fault.rule = "trace.bad-version";
+        fault.offset = 8;
     }
-    header_.flags = 0;
-    if (header_.version == trace::kVersionFlags &&
-        !getU32(header_.flags)) {
-        HEAPMD_FATAL("truncated trace header [trace.bad-version]");
-    }
+    if (fault.site == Site::None)
+        return;
+    header_ = trace::Header{};
+    fail(fault);
+    if (mode_ == Mode::Replay)
+        HEAPMD_FATAL("unreadable trace header: ", error_);
 }
 
 void
-TraceReader::fail(std::string message)
+TraceReader::fail(const Fault &fault)
 {
     done_ = true;
     malformed_ = true;
-    flushEventCounter();
-    HEAPMD_COUNTER_INC("trace.malformed");
-    if (error_.empty())
-        error_ = std::move(message);
+    fault_ = fault;
+    error_ = replayText(fault);
+    if (mode_ == Mode::Replay) {
+        flushEventCounter();
+        HEAPMD_COUNTER_INC("trace.malformed");
+    }
+}
+
+bool
+TraceReader::resume()
+{
+    if (!fault_.recoverable())
+        return false;
+    fault_ = Fault{};
+    error_.clear();
+    malformed_ = false;
+    done_ = false;
+    return true;
 }
 
 bool
@@ -191,78 +299,94 @@ TraceReader::next(Event &event)
 {
     if (done_)
         return false;
-
-    const std::uint64_t event_offset = offset();
-    const int tag = getByte();
-    if (tag < 0) {
-        fail("stream ends at byte " + std::to_string(event_offset) +
-             " without the footer marker [trace.no-footer]");
-        return false;
-    }
-    if (static_cast<std::uint8_t>(tag) == trace::kFooterMarker) {
-        done_ = true;
-        flushEventCounter();
-        readFooter();
+    if (saw_footer_) {
+        readFooter(); // resumed inside the function table
         return false;
     }
 
-    const auto kind = static_cast<EventKind>(tag);
-    std::uint64_t a = 0, b = 0, c = 0;
-    trace::VarintError verr = trace::VarintError::None;
-    const auto field = [&](std::uint64_t &out) {
-        return getVarint(out, verr);
-    };
-    bool known = true;
-    bool ok = true;
+    int tag = 0;
+    int field = 0;
+    std::uint64_t f[3] = {0, 0, 0};
+    if (resume_.pending) {
+        resume_.pending = false;
+        tag = resume_.tag;
+        field = resume_.field;
+        std::copy(resume_.fields, resume_.fields + 3, f);
+    } else {
+        event_offset_ = offset();
+        tag = getByte();
+        if (tag < 0) {
+            Fault fault;
+            fault.site = Site::NoFooter;
+            fault.rule = "trace.no-footer";
+            fault.offset = fault.eventOffset = event_offset_;
+            fail(fault);
+            return false;
+        }
+        if (static_cast<std::uint8_t>(tag) == trace::kFooterMarker) {
+            saw_footer_ = true;
+            flushEventCounter();
+            readFooter();
+            return false;
+        }
+        if (tag > kLastTag) {
+            Fault fault;
+            fault.site = Site::Event;
+            fault.rule = "trace.unknown-tag";
+            fault.offset = fault.eventOffset = event_offset_;
+            fault.tag = tag;
+            fail(fault);
+            return false;
+        }
+    }
+
+    for (const int count = kFieldCount[tag]; field < count; ++field) {
+        const std::uint64_t field_offset = offset();
+        const Varint status = getVarint(f[field]);
+        if (status == Varint::Ok)
+            continue;
+        Fault fault;
+        fault.site = Site::Event;
+        fault.rule = status == Varint::Overlong
+                         ? kOverlongRule
+                         : "trace.varint-truncated";
+        fault.offset = field_offset;
+        fault.eventOffset = event_offset_;
+        fault.tag = tag;
+        if (status == Varint::Overlong) {
+            resume_.pending = true;
+            resume_.tag = tag;
+            resume_.field = field + 1;
+            std::copy(f, f + 3, resume_.fields);
+        }
+        fail(fault);
+        return false;
+    }
+
     event = Event{};
-    event.kind = kind;
-    switch (kind) {
+    event.kind = static_cast<EventKind>(tag);
+    switch (event.kind) {
       case EventKind::Alloc:
-        ok = field(a) && field(b);
-        event.addr = a;
-        event.size = b;
+        event.addr = f[0];
+        event.size = f[1];
         break;
       case EventKind::Free:
-        ok = field(a);
-        event.addr = a;
+      case EventKind::Read:
+        event.addr = f[0];
         break;
       case EventKind::Realloc:
-        ok = field(a) && field(b) && field(c);
-        event.addr = a;
-        event.value = b;
-        event.size = c;
+        event.addr = f[0];
+        event.value = f[1];
+        event.size = f[2];
         break;
       case EventKind::Write:
-        ok = field(a) && field(b);
-        event.addr = a;
-        event.value = b;
-        break;
-      case EventKind::Read:
-        ok = field(a);
-        event.addr = a;
+        event.addr = f[0];
+        event.value = f[1];
         break;
       case EventKind::FnEnter:
       case EventKind::FnExit:
-        ok = field(a);
-        event.fn = static_cast<FnId>(a);
+        event.fn = static_cast<FnId>(f[0]);
         break;
-      default:
-        known = false;
-        ok = false;
-        break;
-    }
-
-    if (!ok) {
-        if (!known) {
-            fail("unknown event tag " + std::to_string(tag) +
-                 " at byte " + std::to_string(event_offset) +
-                 " [trace.unknown-tag]");
-        } else {
-            fail(varintErrorText(verr) + " in " +
-                 eventKindName(kind) + " event at byte " +
-                 std::to_string(event_offset));
-        }
-        return false;
     }
     ++events_;
     return true;
@@ -271,37 +395,71 @@ TraceReader::next(Event &event)
 void
 TraceReader::readFooter()
 {
-    trace::VarintError verr = trace::VarintError::None;
-    std::uint64_t count = 0;
-    if (!getVarint(count, verr)) {
-        fail(varintErrorText(verr) +
-             " in the function-table count [trace.footer-truncated]");
-        return;
-    }
-    // The count is attacker-controlled; names_ grows as names decode
-    // rather than pre-reserving a potentially huge claim.
-    names_.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(count, 4096)));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t len = 0;
-        if (!getVarint(len, verr)) {
-            fail(varintErrorText(verr) + " in the name length of "
-                 "function " + std::to_string(i) + " of " +
-                 std::to_string(count) + " [trace.footer-truncated]");
+    FooterState &st = footer_;
+    Fault fault;
+    fault.eventOffset = event_offset_;
+    const auto varintFault = [&](Varint status, Site site,
+                                 std::uint64_t at) {
+        fault.site = site;
+        fault.rule = status == Varint::Overlong
+                         ? kOverlongRule
+                         : "trace.footer-truncated";
+        fault.offset = at;
+        fault.index = st.index;
+        fault.count = st.count;
+        fail(fault);
+    };
+
+    if (!st.haveCount) {
+        const std::uint64_t at = offset();
+        const Varint status = getVarint(st.count);
+        if (status == Varint::Truncated) {
+            varintFault(status, Site::FooterCount, at);
             return;
         }
+        st.haveCount = true;
+        // The count is attacker-controlled; names_ grows as names
+        // decode rather than pre-reserving a potentially huge claim.
+        names_.reserve(static_cast<std::size_t>(
+            std::min<std::uint64_t>(st.count, 4096)));
+        if (status == Varint::Overlong) {
+            varintFault(status, Site::FooterCount, at);
+            return;
+        }
+    }
+    for (; st.index < st.count; ++st.index) {
+        if (!st.haveLength) {
+            const std::uint64_t at = offset();
+            const Varint status = getVarint(st.length);
+            if (status == Varint::Truncated) {
+                varintFault(status, Site::NameLength, at);
+                return;
+            }
+            st.haveLength = true;
+            if (status == Varint::Overlong) {
+                varintFault(status, Site::NameLength, at);
+                return;
+            }
+        }
+        st.haveLength = false;
         // Copy the name chunk-by-chunk: the declared length is only
         // trusted as far as bytes actually exist, so a corrupt
         // multi-gigabyte length cannot drive a huge pre-allocation.
+        const std::uint64_t at = offset();
         std::string name;
         name.reserve(static_cast<std::size_t>(
-            std::min<std::uint64_t>(len, 4096)));
-        std::uint64_t remaining = len;
-        bool truncated = false;
+            std::min<std::uint64_t>(st.length, 4096)));
+        std::uint64_t remaining = st.length;
         while (remaining > 0) {
             if (cur_ == end_ && !refill()) {
-                truncated = true;
-                break;
+                fault.site = Site::Name;
+                fault.rule = "trace.footer-truncated";
+                fault.offset = at;
+                fault.index = st.index;
+                fault.count = st.count;
+                fault.length = st.length;
+                fail(fault);
+                return;
             }
             const auto take = static_cast<std::size_t>(
                 std::min<std::uint64_t>(
@@ -311,14 +469,9 @@ TraceReader::readFooter()
             cur_ += take;
             remaining -= take;
         }
-        if (truncated) {
-            fail("stream ends inside the name of function " +
-                 std::to_string(i) + " of " + std::to_string(count) +
-                 " [trace.footer-truncated]");
-            return;
-        }
         names_.push_back(std::move(name));
     }
+    done_ = true;
 }
 
 std::uint64_t

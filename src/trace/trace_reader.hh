@@ -1,6 +1,10 @@
 /**
  * @file
  * Trace decoder and replay.
+ *
+ * TraceReader is the one decoder of HMDT bytes: replay, monitor, the
+ * segment chain and both static linters (trace_lint, flow_lint) all
+ * read through it, so a trace means the same thing to every stage.
  */
 
 #ifndef HEAPMD_TRACE_TRACE_READER_HH
@@ -21,14 +25,68 @@ namespace heapmd
 
 class Process;
 
+namespace trace
+{
+
+/**
+ * Why a TraceReader stopped, in audit-rule vocabulary.  The linters
+ * render their findings from these fields; TraceReader::error()
+ * renders the replay message from the same record.
+ */
+struct Fault
+{
+    /** Which part of the trace the fault sits in, in stream order. */
+    enum class Site
+    {
+        None,        //!< no fault
+        ShortHeader, //!< fewer than the 8 bytes of magic + version
+        Magic,       //!< magic is not "HMDT" (word: the magic read)
+        Version,     //!< unknown version (word: the version read)
+        Flags,       //!< version-2 header without its flags word
+        NoFooter,    //!< stream ends between events
+        Event,       //!< unknown tag, or a bad varint inside an event
+        FooterCount, //!< the function-table count varint
+        NameLength,  //!< a function name's length varint
+        Name,        //!< a function name's bytes
+    };
+
+    Site site = Site::None;
+    const char *rule = nullptr;    //!< audit rule id
+    std::uint64_t offset = 0;      //!< byte offset of the failing field
+    std::uint64_t eventOffset = 0; //!< tag byte of the event, or the
+                                   //!< footer marker (footer sites)
+    int tag = -1;                  //!< the event's tag (Event site)
+    std::uint32_t word = 0;        //!< Magic / Version sites
+    std::uint64_t index = 0;       //!< function index (NameLength, Name)
+    std::uint64_t count = 0;       //!< table size (NameLength, Name)
+    std::uint64_t length = 0;      //!< declared name length (Name)
+
+    /** An overlong varint: its value was kept, decoding can resume. */
+    bool recoverable() const;
+
+    /** The fault sits in the header (the reader decoded nothing). */
+    bool inHeader() const
+    {
+        return site >= Site::ShortHeader && site <= Site::Flags;
+    }
+
+    /** The fault sits in the function table after the footer marker. */
+    bool inFooter() const { return site >= Site::FooterCount; }
+
+    /** Finding text of a header fault, without the rule id. */
+    std::string headerText() const;
+};
+
+} // namespace trace
+
 /**
  * Pull-based decoder for traces written by TraceWriter.
  *
  * Decoding runs over an internal block cursor fed whole chunks by a
  * trace::Source (64 KiB refills for streams, the whole mapping for
  * mmap-backed files), so the hot path never makes a virtual per-byte
- * stream call.  Malformed-trace errors carry the same rule ids and
- * byte offsets as the audit linter: offsets count bytes from the
+ * stream call.  Every fault is a trace::Fault carrying the audit
+ * linter's rule id and byte offsets; offsets count bytes from the
  * start of the trace, independent of how the source chunks it.
  *
  * Usage: construct, then call next() until it returns false; the
@@ -37,6 +95,17 @@ class Process;
 class TraceReader
 {
   public:
+    /** What the reader is for. */
+    enum class Mode
+    {
+        /** Counts trace.events_decoded / trace.malformed; a bad header
+         *  is fatal. */
+        Replay,
+        /** The linters' reader: silent to telemetry, and a bad header
+         *  is a fault() like any other. */
+        Audit,
+    };
+
     /**
      * Decode from a stream through an internal StreamSource.
      * @param is source stream (binary); must outlive us.
@@ -48,7 +117,8 @@ class TraceReader
                              trace::kDefaultChunkSize);
 
     /** Decode from an external source (mmap file, memory). */
-    explicit TraceReader(trace::Source &source);
+    explicit TraceReader(trace::Source &source,
+                         Mode mode = Mode::Replay);
 
     /** Flushes the batched trace.events_decoded counter. */
     ~TraceReader();
@@ -56,9 +126,18 @@ class TraceReader
     /**
      * Decode the next event into @p event.
      * @return false at the footer (function table is then parsed) or
-     *         on a truncated stream (malformed() will be true).
+     *         at a fault (malformed() will be true).
      */
     bool next(Event &event);
+
+    /**
+     * Continue past a recoverable fault (an overlong varint, whose
+     * value is kept): the next next() finishes the event or footer
+     * the varint belongs to.  Replay never resumes; the linters do,
+     * so one corrupt field does not hide the rest of the trace.
+     * @return false when the last fault is not recoverable.
+     */
+    bool resume();
 
     /** True when the stream ended without a well-formed footer. */
     bool malformed() const { return malformed_; }
@@ -70,6 +149,9 @@ class TraceReader
      * stopped.  Empty while malformed() is false.
      */
     const std::string &error() const { return error_; }
+
+    /** The fault that stopped decoding; Site::None while clean. */
+    const trace::Fault &fault() const { return fault_; }
 
     /** Function names from the footer, indexed by FnId. */
     const std::vector<std::string> &functionNames() const
@@ -86,6 +168,15 @@ class TraceReader
         return base_ + static_cast<std::uint64_t>(cur_ - chunk_);
     }
 
+    /**
+     * Byte offset of the tag of the event next() last returned, or of
+     * the footer marker once next() has returned false there.
+     */
+    std::uint64_t eventOffset() const { return event_offset_; }
+
+    /** next() reached the footer marker. */
+    bool sawFooter() const { return saw_footer_; }
+
     /** The decoded header (version, flags). */
     const trace::Header &header() const { return header_; }
 
@@ -100,9 +191,16 @@ class TraceReader
     }
 
   private:
-    void readHeaderOrDie();
+    enum class Varint
+    {
+        Ok,
+        Truncated,
+        Overlong, //!< > kMaxVarintBytes; consumed to its last byte
+    };
+
+    void readHeader();
     void readFooter();
-    void fail(std::string message);
+    void fail(const trace::Fault &fault);
 
     /**
      * Publish decoded-event telemetry accumulated since the last
@@ -114,20 +212,46 @@ class TraceReader
 
     bool refill();
     int getByte();
-    bool getVarint(std::uint64_t &value, trace::VarintError &error);
     bool getU32(std::uint32_t &value);
+    Varint getVarint(std::uint64_t &value);
+    Varint getVarintSlow(std::uint64_t &value);
+    Varint skipOverlong();
 
     trace::Header header_;
     std::unique_ptr<trace::StreamSource> owned_;
     trace::Source *source_;
+    Mode mode_ = Mode::Replay;
     const unsigned char *chunk_ = nullptr;
     const unsigned char *cur_ = nullptr;
     const unsigned char *end_ = nullptr;
     std::uint64_t base_ = 0;
     std::vector<std::string> names_;
     std::string error_;
+    trace::Fault fault_;
     std::uint64_t events_ = 0;
     std::uint64_t counted_ = 0;
+    std::uint64_t event_offset_ = 0;
+
+    /** A half-decoded event, left by an overlong varint. */
+    struct PendingEvent
+    {
+        bool pending = false;
+        int tag = 0;
+        int field = 0; //!< index of the next field to decode
+        std::uint64_t fields[3] = {0, 0, 0};
+    } resume_;
+
+    /** Function-table decode position, so a resume continues it. */
+    struct FooterState
+    {
+        bool haveCount = false;
+        std::uint64_t count = 0;
+        std::uint64_t index = 0; //!< next name to decode
+        bool haveLength = false; //!< name @c index has its length
+        std::uint64_t length = 0;
+    } footer_;
+
+    bool saw_footer_ = false;
     bool done_ = false;
     bool malformed_ = false;
 };

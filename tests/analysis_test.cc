@@ -15,12 +15,14 @@
 #include <sstream>
 #include <string_view>
 
+#include "analysis/flow_lint.hh"
 #include "analysis/graph_lint.hh"
 #include "analysis/model_lint.hh"
 #include "analysis/trace_lint.hh"
 #include "heapgraph/graph_snapshot.hh"
 #include "model/model.hh"
 #include "runtime/process.hh"
+#include "telemetry/registry.hh"
 #include "trace/trace_writer.hh"
 
 namespace heapmd
@@ -169,6 +171,26 @@ TEST(TraceLintTest, FindingsCarryByteOffsets)
     const analysis::Finding &f = report.findings()[0];
     EXPECT_EQ(f.locationKind, analysis::LocationKind::Byte);
     EXPECT_EQ(f.location, 8u); // first event, right after the header
+}
+
+TEST(TraceLintTest, LintersLeaveDecodeCountersAlone)
+{
+    // Both linters decode through TraceReader, but only replay's
+    // decodes count toward trace.events_decoded and trace.malformed.
+    telemetry::Registry &registry = telemetry::Registry::instance();
+    telemetry::Counter &decoded = registry.counter("trace.events_decoded");
+    telemetry::Counter &malformed = registry.counter("trace.malformed");
+    const std::uint64_t decoded_before = decoded.value();
+    const std::uint64_t malformed_before = malformed.value();
+    for (const char *name : {"clean.trace", "missing_footer.trace",
+                             "overlong_varint.trace", "bad_magic.trace"}) {
+        const trace::LoadedTrace trace(corpusPath(name));
+        Report report;
+        analysis::lintTraceFile(trace, report);
+        analysis::lintTraceFlowFile(trace, report);
+    }
+    EXPECT_EQ(decoded.value(), decoded_before);
+    EXPECT_EQ(malformed.value(), malformed_before);
 }
 
 TEST(TraceLintTest, WriterOutputAuditsClean)

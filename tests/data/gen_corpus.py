@@ -71,6 +71,8 @@ CORPUS = {
     "bad_magic.trace": b"XXXX"
     + struct.pack("<I", VERSION)
     + footer(),
+    # trace.bad-magic: shorter than the 8-byte magic + version
+    "short_header.trace": header()[:5],
     # trace.bad-version
     "bad_version.trace": header(version=99) + footer(),
     # trace.varint-truncated: alloc size field ends mid-varint

@@ -146,6 +146,41 @@ TEST(JsonNumberTest, ShortestRoundTrip)
     EXPECT_EQ(diag::formatJsonNumber(INFINITY), "0");
 }
 
+TEST(JsonParseTest, NestingDepthIsBounded)
+{
+    // 100k nested arrays would overflow the recursive parser's stack;
+    // they are a named parse error at the first level past the bound.
+    const std::size_t deep = 100000;
+    telemetry::JsonValue root;
+    std::string error;
+    EXPECT_FALSE(telemetry::parseJson(
+        std::string(deep, '[') + std::string(deep, ']'), root, &error));
+    EXPECT_EQ(error, "document nested deeper than " +
+                         std::to_string(telemetry::kMaxJsonDepth) +
+                         " levels at offset " +
+                         std::to_string(telemetry::kMaxJsonDepth));
+
+    // Exactly at the bound, objects and arrays mixed, still parses.
+    std::string at_limit;
+    for (std::size_t i = 1; i < telemetry::kMaxJsonDepth; ++i)
+        at_limit += "{\"k\": ";
+    at_limit += "[1]";
+    at_limit += std::string(telemetry::kMaxJsonDepth - 1, '}');
+    ASSERT_TRUE(telemetry::parseJson(at_limit, root, &error)) << error;
+    const telemetry::JsonValue *v = &root;
+    for (std::size_t i = 1; i < telemetry::kMaxJsonDepth; ++i) {
+        ASSERT_TRUE(v->isObject());
+        v = v->find("k");
+        ASSERT_NE(v, nullptr);
+    }
+    ASSERT_TRUE(v->isArray());
+    EXPECT_EQ(v->array.size(), 1u);
+
+    // One level more fails.
+    EXPECT_FALSE(telemetry::parseJson("[" + at_limit + "]", root,
+                                      &error));
+}
+
 TEST(IncidentBundleTest, BuildResolvesFramesAndSuspects)
 {
     const FunctionRegistry registry = testRegistry();

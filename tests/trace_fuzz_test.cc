@@ -145,6 +145,33 @@ TEST_P(TraceFuzzTest, ReplayReproducesLoggerStateExactly)
     replayed.graph().checkConsistency();
 }
 
+/**
+ * Decode @p bytes with the replay reader; whatever it rejects, the
+ * static linter must flag too: a clean audit is a promise that replay
+ * will succeed.
+ * @return events decoded.
+ */
+std::size_t
+expectLintFlagsWhatReplayRejects(const std::string &bytes,
+                                 const std::string &label)
+{
+    std::stringstream in(bytes);
+    TraceReader reader(in);
+    Event e;
+    std::size_t decoded = 0;
+    while (reader.next(e))
+        ++decoded;
+    if (reader.malformed()) {
+        EXPECT_FALSE(reader.error().empty()) << label;
+        analysis::Report report;
+        analysis::lintTrace(bytes, report);
+        EXPECT_FALSE(report.clean())
+            << "reader rejected " << label << " (" << reader.error()
+            << ") but the linter found nothing";
+    }
+    return decoded;
+}
+
 TEST_P(TraceFuzzTest, TruncationNeverCrashes)
 {
     const std::vector<Event> events = randomEvents(GetParam(), 300);
@@ -159,31 +186,23 @@ TEST_P(TraceFuzzTest, TruncationNeverCrashes)
 
     Rng rng(GetParam() * 13 + 5);
     for (int trial = 0; trial < 20; ++trial) {
-        // Cut somewhere after the header.
+        // Cut somewhere after the header.  Either we hit a clean
+        // footer (cut landed after it) or the stream is flagged
+        // malformed; both are acceptable, crashing is not.
         const std::size_t cut = 8 + rng.below(full.size() - 8);
-        const std::string bytes = full.substr(0, cut);
-        std::stringstream truncated(bytes);
-        TraceReader reader(truncated);
-        Event e;
-        std::size_t decoded = 0;
-        while (reader.next(e))
-            ++decoded;
-        EXPECT_LE(decoded, events.size());
-        // Either we hit a clean footer (cut landed after it) or the
-        // stream is flagged malformed; both are acceptable, crashing
-        // is not.
+        EXPECT_LE(expectLintFlagsWhatReplayRejects(
+                      full.substr(0, cut),
+                      "a " + std::to_string(cut) + "-byte prefix"),
+                  events.size());
+    }
 
-        // Whatever the reader rejects, the static linter must flag
-        // too: a clean audit is a promise that replay will succeed.
-        if (reader.malformed()) {
-            EXPECT_FALSE(reader.error().empty());
-            analysis::Report report;
-            analysis::lintTrace(bytes, report);
-            EXPECT_FALSE(report.clean())
-                << "reader rejected a " << cut
-                << "-byte prefix (" << reader.error()
-                << ") but the linter found nothing";
-        }
+    // The same agreement under corruption: every single byte past the
+    // header, inverted.
+    for (std::size_t at = 8; at < full.size(); ++at) {
+        std::string corrupt = full;
+        corrupt[at] = static_cast<char>(corrupt[at] ^ 0xFF);
+        expectLintFlagsWhatReplayRejects(
+            corrupt, "byte " + std::to_string(at) + " inverted");
     }
 }
 

@@ -20,6 +20,15 @@ namespace heapmd
 namespace
 {
 
+/** A version-1 header followed by @p body. */
+std::string
+withHeader(const std::string &body)
+{
+    std::stringstream ss;
+    trace::putHeader(ss);
+    return ss.str() + body;
+}
+
 TEST(VarintTest, RoundTripBoundaries)
 {
     const std::uint64_t values[] = {
@@ -27,36 +36,79 @@ TEST(VarintTest, RoundTripBoundaries)
         (1ull << 32) - 1, 1ull << 32, ~0ull,
     };
     for (std::uint64_t v : values) {
+        // Each value rides as the address of a Free event.
         std::stringstream ss;
+        trace::putHeader(ss);
+        ss.put(static_cast<char>(EventKind::Free));
         trace::putVarint(ss, v);
-        std::uint64_t out = 0;
-        ASSERT_TRUE(trace::getVarint(ss, out));
-        EXPECT_EQ(out, v);
+        TraceReader reader(ss);
+        Event out;
+        ASSERT_TRUE(reader.next(out)) << reader.error();
+        EXPECT_EQ(out, Event::free(v));
     }
 }
 
 TEST(VarintTest, TruncatedFails)
 {
-    std::stringstream ss;
-    ss.put(static_cast<char>(0x80)); // continuation without payload
-    std::uint64_t out = 0;
-    EXPECT_FALSE(trace::getVarint(ss, out));
+    // Continuation byte without payload.
+    std::stringstream ss(withHeader(std::string{'\x01', '\x80'}));
+    TraceReader reader(ss);
+    Event out;
+    EXPECT_FALSE(reader.next(out));
+    EXPECT_STREQ(reader.fault().rule, "trace.varint-truncated");
+    EXPECT_EQ(reader.fault().offset, 9u);
+    EXPECT_FALSE(reader.resume());
 }
 
 TEST(VarintTest, EmptyFails)
 {
-    std::stringstream ss;
-    std::uint64_t out = 0;
-    EXPECT_FALSE(trace::getVarint(ss, out));
+    std::stringstream ss(withHeader(std::string{'\x01'}));
+    TraceReader reader(ss);
+    Event out;
+    EXPECT_FALSE(reader.next(out));
+    EXPECT_STREQ(reader.fault().rule, "trace.varint-truncated");
+}
+
+TEST(VarintTest, OverlongKeepsValueAndResumes)
+{
+    // Write with an 11-byte address encoding (value 5), then a clean
+    // value field: replay stops at the fault, a linter resumes past it
+    // and gets the whole event.
+    std::string body{'\x03', '\x85'};
+    body += std::string(9, static_cast<char>(0x80));
+    body += '\x00';
+    body += '\x07';
+    body += static_cast<char>(trace::kFooterMarker);
+    body += '\x00';
+    // Chunk size 1 takes the per-byte path, 4096 the fast path.
+    for (std::size_t chunk : {1u, 4096u}) {
+        std::stringstream ss(withHeader(body));
+        TraceReader reader(ss, chunk);
+        Event out;
+        EXPECT_FALSE(reader.next(out));
+        EXPECT_TRUE(reader.malformed());
+        EXPECT_STREQ(reader.fault().rule, "trace.varint-overlong");
+        EXPECT_EQ(reader.fault().offset, 9u);
+        EXPECT_EQ(reader.offset(), 20u); // consumed to its last byte
+        EXPECT_FALSE(reader.next(out));  // stopped until resumed
+        ASSERT_TRUE(reader.resume());
+        ASSERT_TRUE(reader.next(out));
+        EXPECT_EQ(out, Event::write(5, 7));
+        EXPECT_EQ(reader.eventOffset(), 8u);
+        EXPECT_FALSE(reader.next(out));
+        EXPECT_FALSE(reader.malformed());
+        EXPECT_TRUE(reader.sawFooter());
+    }
 }
 
 TEST(U32Test, RoundTrip)
 {
+    // The flags word of a version-2 header is a little-endian u32.
     std::stringstream ss;
-    trace::putU32(ss, 0xdeadbeef);
-    std::uint32_t out = 0;
-    ASSERT_TRUE(trace::getU32(ss, out));
-    EXPECT_EQ(out, 0xdeadbeefu);
+    trace::putHeader(ss, 0xdeadbeef);
+    TraceReader reader(ss);
+    EXPECT_EQ(reader.header().version, trace::kVersionFlags);
+    EXPECT_EQ(reader.header().flags, 0xdeadbeefu);
 }
 
 TEST(EventTest, FactoriesAndEquality)
@@ -125,6 +177,52 @@ TEST(TraceReaderDeathTest, BadMagicFatal)
     std::stringstream ss;
     ss << "NOTATRACE";
     EXPECT_DEATH(TraceReader reader(ss), "bad magic");
+}
+
+TEST(TraceReaderDeathTest, ShortHeaderIsBadMagic)
+{
+    // Fewer than 8 bytes: the same verdict the audit linter gives.
+    std::stringstream ss(std::string("HMDT\x01", 5));
+    EXPECT_DEATH(TraceReader reader(ss),
+                 "file too short for the 8-byte header "
+                 "\\[trace\\.bad-magic\\]");
+}
+
+TEST(TraceReaderTest, AuditModeReportsHeaderFaults)
+{
+    struct Case
+    {
+        std::string bytes;
+        const char *rule;
+        std::uint64_t offset;
+        const char *text;
+    };
+    std::stringstream v2;
+    trace::putU32(v2, trace::kMagic);
+    trace::putU32(v2, trace::kVersionFlags);
+    const Case cases[] = {
+        {std::string("HMDT\x01", 5), "trace.bad-magic", 0,
+         "file too short for the 8-byte header"},
+        {std::string("XXXX\x01\x00\x00\x00", 8), "trace.bad-magic", 0,
+         "bad magic 0x58585858 (expected 0x54444d48 \"HMDT\")"},
+        {std::string("HMDT\x63\x00\x00\x00", 8), "trace.bad-version", 4,
+         "unsupported trace version 99 (expected 1 or 2)"},
+        {v2.str(), "trace.bad-version", 8,
+         "version-2 header is missing its flags word"},
+    };
+    for (const Case &c : cases) {
+        trace::MemorySource source(
+            reinterpret_cast<const unsigned char *>(c.bytes.data()),
+            c.bytes.size());
+        TraceReader reader(source, TraceReader::Mode::Audit);
+        EXPECT_TRUE(reader.malformed()) << c.text;
+        EXPECT_TRUE(reader.fault().inHeader()) << c.text;
+        EXPECT_STREQ(reader.fault().rule, c.rule);
+        EXPECT_EQ(reader.fault().offset, c.offset) << c.text;
+        EXPECT_EQ(reader.fault().headerText(), c.text);
+        Event e;
+        EXPECT_FALSE(reader.next(e));
+    }
 }
 
 TEST(TraceReaderTest, TruncatedStreamFlagsMalformed)
