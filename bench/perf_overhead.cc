@@ -3,10 +3,11 @@
  * Regenerates the Section 2 overhead claim: "our current prototype
  * results in a 2-3X slowdown", by running the same workload with the
  * execution logger's heap-graph maintenance enabled and disabled,
- * plus microbenchmarks of the hot heap-graph operations and (on
- * UNIX) of the live stats-segment publish paths the capture shim
- * pays for observability.  The end-to-end <1% publication gate
- * lives in replay_throughput.cc; these numbers explain it.
+ * plus the two costs the perfbench ledger does not time: an
+ * extended (O(V+E)) metric sample and (on UNIX) one stats-segment
+ * read.  Per-event fold, metric-point and publish costs are ledger
+ * metrics (runtime.fold_ns_per_event, metrics.point_ns_*,
+ * obsv.publish_ns; see BENCH_pipeline.json).
  */
 
 #include <benchmark/benchmark.h>
@@ -87,52 +88,6 @@ BM_WorkloadUninstrumented(benchmark::State &state)
 BENCHMARK(BM_WorkloadUninstrumented)->Unit(benchmark::kMillisecond);
 
 void
-BM_GraphPointerWrite(benchmark::State &state)
-{
-    HeapGraph graph;
-    const int n = 1024;
-    for (int i = 0; i < n; ++i)
-        graph.allocate(0x10000 + 0x40 * i, 64);
-    Rng rng(4);
-    for (auto _ : state) {
-        const Addr src = 0x10000 + 0x40 * rng.below(n);
-        const Addr dst = 0x10000 + 0x40 * rng.below(n);
-        graph.write(src + 8, dst);
-    }
-}
-BENCHMARK(BM_GraphPointerWrite);
-
-void
-BM_GraphAllocFree(benchmark::State &state)
-{
-    HeapGraph graph;
-    for (auto _ : state) {
-        graph.allocate(0x10000, 64);
-        graph.free(0x10000);
-    }
-}
-BENCHMARK(BM_GraphAllocFree);
-
-void
-BM_MetricSample(benchmark::State &state)
-{
-    // O(1) sampling from the incrementally maintained census.
-    HeapGraph graph;
-    for (int i = 0; i < 4096; ++i)
-        graph.allocate(0x10000 + 0x40 * i, 64);
-    Rng rng(5);
-    for (int i = 0; i < 8192; ++i) {
-        const Addr src = 0x10000 + 0x40 * rng.below(4096);
-        const Addr dst = 0x10000 + 0x40 * rng.below(4096);
-        graph.write(src + 8 * rng.below(8), dst);
-    }
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(MetricEngine::sample(graph, 0, 0));
-    }
-}
-BENCHMARK(BM_MetricSample);
-
-void
 BM_ExtendedSample(benchmark::State &state)
 {
     // O(V+E) component metrics: the reason they sample at a lower
@@ -155,68 +110,20 @@ BENCHMARK(BM_ExtendedSample);
 
 #ifdef __unix__
 
-/**
- * Fixture owning one live stats segment under an unused pid slot,
- * so the publish benches measure steady-state seqlock writes, not
- * shm setup.
- */
-class SegmentBench : public benchmark::Fixture
-{
-  public:
-    void
-    SetUp(benchmark::State &state) override
-    {
-        pid_ = 3900000000u +
-               static_cast<std::uint32_t>(::getpid() % 1000000);
-        if (!writer_.create(pid_, "perf_overhead"))
-            state.SkipWithError("shm unavailable");
-    }
-
-    void
-    TearDown(benchmark::State &) override
-    {
-        writer_.unlinkAndClose();
-    }
-
-  protected:
-    obsv::SegmentWriter writer_;
-    std::uint32_t pid_ = 0;
-};
-
-BENCHMARK_F(SegmentBench, PublishPrefix)(benchmark::State &state)
-{
-    // The shim's per-op gauge publish (throttled to 1/32 ops there).
-    std::uint64_t values[8] = {};
-    for (auto _ : state) {
-        ++values[0];
-        writer_.publishPrefix(values, 8);
-    }
-}
-
-BENCHMARK_F(SegmentBench, PublishFull)(benchmark::State &state)
-{
-    // The scan-time publish: every slot including metric percents.
-    std::array<std::uint64_t, obsv::kSlotCount> values{};
-    for (auto _ : state) {
-        ++values[0];
-        writer_.publish(values);
-    }
-}
-
-BENCHMARK_F(SegmentBench, Heartbeat)(benchmark::State &state)
-{
-    // Lower bound of any publish: one clock read + seqlock write.
-    for (auto _ : state)
-        writer_.heartbeat();
-}
-
-BENCHMARK_F(SegmentBench, ReaderSnapshot)(benchmark::State &state)
+void
+BM_SegmentReaderSnapshot(benchmark::State &state)
 {
     // What one `heapmd top` / Prometheus scrape pays per segment.
+    // The writer side is the ledger's obsv.publish_ns.
+    const std::uint32_t pid =
+        3900000000u + static_cast<std::uint32_t>(::getpid() % 1000000);
+    obsv::SegmentWriter writer;
     obsv::SegmentReader reader;
     std::string error;
-    if (!reader.attachPid(pid_, &error)) {
-        state.SkipWithError("attach failed");
+    if (!writer.create(pid, "perf_overhead") ||
+        !reader.attachPid(pid, &error)) {
+        state.SkipWithError("shm unavailable");
+        writer.unlinkAndClose();
         return;
     }
     obsv::SegmentSnapshot snapshot;
@@ -227,7 +134,9 @@ BENCHMARK_F(SegmentBench, ReaderSnapshot)(benchmark::State &state)
         }
         benchmark::DoNotOptimize(snapshot);
     }
+    writer.unlinkAndClose();
 }
+BENCHMARK(BM_SegmentReaderSnapshot);
 
 #endif // __unix__
 

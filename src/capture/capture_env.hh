@@ -41,14 +41,6 @@ inline constexpr const char *kEnvPid = "HEAPMD_CAPTURE_PID";
 inline constexpr const char *kEnvLog = "HEAPMD_CAPTURE_LOG";
 
 /**
- * "1": skip the live stats segment (/dev/shm/heapmd.<pid>) entirely.
- * The overhead bench ablates publication with this; deployments that
- * must not leave /dev/shm artifacts can set it too.
- */
-inline constexpr const char *kEnvNoSegment =
-    "HEAPMD_CAPTURE_NO_SEGMENT";
-
-/**
  * Segment rotation threshold in bytes.  Unset or 0 records one
  * monolithic trace at HEAPMD_CAPTURE_OUT (the pre-rotation behavior).
  * Any positive value switches the shim to rotating segment files

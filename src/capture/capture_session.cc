@@ -142,8 +142,6 @@ runCapture(const std::vector<std::string> &argv,
         ::setenv(kEnvPid, number, 1);
         if (options.verbose)
             ::setenv(kEnvLog, "1", 1);
-        if (options.noSegment)
-            ::setenv(kEnvNoSegment, "1", 1);
         if (options.rotateBytes > 0) {
             std::snprintf(number, sizeof(number), "%llu",
                           static_cast<unsigned long long>(

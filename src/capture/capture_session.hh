@@ -42,12 +42,6 @@ struct SessionOptions
     bool verbose = false;
 
     /**
-     * Forward HEAPMD_CAPTURE_NO_SEGMENT=1: run without the live
-     * stats segment (overhead ablation; artifact-free deployments).
-     */
-    bool noSegment = false;
-
-    /**
      * Segment-rotation threshold (HEAPMD_CAPTURE_ROTATE_BYTES).
      * 0 = one monolithic trace at tracePath; positive = the shim
      * records rotating "<tracePath>.NNNNNN.heapmd" segments plus a

@@ -429,24 +429,18 @@ sinkLocked()
     ::pthread_atfork(nullptr, nullptr, onForkChild);
     // Live stats segment for `heapmd top` / `stats` / `export`.
     // Failure just means running dark -- capture itself is unharmed.
-    const char *no_segment =
-        ::getenv(heapmd::capture::kEnvNoSegment);
-    if (no_segment == nullptr || no_segment[0] != '1') {
-        char comm[64] = {0};
-        const int comm_fd =
-            ::open("/proc/self/comm", O_RDONLY | O_CLOEXEC);
-        if (comm_fd >= 0) {
-            const ssize_t n =
-                ::read(comm_fd, comm, sizeof comm - 1);
-            ::close(comm_fd);
-            if (n > 0)
-                comm[comm[n - 1] == '\n' ? n - 1 : n] = '\0';
-            else
-                comm[0] = '\0';
-        }
-        g_sink->segment.create(
-            static_cast<std::uint32_t>(::getpid()), comm);
+    char comm[64] = {0};
+    const int comm_fd = ::open("/proc/self/comm", O_RDONLY | O_CLOEXEC);
+    if (comm_fd >= 0) {
+        const ssize_t n = ::read(comm_fd, comm, sizeof comm - 1);
+        ::close(comm_fd);
+        if (n > 0)
+            comm[comm[n - 1] == '\n' ? n - 1 : n] = '\0';
+        else
+            comm[0] = '\0';
     }
+    g_sink->segment.create(static_cast<std::uint32_t>(::getpid()),
+                           comm);
     // Push the header to disk immediately: a child that _exit()s (or
     // is killed) before the first scan point must still leave a
     // readable, truncated trace rather than an empty file.
@@ -591,10 +585,11 @@ constexpr std::size_t kOpPublishSlots =
  * Gauge publishes happen at most once per this many recorded ops.
  * An unthrottled publish (a heartbeat clock read plus ~10 atomic
  * stores, ~50ns) costs 10-15% of an allocation-dominated capture;
- * at 1/32 it is under the 1% budget bench/replay_throughput.cc
- * enforces, and a slow allocator (one op per 50ms) still refreshes
- * the heartbeat every ~1.6s -- well inside `top`'s 5s staleness
- * window.  Scan-time publishes are never throttled.
+ * at 1/32 it is under 1% of capture wall time (`obsv.publish` in the
+ * capture step's shim_detail, BENCH_pipeline.json), and a slow
+ * allocator (one op per 50ms) still refreshes the heartbeat every
+ * ~1.6s -- well inside `top`'s 5s staleness window.  Scan-time
+ * publishes are never throttled.
  */
 constexpr std::uint64_t kOpPublishPeriod = 32;
 

@@ -393,6 +393,19 @@ TEST_F(CliDeterminismTest, MalformedNumericFlagsAreUsageErrors)
     EXPECT_NE(slurp("inputs.log").find("invalid --inputs value '1e3'"),
               std::string::npos)
         << slurp("inputs.log");
+    // A pid or version above 2^32-1 used to wrap: pid 2^32+1 read
+    // pid 1's segment and version 2^32+1 recorded version 1.
+    EXPECT_EQ(run("1", "top --pid 4294967297 --once 1", "pid.log"), 2);
+    EXPECT_EQ(run("1", "record --app gzip --version 4294967297 "
+                       "--out wrapped.trace",
+                  "version.log"),
+              2);
+    EXPECT_NE(slurp("pid.log").find("invalid --pid value '4294967297'"),
+              std::string::npos)
+        << slurp("pid.log");
+    EXPECT_NE(slurp("version.log").find("invalid --version value"),
+              std::string::npos)
+        << slurp("version.log");
 }
 
 TEST_F(CliDeterminismTest, GiantExtentTraceRunsInBoundedTime)

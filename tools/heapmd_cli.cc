@@ -445,6 +445,14 @@ class Args
         return parsed(key, fallback, "a non-negative integer");
     }
 
+    /** Integer flag held in 32 bits (pid, version): a larger value
+     *  is a usage error, not silently wrapped. */
+    std::uint32_t
+    num32(const std::string &key, std::uint32_t fallback) const
+    {
+        return parsed(key, fallback, "a non-negative 32-bit integer");
+    }
+
     /** Floating-point flag, parsed as strictly as num(). */
     double
     real(const std::string &key, double fallback) const
@@ -489,8 +497,7 @@ appConfigFrom(const Args &args, std::uint64_t default_seed)
 {
     AppConfig cfg;
     cfg.inputSeed = args.num("seed", default_seed);
-    cfg.version =
-        static_cast<std::uint32_t>(args.num("version", 1));
+    cfg.version = args.num32("version", 1);
     cfg.scale = args.real("scale", 1.0);
     if (args.has("fault")) {
         cfg.faults.enable(faultKindFromName(args.str("fault")),
@@ -552,7 +559,7 @@ fillManifestConfig(diag::RunManifest &manifest, const Args &args,
     manifest.metricFrequency = args.num("frq", 300);
     manifest.includeLocallyStable = args.num("local", 0) != 0;
     manifest.seed = args.num("seed", default_seed);
-    manifest.version = args.num("version", 1);
+    manifest.version = args.num32("version", 1);
     manifest.scale = args.real("scale", 1.0);
     if (args.has("fault")) {
         manifest.fault = args.str("fault");
@@ -834,8 +841,7 @@ cmdTrain(const Args &args)
                                                 1));
     const TrainingOutcome training = tool.train(
         *app, makeInputs(first_seed, inputs,
-                         static_cast<std::uint32_t>(
-                             args.num("version", 1)),
+                         args.num32("version", 1),
                          args.real("scale", 1.0)));
     printModel(training.model);
     for (std::size_t idx : training.suspectTrainingRuns)
@@ -965,6 +971,9 @@ int
 cmdRecord(const Args &args)
 {
     HeapMDConfig cfg = configFrom(args);
+    // Every flag is parsed before --out is truncated.
+    auto app = makeApp(args.str("app"));
+    const AppConfig app_cfg = appConfigFrom(args, 1);
     Process process(cfg.process);
     std::ofstream out(args.str("out"), std::ios::binary);
     if (!out)
@@ -972,8 +981,7 @@ cmdRecord(const Args &args)
     TraceWriter writer(out, process.registry());
     process.addEventObserver(&writer);
 
-    auto app = makeApp(args.str("app"));
-    app->run(process, appConfigFrom(args, 1));
+    app->run(process, app_cfg);
     writer.finish();
     std::printf("recorded %llu events to %s\n",
                 static_cast<unsigned long long>(writer.eventCount()),
@@ -1729,8 +1737,7 @@ collectSegments(const Args &args)
 {
     std::vector<std::uint32_t> pids;
     if (args.has("pid"))
-        pids.push_back(
-            static_cast<std::uint32_t>(args.num("pid", 0)));
+        pids.push_back(args.num32("pid", 0));
     else
         pids = obsv::listSegmentPids();
 
@@ -1984,7 +1991,7 @@ cmdMonitor(const Args &args)
     if (args.has("segments"))
         options.segmentsBase = args.str("segments");
     if (args.has("pid"))
-        options.pid = static_cast<std::uint32_t>(args.num("pid", 0));
+        options.pid = args.num32("pid", 0);
     if (options.segmentsBase.empty() && options.pid == 0)
         badInvocation("monitor needs --segments BASE or --pid P");
     if (!options.segmentsBase.empty() && options.pid != 0)
