@@ -5,12 +5,11 @@
 #include <map>
 #include <utility>
 
+#include "analysis/trace_lint.hh"
 #include "heapgraph/extent_arena.hh"
 #include "runtime/events.hh"
 #include "support/small_map.hh"
-#include "telemetry/telemetry.hh"
 #include "trace/trace_reader.hh"
-#include "trace/trace_source.hh"
 
 namespace heapmd
 {
@@ -108,21 +107,23 @@ struct PendingDeref
     StaleSlot taint;
 };
 
-/** The whole flow pass: shadow heap, decode loop, finding emission. */
-class FlowPass
+/** The flow pass: shadow heap and finding emission. */
+class ShadowPass final : public FlowPass
 {
   public:
-    explicit FlowPass(std::string_view data)
-        : data_(data)
+    ShadowPass(bool capture, std::uint64_t bytes, FlowAnalysis &out)
+        : result_(out), capture_(capture)
     {
-        result_.stats.bytes = data.size();
+        result_ = FlowAnalysis();
+        result_.stats.bytes = bytes;
+        result_.stats.captureProvenance = capture;
     }
 
-    FlowAnalysis run();
+    void onEvent(const Event &event, std::uint64_t offset) override;
+    void finish(const TraceReader &reader) override;
 
   private:
-    std::string_view data_;
-    FlowAnalysis result_;
+    FlowAnalysis &result_;
     bool capture_ = false;
     std::uint64_t event_index_ = 0;
     std::vector<FnId> fn_stack_;
@@ -167,7 +168,6 @@ class FlowPass
     FlowFinding &emit(const char *rule, Severity severity,
                       std::uint64_t offset);
 
-    void handleEvent(const Event &event, std::uint64_t offset);
     void setSlot(std::uint32_t source, Addr slot_addr, Addr value);
     void clearSlot(std::uint32_t source, Addr slot_addr);
     void dropOutgoing(std::uint32_t obj, std::uint64_t from_offset);
@@ -191,8 +191,8 @@ class FlowPass
 };
 
 FlowFinding &
-FlowPass::emit(const char *rule, Severity severity,
-               std::uint64_t offset)
+ShadowPass::emit(const char *rule, Severity severity,
+                 std::uint64_t offset)
 {
     if (result_.findings.size() >= kMaxFlowFindings) {
         overflow_ = FlowFinding();
@@ -208,7 +208,7 @@ FlowPass::emit(const char *rule, Severity severity,
 }
 
 void
-FlowPass::clearSlot(std::uint32_t source, Addr slot_addr)
+ShadowPass::clearSlot(std::uint32_t source, Addr slot_addr)
 {
     ShadowObject &obj = objects_[source];
     auto slot = obj.slots.find(slot_addr);
@@ -219,7 +219,7 @@ FlowPass::clearSlot(std::uint32_t source, Addr slot_addr)
 }
 
 void
-FlowPass::setSlot(std::uint32_t source, Addr slot_addr, Addr value)
+ShadowPass::setSlot(std::uint32_t source, Addr slot_addr, Addr value)
 {
     clearSlot(source, slot_addr);
     // The target may be live or freed: a stale pointer still names
@@ -233,7 +233,7 @@ FlowPass::setSlot(std::uint32_t source, Addr slot_addr, Addr value)
 
 /** Drop object @p obj's outgoing edges at offsets >= @p from_offset. */
 void
-FlowPass::dropOutgoing(std::uint32_t obj, std::uint64_t from_offset)
+ShadowPass::dropOutgoing(std::uint32_t obj, std::uint64_t from_offset)
 {
     ShadowObject &rec = objects_[obj];
     doomed_.clear();
@@ -247,7 +247,7 @@ FlowPass::dropOutgoing(std::uint32_t obj, std::uint64_t from_offset)
 
 /** Remove every trace of object @p obj from the shadow heap. */
 void
-FlowPass::eraseObject(std::uint32_t obj)
+ShadowPass::eraseObject(std::uint32_t obj)
 {
     dropOutgoing(obj, 0);
     const ShadowObject &rec = objects_[obj];
@@ -263,7 +263,7 @@ FlowPass::eraseObject(std::uint32_t obj)
  * later access there is some other rule's business.
  */
 void
-FlowPass::clearStaleRange(Addr base, std::uint64_t size)
+ShadowPass::clearStaleRange(Addr base, std::uint64_t size)
 {
     auto it = stale_.lower_bound(base);
     while (it != stale_.end() && it->first < base + size)
@@ -288,7 +288,7 @@ FlowPass::clearStaleRange(Addr base, std::uint64_t size)
  * instead.
  */
 void
-FlowPass::sweep(Addr addr, std::uint64_t span, std::uint64_t offset)
+ShadowPass::sweep(Addr addr, std::uint64_t span, std::uint64_t offset)
 {
     objects_.overlapping(addr, span, hits_);
     const auto live = std::stable_partition(
@@ -329,8 +329,8 @@ FlowPass::sweep(Addr addr, std::uint64_t span, std::uint64_t offset)
 }
 
 void
-FlowPass::handleAlloc(Addr addr, std::uint64_t size,
-                      std::uint64_t offset)
+ShadowPass::handleAlloc(Addr addr, std::uint64_t size,
+                        std::uint64_t offset)
 {
     if (size >> 63) {
         FlowFinding &f =
@@ -353,7 +353,7 @@ FlowPass::handleAlloc(Addr addr, std::uint64_t size,
 }
 
 void
-FlowPass::handleFree(Addr addr, std::uint64_t offset, bool realloc)
+ShadowPass::handleFree(Addr addr, std::uint64_t offset, bool realloc)
 {
     const char *verb = realloc ? "realloc" : "free";
     const std::uint32_t owner = objects_.owner(addr);
@@ -408,8 +408,8 @@ FlowPass::handleFree(Addr addr, std::uint64_t offset, bool realloc)
 }
 
 void
-FlowPass::handleRealloc(Addr old_addr, Addr new_addr,
-                        std::uint64_t size, std::uint64_t offset)
+ShadowPass::handleRealloc(Addr old_addr, Addr new_addr,
+                          std::uint64_t size, std::uint64_t offset)
 {
     if (size >> 63) {
         FlowFinding &f =
@@ -454,7 +454,7 @@ FlowPass::handleRealloc(Addr old_addr, Addr new_addr,
 }
 
 void
-FlowPass::handleWrite(Addr addr, Addr value, std::uint64_t offset)
+ShadowPass::handleWrite(Addr addr, Addr value, std::uint64_t offset)
 {
     checkPendingDeref(addr, offset, true);
     stale_.erase(addr); // overwriting the slot retires the taint
@@ -501,8 +501,8 @@ FlowPass::handleWrite(Addr addr, Addr value, std::uint64_t offset)
  * it spans exactly one memory event.
  */
 void
-FlowPass::checkPendingDeref(Addr addr, std::uint64_t offset,
-                            bool is_write)
+ShadowPass::checkPendingDeref(Addr addr, std::uint64_t offset,
+                              bool is_write)
 {
     if (!pending_.armed)
         return;
@@ -533,7 +533,7 @@ FlowPass::checkPendingDeref(Addr addr, std::uint64_t offset,
 
 /** A load of a tainted slot arms the one-event dereference window. */
 void
-FlowPass::handleRead(Addr addr, std::uint64_t offset)
+ShadowPass::handleRead(Addr addr, std::uint64_t offset)
 {
     checkPendingDeref(addr, offset, false);
     auto it = stale_.find(addr);
@@ -546,7 +546,7 @@ FlowPass::handleRead(Addr addr, std::uint64_t offset)
 }
 
 void
-FlowPass::reportLeaks(std::uint64_t footer_offset)
+ShadowPass::reportLeaks(std::uint64_t footer_offset)
 {
     struct SiteLeak
     {
@@ -600,7 +600,7 @@ FlowPass::reportLeaks(std::uint64_t footer_offset)
 }
 
 void
-FlowPass::handleEvent(const Event &event, std::uint64_t offset)
+ShadowPass::onEvent(const Event &event, std::uint64_t offset)
 {
     switch (event.kind) {
       case EventKind::Alloc:
@@ -633,37 +633,36 @@ FlowPass::handleEvent(const Event &event, std::uint64_t offset)
     ++result_.stats.events;
 }
 
-FlowAnalysis
-FlowPass::run()
+void
+ShadowPass::finish(const TraceReader &reader)
 {
-    trace::MemorySource source(
-        reinterpret_cast<const unsigned char *>(data_.data()),
-        data_.size());
-    TraceReader reader(source, TraceReader::Mode::Audit);
-    if (reader.fault().inHeader())
-        return std::move(result_);
-    capture_ = reader.captureProvenance();
-    result_.stats.captureProvenance = capture_;
-
-    // Decode faults are the trace linter's findings.  An overlong
-    // event field still yields a value, so the pass keeps going; any
-    // other fault, or any fault in the function table, ends it.
-    Event event;
-    do {
-        while (reader.next(event))
-            handleEvent(event, reader.eventOffset());
-    } while (!reader.fault().inFooter() && reader.resume());
-
     if (reader.sawFooter()) {
         result_.stats.sawFooter = true;
         reportLeaks(reader.eventOffset());
         result_.functionNames = reader.functionNames();
         result_.stats.functions = result_.functionNames.size();
     }
-    return std::move(result_);
+    // Site names live in the footer, so findings are rendered only
+    // now: append the alloc/free provenance each rule promised.
+    for (FlowFinding &f : result_.findings) {
+        if (f.allocSite.known)
+            f.message += "; allocated at " +
+                         result_.describeSite(f.allocSite);
+        if (f.freeSite.known)
+            f.message +=
+                "; freed at " + result_.describeSite(f.freeSite);
+    }
 }
 
 } // namespace
+
+std::unique_ptr<FlowPass>
+FlowPass::start(const TraceReader &reader, std::uint64_t bytes,
+                FlowAnalysis &out)
+{
+    return std::make_unique<ShadowPass>(reader.captureProvenance(),
+                                        bytes, out);
+}
 
 std::string
 FlowAnalysis::fnName(FnId fn) const
@@ -688,19 +687,9 @@ FlowAnalysis::describeSite(const FlowSite &site) const
 FlowAnalysis
 analyzeTraceFlow(std::string_view data)
 {
-    FlowPass pass(data);
-    FlowAnalysis result = pass.run();
-
-    // Site names live in the footer, so findings are rendered only
-    // now: append the alloc/free provenance each rule promised.
-    for (FlowFinding &f : result.findings) {
-        if (f.allocSite.known)
-            f.message += "; allocated at " +
-                         result.describeSite(f.allocSite);
-        if (f.freeSite.known)
-            f.message +=
-                "; freed at " + result.describeSite(f.freeSite);
-    }
+    Report lint;
+    FlowAnalysis result;
+    lintTrace(data, lint, {}, &result);
     return result;
 }
 
@@ -714,22 +703,6 @@ lintTraceFlow(std::string_view data, Report &report,
     const FlowLintStats stats = result.stats;
     if (analysis)
         *analysis = std::move(result);
-    return stats;
-}
-
-FlowLintStats
-lintTraceFlowFile(const trace::LoadedTrace &trace, Report &report,
-                  FlowAnalysis *analysis)
-{
-    HEAPMD_TRACE_SPAN("audit.flow");
-    HEAPMD_PHASE_SPAN_NAMED(phase, "phase.deep_audit");
-    HEAPMD_COUNTER_INC("audit.flow_lints");
-    const std::size_t before = report.findings().size();
-    const FlowLintStats stats =
-        lintTraceFlow(trace.bytes(), report, analysis);
-    phase.addBytes(trace.bytes().size());
-    HEAPMD_COUNTER_ADD("audit.findings",
-                       report.findings().size() - before);
     return stats;
 }
 

@@ -55,27 +55,31 @@
  * real bugs in any provenance.  A truncated trace (no footer) skips
  * leak analysis -- liveness at the cut point proves nothing.
  *
- * Framing: the pass decodes through TraceReader (Mode::Audit), the
- * same decoder as the trace linter, which owns every decode finding.
- * An overlong event varint still yields a value, so the pass resumes
- * past it; any other fault, and any fault in the function table, ends
- * the scan with the names decoded so far.
+ * Framing: the pass does not decode.  The trace linter's loop
+ * (trace_lint.hh) hands it each event after the lint rules, so
+ * `audit --deep` decodes a trace once and the linter owns every decode
+ * finding.  An overlong event varint still yields a value, so the pass
+ * sees the events past it; any other fault, and the first fault in the
+ * function table, ends the pass with the names decoded so far.
  */
 
 #ifndef HEAPMD_ANALYSIS_FLOW_LINT_HH
 #define HEAPMD_ANALYSIS_FLOW_LINT_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "analysis/report.hh"
+#include "runtime/events.hh"
 #include "support/types.hh"
-#include "trace/trace_source.hh"
 
 namespace heapmd
 {
+
+class TraceReader;
 
 namespace analysis
 {
@@ -134,10 +138,31 @@ struct FlowAnalysis
 };
 
 /**
+ * The shadow-heap pass, fed each event by the trace linter's decode
+ * loop (lintTrace with a flow result).
+ */
+class FlowPass
+{
+  public:
+    /** A pass into @p out over the @p bytes -byte trace @p reader
+     *  has opened. */
+    static std::unique_ptr<FlowPass> start(const TraceReader &reader,
+                                           std::uint64_t bytes,
+                                           FlowAnalysis &out);
+    virtual ~FlowPass() = default;
+
+    virtual void onEvent(const Event &event, std::uint64_t offset) = 0;
+
+    /** End where @p reader stopped, rendering the findings' sites. */
+    virtual void finish(const TraceReader &reader) = 0;
+};
+
+/**
  * Run the shadow-heap flow pass over an in-memory trace.  Framing
  * defects (bad header, truncated varints, unknown tags) silently end
- * the scan -- the trace linter owns reporting those; run it alongside
- * this pass for full coverage.  Never throws on malformed input.
+ * the scan -- the trace linter owns reporting those; lintTrace with a
+ * flow result gets both from one decode.  Never throws on malformed
+ * input.
  */
 FlowAnalysis analyzeTraceFlow(std::string_view data);
 
@@ -148,16 +173,6 @@ FlowAnalysis analyzeTraceFlow(std::string_view data);
  */
 FlowLintStats lintTraceFlow(std::string_view data, Report &report,
                             FlowAnalysis *analysis = nullptr);
-
-/**
- * Flow-lint a trace file loaded by trace::LoadedTrace, counted as
- * one deep audit (audit.flow span, phase.deep_audit, audit.flow_lints
- * and audit.findings).  @p trace must be ok(): the trace linter owns
- * the trace.io finding for a file that failed to load.
- */
-FlowLintStats lintTraceFlowFile(const trace::LoadedTrace &trace,
-                                Report &report,
-                                FlowAnalysis *analysis = nullptr);
 
 } // namespace analysis
 

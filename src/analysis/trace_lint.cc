@@ -1,11 +1,14 @@
 #include "analysis/trace_lint.hh"
 
 #include <map>
+#include <memory>
 #include <string_view>
 #include <vector>
 
+#include "analysis/flow_lint.hh"
 #include "heapgraph/extent_arena.hh"
 #include "runtime/events.hh"
+#include "runtime/process.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/segment_set.hh"
 #include "trace/trace_reader.hh"
@@ -103,6 +106,11 @@ struct Linter
      * artifact.
      */
     bool truncation_is_error = false;
+    /** The replay's Process: gets each event while the report is
+     *  clean. */
+    Process *process = nullptr;
+    /** The flow pass, until it stops. */
+    std::unique_ptr<FlowPass> flow;
 
     Linter(Report &rep, ExtentTracker &ext)
         : report(rep), extents(ext)
@@ -130,7 +138,9 @@ struct Linter
 
     void lintEvent(std::uint64_t offset, const Event &event);
     void lintFault(const trace::Fault &fault, std::uint64_t size);
-    void run(std::string_view data);
+    void lintBody(TraceReader &reader, std::uint64_t size);
+    void run(std::string_view data, const TraceFold &fold = {},
+             FlowAnalysis *flow_result = nullptr);
 };
 
 void
@@ -263,29 +273,33 @@ Linter::lintFault(const trace::Fault &fault, std::uint64_t size)
         truncation(fault.rule, fault.offset, std::move(message));
 }
 
+/** Lint, and feed to the consumers, everything after a good header. */
 void
-Linter::run(std::string_view data)
+Linter::lintBody(TraceReader &reader, std::uint64_t size)
 {
-    trace::MemorySource source(
-        reinterpret_cast<const unsigned char *>(data.data()),
-        data.size());
-    TraceReader reader(source, TraceReader::Mode::Audit);
-    if (reader.fault().inHeader()) {
-        lintFault(reader.fault(), data.size());
-        return;
-    }
     capture = reader.captureProvenance();
     stats.captureProvenance = capture;
 
-    // Overlong varints are findings the scan continues past; every
-    // other fault ends it.
+    // Each event goes to the rules, then to the consumers.  Overlong
+    // varints are findings the scan continues past; every other fault
+    // ends it, and the flow pass stops at the first footer fault.
     Event event;
     for (;;) {
-        while (reader.next(event))
-            lintEvent(reader.eventOffset(), event);
+        while (reader.next(event)) {
+            const std::uint64_t offset = reader.eventOffset();
+            lintEvent(offset, event);
+            if (process != nullptr && report.clean())
+                process->onEvent(event);
+            if (flow)
+                flow->onEvent(event, offset);
+        }
         if (!reader.malformed())
             break;
-        lintFault(reader.fault(), data.size());
+        lintFault(reader.fault(), size);
+        if (flow && reader.fault().inFooter()) {
+            flow->finish(reader);
+            flow.reset();
+        }
         if (!reader.resume()) {
             stats.functions = reader.functionNames().size();
             return;
@@ -306,30 +320,64 @@ Linter::run(std::string_view data)
         }
     }
 
-    if (reader.offset() < data.size()) {
+    if (reader.offset() < size) {
         report.warningAtByte(
             "trace.trailing-bytes", reader.offset(),
-            std::to_string(data.size() - reader.offset()) +
+            std::to_string(size - reader.offset()) +
                 " byte(s) after the function table (footer at byte " +
                 std::to_string(reader.eventOffset()) + ")");
     }
 }
 
+void
+Linter::run(std::string_view data, const TraceFold &fold,
+            FlowAnalysis *flow_result)
+{
+    trace::MemorySource source(
+        reinterpret_cast<const unsigned char *>(data.data()),
+        data.size());
+    TraceReader reader(source, TraceReader::Mode::Audit);
+    if (flow_result != nullptr)
+        flow = FlowPass::start(reader, data.size(), *flow_result);
+    if (reader.fault().inHeader()) {
+        lintFault(reader.fault(), data.size());
+    } else if (!fold) {
+        lintBody(reader, data.size());
+    } else {
+        HEAPMD_TRACE_SPAN("trace.replay");
+        HEAPMD_PHASE_SPAN_NAMED(phase, "phase.decode");
+        HEAPMD_COUNTER_INC("trace.replays");
+        reader.countAsReplay();
+        process = &fold(reader.captureProvenance());
+        lintBody(reader, data.size());
+        phase.addBytes(reader.offset());
+        // Rebuild the registry so reports symbolize correctly.
+        for (const std::string &name : reader.functionNames())
+            process->registry().intern(name);
+    }
+    if (reader.malformed())
+        stats.malformed = reader.error();
+    if (flow)
+        flow->finish(reader);
+}
+
 } // namespace
 
 TraceLintStats
-lintTrace(std::string_view data, Report &report)
+lintTrace(std::string_view data, Report &report,
+          const TraceFold &fold, FlowAnalysis *flow)
 {
     ExtentTracker extents;
     Linter linter(report, extents);
     linter.stats.bytes = data.size();
     linter.stats.segments = 1;
-    linter.run(data);
+    linter.run(data, fold, flow);
     return linter.stats;
 }
 
 TraceLintStats
-lintTraceFile(const trace::LoadedTrace &trace, Report &report)
+lintTraceFile(const trace::LoadedTrace &trace, Report &report,
+              const TraceFold &fold, FlowAnalysis *flow)
 {
     HEAPMD_TRACE_SPAN("audit.trace");
     HEAPMD_COUNTER_INC("audit.trace_lints");
@@ -344,7 +392,17 @@ lintTraceFile(const trace::LoadedTrace &trace, Report &report)
         HEAPMD_COUNTER_INC("audit.findings");
         return {};
     }
-    const TraceLintStats stats = lintTrace(trace.bytes(), report);
+    TraceLintStats stats;
+    if (flow == nullptr) {
+        stats = lintTrace(trace.bytes(), report, fold);
+    } else {
+        HEAPMD_PHASE_SPAN_NAMED(phase, "phase.deep_audit");
+        HEAPMD_COUNTER_INC("audit.flow_lints");
+        stats = lintTrace(trace.bytes(), report, fold, flow);
+        for (const FlowFinding &f : flow->findings)
+            report.atByte(f.severity, f.rule, f.byteOffset, f.message);
+        phase.addBytes(trace.bytes().size());
+    }
     HEAPMD_COUNTER_ADD("audit.findings",
                        report.findings().size() - before);
     return stats;

@@ -18,6 +18,10 @@
  * the whole byte count (trailing bytes, bytes left after an unknown
  * tag) and the event-level rules are the linter's own.
  *
+ * The linter's loop is the one decode of a monolithic trace: each
+ * event goes to the lint rules, then to a replay (TraceFold) and to
+ * the flow pass (flow_lint.hh).
+ *
  * Rule catalog (see DESIGN.md, "The audit subsystem"):
  *   trace.io                unreadable input file
  *   trace.bad-magic         first 4 bytes are not "HMDT"
@@ -49,6 +53,7 @@
 #define HEAPMD_ANALYSIS_TRACE_LINT_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 
@@ -58,8 +63,12 @@
 namespace heapmd
 {
 
+class Process;
+
 namespace analysis
 {
+
+struct FlowAnalysis;
 
 /** Scan statistics of one trace lint pass. */
 struct TraceLintStats
@@ -69,27 +78,43 @@ struct TraceLintStats
     std::uint64_t functions = 0; //!< names in the function table
     std::uint64_t segments = 0;  //!< files linted (1 for a monolith)
     bool captureProvenance = false; //!< header's live-capture flag
+    std::string malformed; //!< TraceReader::error() of a cut-short decode
 };
 
 /**
+ * A replay fed by a lint pass: called once the header decodes, it
+ * returns the Process for the header's capture provenance, which then
+ * gets each event while the report has no error.  It counts as one
+ * replay (trace.replays, phase.decode).
+ */
+using TraceFold = std::function<Process &(bool captureProvenance)>;
+
+/**
  * Lint one trace from an in-memory buffer (zero-copy: the view is
- * only read, never retained past the call).
+ * only read, never retained past the call).  The same decode feeds
+ * @p fold and, when @p flow is non-null, the flow pass.
  *
  * Keeps scanning after recoverable findings (event-ordering
  * violations, overlong varints) and stops only when framing is lost
  * (unknown tag) or the stream ends.
  */
-TraceLintStats lintTrace(std::string_view data, Report &report);
+TraceLintStats lintTrace(std::string_view data, Report &report,
+                         const TraceFold &fold = {},
+                         FlowAnalysis *flow = nullptr);
 
 /**
  * Lint a trace file loaded once by trace::LoadedTrace, in place (a
  * mapped plain file costs no buffering copy; a gzip trace was
  * inflated by the loader).  Counts as one audit: the audit.trace span
  * and the audit.trace_lints / audit.findings counters.  A file that
- * failed to load is one trace.io finding.
+ * failed to load is one trace.io finding and feeds nothing.  With
+ * @p flow it is also one deep audit (phase.deep_audit), and the flow
+ * findings follow the lint's in @p report.
  */
 TraceLintStats lintTraceFile(const trace::LoadedTrace &trace,
-                             Report &report);
+                             Report &report,
+                             const TraceFold &fold = {},
+                             FlowAnalysis *flow = nullptr);
 
 /**
  * Lint a rotating segment set (trace::segmentPath naming) rooted at

@@ -125,10 +125,11 @@ MonitorSession::handleIncident(const BugReport &report)
         fs::create_directories(options_.bundleDir, ec);
         const diag::IncidentBundle bundle = diag::makeIncidentBundle(
             report, registry(), series(), options_.windowRadius);
+        // Numbered from 001, as every other bundle writer does.
         char name[48];
         std::snprintf(name, sizeof name, "incident-%03" PRIu64
                       ".json",
-                      stats_.bundlesWritten);
+                      stats_.bundlesWritten + 1);
         const fs::path path = fs::path(options_.bundleDir) / name;
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         if (out) {

@@ -3,8 +3,9 @@
  * Trace decoder and replay.
  *
  * TraceReader is the one decoder of HMDT bytes: replay, monitor, the
- * segment chain and both static linters (trace_lint, flow_lint) all
- * read through it, so a trace means the same thing to every stage.
+ * segment chain and the trace linter, whose pass also feeds the CLI's
+ * replays and the flow pass, all read through it, so a trace means the
+ * same thing to every stage.
  */
 
 #ifndef HEAPMD_TRACE_TRACE_READER_HH
@@ -120,6 +121,10 @@ class TraceReader
     explicit TraceReader(trace::Source &source,
                          Mode mode = Mode::Replay);
 
+    /** Count decodes from here on, for an Audit reader that also
+     *  feeds a replay. */
+    void countAsReplay() { mode_ = Mode::Replay; }
+
     /** Flushes the batched trace.events_decoded counter. */
     ~TraceReader();
 
@@ -133,8 +138,9 @@ class TraceReader
     /**
      * Continue past a recoverable fault (an overlong varint, whose
      * value is kept): the next next() finishes the event or footer
-     * the varint belongs to.  Replay never resumes; the linters do,
-     * so one corrupt field does not hide the rest of the trace.
+     * the varint belongs to.  Replay never resumes; the linter does,
+     * so one corrupt field does not hide the rest of the trace (a
+     * replay it feeds has already stopped at that fault's finding).
      * @return false when the last fault is not recoverable.
      */
     bool resume();

@@ -153,9 +153,6 @@ class LoadedTrace
         return {reinterpret_cast<const char *>(data_), size_};
     }
 
-    /** A fresh single-pass Source over bytes(), one per decode. */
-    MemorySource source() const { return MemorySource(data_, size_); }
-
   private:
     std::string path_;
     std::optional<FileSource> file_;

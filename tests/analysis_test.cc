@@ -19,10 +19,12 @@
 #include "analysis/graph_lint.hh"
 #include "analysis/model_lint.hh"
 #include "analysis/trace_lint.hh"
+#include "core/heapmd.hh"
 #include "heapgraph/graph_snapshot.hh"
 #include "model/model.hh"
 #include "runtime/process.hh"
 #include "telemetry/registry.hh"
+#include "trace/trace_reader.hh"
 #include "trace/trace_writer.hh"
 
 namespace heapmd
@@ -187,7 +189,8 @@ TEST(TraceLintTest, LintersLeaveDecodeCountersAlone)
         const trace::LoadedTrace trace(corpusPath(name));
         Report report;
         analysis::lintTraceFile(trace, report);
-        analysis::lintTraceFlowFile(trace, report);
+        analysis::FlowAnalysis flow;
+        analysis::lintTraceFile(trace, report, {}, &flow);
     }
     EXPECT_EQ(decoded.value(), decoded_before);
     EXPECT_EQ(malformed.value(), malformed_before);
@@ -252,6 +255,75 @@ TEST(TraceLintTest, RejectedAllocationStillRecyclesFreedExtents)
     analysis::lintTrace(ss.str(), report);
     ASSERT_EQ(report.findings().size(), 1u) << report.describe();
     EXPECT_TRUE(report.has("trace.alloc-overlap"));
+}
+
+TEST(TraceLintTest, FoldGetsEventsOnlyWhileTheReportIsClean)
+{
+    // The lint pass feeds a replay from its own decode.  Events before
+    // the first error reach the fold; the overlapping allocation,
+    // which would panic the heap graph, and every event after it do
+    // not.
+    std::stringstream ss;
+    FunctionRegistry registry;
+    const FnId fn = registry.intern("worker");
+    TraceWriter writer(ss, registry);
+    writer.onEvent(Event::fnEnter(fn), 1);
+    writer.onEvent(Event::alloc(0x1000, 64), 2);
+    writer.onEvent(Event::alloc(0x1020, 64), 3); // overlaps a live one
+    writer.onEvent(Event::free(0x1000), 4);
+    writer.finish();
+
+    Process process;
+    Report report;
+    const analysis::TraceLintStats stats = analysis::lintTrace(
+        ss.str(), report, [&](bool) -> Process & { return process; });
+    EXPECT_TRUE(report.has("trace.alloc-overlap"));
+    EXPECT_EQ(stats.events, 4u);
+    EXPECT_EQ(process.now(), 2u);
+    EXPECT_EQ(process.graph().vertexCount(), 1u);
+    EXPECT_EQ(process.registry().size(), 1u);
+}
+
+TEST(TraceLintTest, FoldMatchesReplayOnACleanTrace)
+{
+    ProcessConfig pcfg;
+    pcfg.metricFrequency = 50;
+    std::stringstream ss;
+    {
+        Process recorder(pcfg);
+        TraceWriter writer(ss, recorder.registry());
+        recorder.addEventObserver(&writer);
+        AppConfig cfg;
+        cfg.inputSeed = 5;
+        cfg.scale = 0.1;
+        makeApp("vpr")->run(recorder, cfg);
+        writer.finish();
+    }
+    const std::string bytes = ss.str();
+
+    Process replayed(pcfg);
+    std::istringstream in(bytes);
+    TraceReader reader(in);
+    const std::uint64_t events = replayTrace(reader, replayed);
+
+    Process folded(pcfg);
+    Report report;
+    const analysis::TraceLintStats stats = analysis::lintTrace(
+        bytes, report, [&](bool) -> Process & { return folded; });
+    EXPECT_TRUE(report.findings().empty()) << report.describe();
+    EXPECT_EQ(folded.now(), events);
+    EXPECT_TRUE(stats.malformed.empty());
+    EXPECT_EQ(folded.registry().size(), replayed.registry().size());
+
+    const auto &a = replayed.series().samples();
+    const auto &b = folded.series().samples();
+    ASSERT_EQ(a.size(), b.size());
+    ASSERT_GT(a.size(), 2u);
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].tick, b[i].tick);
+        for (MetricId id : kAllMetrics)
+            EXPECT_EQ(a[i].value(id), b[i].value(id)) << i;
+    }
 }
 
 // --- Model linter ---------------------------------------------------

@@ -389,7 +389,7 @@ TEST_F(MonitorSessionTest, FollowFiresAndWritesLintableBundles)
 
     // The bundle is on disk and diag-lint clean.
     const std::string bundle_path =
-        bundle_dir_ + "/incident-000.json";
+        bundle_dir_ + "/incident-001.json";
     ASSERT_TRUE(std::filesystem::exists(bundle_path));
     analysis::Report lint;
     analysis::lintBundleFile(bundle_path, lint);
@@ -418,7 +418,7 @@ TEST_F(MonitorSessionTest, CleanModelSeesNoIncidents)
     EXPECT_FALSE(session.anomalous());
     EXPECT_EQ(session.stats().bundlesWritten, 0u);
     EXPECT_FALSE(std::filesystem::exists(bundle_dir_ +
-                                         "/incident-000.json"));
+                                         "/incident-001.json"));
 }
 
 TEST_F(MonitorSessionTest, PrometheusRenderingIsWellFormed)

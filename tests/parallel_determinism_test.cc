@@ -5,8 +5,10 @@
  * the worker count, both through the library API and through the CLI
  * (where HEAPMD_JOBS selects the worker count without perturbing the
  * manifest-recorded command line).  The CLI cases also pin the output
- * of a deep audit across trace encodings (raw vs `.heapmd.gz`) and the
- * usage-error exit of malformed flag values.
+ * of a deep audit across trace encodings (raw vs `.heapmd.gz`), the
+ * pre-flight verdict of train --trace and replay on the malformed-trace
+ * corpus, the decode counters of a replay, and the usage-error exit of
+ * malformed flag values.
  */
 
 #include <sys/wait.h>
@@ -130,22 +132,25 @@ class CliDeterminismTest : public ::testing::Test
     /**
      * Run the CLI under HEAPMD_JOBS=@p jobs with @p subdir (under the
      * test directory, created on demand) as the working directory,
-     * stdout+stderr captured to @p log.  Returns the exit status.
-     * Output artifacts should use relative paths: runs that must
-     * produce byte-identical manifests need byte-identical command
-     * lines, so only the (unrecorded) working directory may differ.
+     * stdout captured to @p log, and stderr too unless @p err_log
+     * names its own file.  Returns the exit status; the shell reports
+     * a CLI killed by signal N as 128+N.  Output artifacts should use
+     * relative paths: runs that must produce byte-identical manifests
+     * need byte-identical command lines, so only the (unrecorded)
+     * working directory may differ.
      */
     int
     run(const std::string &jobs, const std::string &args,
-        const std::string &log, const std::string &subdir = "") const
+        const std::string &log, const std::string &subdir = "",
+        const std::string &err_log = "") const
     {
         const std::filesystem::path cwd =
             subdir.empty() ? dir_ : dir_ / subdir;
         std::filesystem::create_directories(cwd);
-        const std::string cmd = "cd \"" + cwd.string() +
-                                "\" && HEAPMD_JOBS=" + jobs + " \"" +
-                                HEAPMD_CLI_PATH "\" " + args + " > " +
-                                path(log) + " 2>&1";
+        const std::string cmd =
+            "cd \"" + cwd.string() + "\" && HEAPMD_JOBS=" + jobs +
+            " \"" + HEAPMD_CLI_PATH "\" " + args + " > " + path(log) +
+            (err_log.empty() ? " 2>&1" : " 2> " + path(err_log));
         const int status = std::system(cmd.c_str());
         return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     }
@@ -440,6 +445,149 @@ TEST_F(CliDeterminismTest, GiantExtentTraceRunsInBoundedTime)
                              << slurp("giant.log");
         EXPECT_LT(seconds, 1.0) << command.name;
     }
+}
+
+TEST_F(CliDeterminismTest, PreflightVerdictMatchesAuditOnTheCorpus)
+{
+    // The trace lint is the pre-flight of train --trace and replay:
+    // each corpus trace the lint rejects fails both with exit 1 and
+    // nothing on stdout, the rest run, and the stderr audit block
+    // carries the findings of `heapmd audit`.  No trace may reach the
+    // fold and crash it.
+    std::string traces;
+    for (int seed = 1; seed <= 3; ++seed) {
+        const std::string trace = "g" + std::to_string(seed) + ".trace";
+        ASSERT_EQ(run("1",
+                      "record --app gzip --scale 0.2 --seed " +
+                          std::to_string(seed) + " --out " + trace,
+                      "record.log"),
+                  0)
+            << slurp("record.log");
+        traces += " --trace " + trace;
+    }
+    ASSERT_EQ(run("1", "train" + traces + " --out m.model", "m.log"), 0)
+        << slurp("m.log");
+
+    std::size_t rejected = 0;
+    std::size_t accepted = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(HEAPMD_TEST_DATA_DIR)) {
+        if (entry.path().extension() != ".trace")
+            continue;
+        const std::string trace = entry.path().string();
+        const std::string name = entry.path().filename().string();
+        ASSERT_LT(run("1", "audit --trace " + trace, "audit.log"), 128)
+            << name;
+        // The audit prints a "trace ..." stats line, then the report,
+        // which ends in its "E error(s), W warning(s), N note(s)" line.
+        const std::string audit = slurp("audit.log");
+        const std::string findings = audit.substr(audit.find('\n') + 1);
+        const std::string summary = findings.substr(
+            findings.rfind('\n', findings.size() - 2) + 1);
+        std::size_t counts[3] = {0, 0, 0};
+        ASSERT_EQ(std::sscanf(summary.c_str(),
+                              "%zu error(s), %zu warning(s), %zu note(s)",
+                              &counts[0], &counts[1], &counts[2]),
+                  3)
+            << name << ": " << audit;
+        const bool errors = counts[0] != 0;
+        const bool quiet = counts[0] + counts[1] + counts[2] == 0;
+        const std::string block =
+            "audit of trace '" + trace + "':\n" + findings;
+
+        const int replay =
+            run("1", "replay --trace " + trace + " --model m.model",
+                "replay.out", "", "replay.err");
+        const int train = run("1", "train --trace " + trace +
+                                       " --out t.model",
+                              "train.out", "", "train.err");
+        EXPECT_LT(replay, 128) << name << ": " << slurp("replay.err");
+        EXPECT_LT(train, 128) << name << ": " << slurp("train.err");
+        EXPECT_EQ(replay, errors ? 1 : 0) << name << ": "
+                                          << slurp("replay.err");
+        EXPECT_EQ(train, errors ? 1 : 0) << name << ": "
+                                         << slurp("train.err");
+        if (errors) {
+            EXPECT_EQ(slurp("replay.out"), "") << name;
+            EXPECT_EQ(slurp("train.out"), "") << name;
+        }
+        for (const char *err : {"replay.err", "train.err"}) {
+            const std::string text = slurp(err);
+            if (quiet)
+                EXPECT_EQ(text.find("audit of trace"),
+                          std::string::npos)
+                    << name << " " << err;
+            else
+                EXPECT_EQ(text.rfind(block, 0), 0u)
+                    << name << " " << err << ":\n"
+                    << text << "\nwant prefix:\n"
+                    << block;
+        }
+        ++(errors ? rejected : accepted);
+    }
+    EXPECT_EQ(rejected, 18u);
+    EXPECT_EQ(accepted, 8u);
+}
+
+TEST_F(CliDeterminismTest, ReplayCountsOneDecodePerEvent)
+{
+    // One pass decodes the trace for the lint and the replay alike:
+    // it counts as one replay, each event decoded once.
+    ASSERT_EQ(run("1", "record --app gzip --scale 0.2 --out g.trace",
+                  "record.log"),
+              0)
+        << slurp("record.log");
+    ASSERT_EQ(run("1", "train --trace g.trace --out m.model", "m.log"),
+              0)
+        << slurp("m.log");
+    const int status =
+        run("1", "replay --trace g.trace --model m.model --stats 1",
+            "replay.out", "", "replay.err");
+    ASSERT_TRUE(status == 0 || status == 3) << slurp("replay.err");
+
+    const std::string out = slurp("replay.out");
+    unsigned long long replayed = 0;
+    ASSERT_EQ(std::sscanf(out.c_str(), "replayed %llu events",
+                          &replayed),
+              1)
+        << out;
+    const auto counter = [&](const std::string &name) {
+        std::istringstream table(slurp("replay.err"));
+        std::string line;
+        while (std::getline(table, line)) {
+            std::istringstream row(line);
+            std::string key, kind;
+            unsigned long long value = 0;
+            if (row >> key >> kind >> value && key == name &&
+                kind == "counter")
+                return value;
+        }
+        ADD_FAILURE() << "no counter " << name;
+        return 0ULL;
+    };
+    EXPECT_GT(replayed, 0u);
+    EXPECT_EQ(counter("trace.events_decoded"), replayed);
+    EXPECT_EQ(counter("trace.replays"), 1u);
+}
+
+TEST_F(CliDeterminismTest, NoAuditIsAUsageError)
+{
+    // The pre-flight lint cannot be skipped: it is the pass that
+    // replays the trace, and an event it rejects must never reach
+    // the fold.
+    EXPECT_EQ(run("1", "train --trace none.trace --no-audit 1",
+                  "train.log"),
+              2);
+    EXPECT_EQ(run("1", "check --app gzip --model none --no-audit 1",
+                  "check.log"),
+              2);
+    EXPECT_EQ(run("1", "replay --trace none.trace --model none "
+                       "--no-audit 1",
+                  "replay.log"),
+              2);
+    for (const char *log : {"train.log", "check.log", "replay.log"})
+        EXPECT_NE(slurp(log).find("no-audit"), std::string::npos)
+            << slurp(log);
 }
 
 #if HEAPMD_HAVE_ZLIB

@@ -31,6 +31,9 @@
  *   stats                  run once and print the telemetry counters
  *                          (or --format prometheus for live segments)
  *
+ * train, check, replay and capture stop on any audit error in their
+ * inputs; the trace lint rides the decode that replays the trace.
+ *
  * Exit status contract (scriptable; see README):
  *   0  success, nothing found
  *   1  fatal error (unreadable artifact, internal failure)
@@ -101,7 +104,6 @@
 #include "support/thread_pool.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/gzip_source.hh"
-#include "trace/trace_reader.hh"
 #include "trace/trace_source.hh"
 #include "trace/trace_writer.hh"
 
@@ -185,15 +187,14 @@ printUsage(std::FILE *to)
         "          [--version V=1] [--scale X=1.0] [--frq N=300]\n"
         "          [--local 0|1] [--out FILE] [--manifest FILE]\n"
         "          or: --trace FILE [--trace FILE ...] [--name NAME]\n"
-        "          [--no-audit 1] (train from recorded/captured\n"
-        "          traces instead of synthetic apps)\n"
+        "          (train from recorded/captured traces instead of\n"
+        "           synthetic apps)\n"
         "  inspect --model FILE\n"
         "  check   --app NAME --model FILE [--seed S=100]\n"
         "          [--inputs N=1] [--version V=1] [--scale X=1.0]\n"
         "          [--frq N=300]\n"
         "          [--fault KIND [--rate R=1.0] [--budget B=0]]\n"
-        "          [--no-audit 1] [--bundle-dir DIR]\n"
-        "          [--manifest FILE]\n"
+        "          [--bundle-dir DIR] [--manifest FILE]\n"
         "          (--inputs N checks seeds S..S+N-1 as a batch)\n"
         "  record  --app NAME --out FILE [--seed S=1] [--version V]\n"
         "          [--scale X] [--fault KIND [--rate R] [--budget B]]\n"
@@ -213,10 +214,10 @@ printUsage(std::FILE *to)
         "           still counted in raw trace bytes --\n"
         "           HEAPMD_CAPTURE_COMPRESS=1 does the same)\n"
         "  replay  --trace FILE --model FILE [--frq N=300]\n"
-        "          [--no-audit 1] [--bundle-dir DIR]\n"
-        "          [--manifest FILE]\n"
-        "          (capture-provenance traces default to --frq 1 and\n"
-        "           tolerate allocator address reuse)\n"
+        "          [--bundle-dir DIR] [--manifest FILE]\n"
+        "          (a trace lint error is fatal; capture-provenance\n"
+        "           traces default to --frq 1 and tolerate allocator\n"
+        "           address reuse)\n"
         "  diff    --model FILE --model-b FILE\n"
         "  snapshot --app NAME --out FILE [--seed S=1] [--version V]\n"
         "          [--scale X] [--fault KIND [--rate R] [--budget B]]\n"
@@ -532,7 +533,7 @@ preflight(const char *what, const std::string &path,
     if (!report.clean())
         HEAPMD_FATAL(what, " '", path,
                      "' failed its pre-flight audit (run `heapmd "
-                     "audit` for details; --no-audit 1 overrides)");
+                     "audit` for details)");
 }
 
 void
@@ -541,14 +542,6 @@ preflightModel(const std::string &path)
     analysis::Report report;
     analysis::lintModelFile(path, report);
     preflight("model", path, report);
-}
-
-void
-preflightTrace(const trace::LoadedTrace &trace)
-{
-    analysis::Report report;
-    analysis::lintTraceFile(trace, report);
-    preflight("trace", trace.path(), report);
 }
 
 /** Copy the config knobs a run manifest records from parsed flags. */
@@ -672,24 +665,25 @@ cmdListApps()
 }
 
 /**
- * One trace replayed into a fresh Process by replayLoadedTrace().
- * The checker is declared first so the Process, which still holds it
- * as an observer, is destroyed before it.
+ * One trace linted and replayed into a fresh Process by
+ * replayLoadedTrace().  The checker is declared first so the Process,
+ * which still holds it as an observer, is destroyed before it.
  */
 struct TraceReplay
 {
     std::unique_ptr<ExecutionChecker> checker;
     std::unique_ptr<Process> process;
+    analysis::Report audit; //!< the trace's pre-flight lint
+    analysis::TraceLintStats lint;
     CheckResult check; //!< empty unless replayed under a model
     std::uint64_t events = 0;
-    std::uint64_t wallNanos = 0; //!< replay + check wall time
-    bool captureProvenance = false;
+    std::uint64_t wallNanos = 0; //!< lint + replay + check wall time
 };
 
 /**
- * Replay a loaded trace into a fresh Process, under @p model's
- * checker when non-null.  A trace that failed to load is fatal here
- * (with --no-audit 1 no pre-flight reported it).
+ * Lint a loaded trace and, from the same decode, replay it into a
+ * fresh Process, under @p model's checker when non-null.  The replay
+ * stops at the first lint error; the caller reports the audit.
  *
  * The capture-provenance rule lives here and only here: a
  * live-capture trace samples at every scan-marker function entry (the
@@ -702,27 +696,23 @@ TraceReplay
 replayLoadedTrace(const trace::LoadedTrace &trace, std::uint64_t frq,
                   const HeapModel *model = nullptr)
 {
-    if (!trace.ok() && trace.compressed())
-        HEAPMD_FATAL("cannot decode trace '", trace.path(), "': ",
-                     trace.error());
-    if (!trace.ok())
-        HEAPMD_FATAL("cannot open trace '", trace.path(), "'");
-    trace::MemorySource source = trace.source();
-    TraceReader reader(source);
-
     TraceReplay out;
-    out.captureProvenance = reader.captureProvenance();
-    ProcessConfig pcfg;
-    pcfg.metricFrequency =
-        frq != 0 ? frq : (out.captureProvenance ? 1 : 300);
-    pcfg.tolerateAddressReuse = out.captureProvenance;
-    out.process = std::make_unique<Process>(pcfg);
-    if (model != nullptr) {
-        out.checker = std::make_unique<ExecutionChecker>(*model);
-        out.checker->attach(*out.process);
-    }
+    const auto fold = [&](bool capture) -> Process & {
+        ProcessConfig pcfg;
+        pcfg.metricFrequency = frq != 0 ? frq : (capture ? 1 : 300);
+        pcfg.tolerateAddressReuse = capture;
+        out.process = std::make_unique<Process>(pcfg);
+        if (model != nullptr) {
+            out.checker = std::make_unique<ExecutionChecker>(*model);
+            out.checker->attach(*out.process);
+        }
+        return *out.process;
+    };
     const auto wall_start = std::chrono::steady_clock::now();
-    out.events = replayTrace(reader, *out.process);
+    out.lint = analysis::lintTraceFile(trace, out.audit, fold);
+    if (!out.audit.clean())
+        return out;
+    out.events = out.process->now();
     if (out.checker)
         out.check = out.checker->finalize(*out.process);
     // Callers snapshot the Registry while the Process is still alive;
@@ -733,6 +723,15 @@ replayLoadedTrace(const trace::LoadedTrace &trace, std::uint64_t frq,
             std::chrono::steady_clock::now() - wall_start)
             .count());
     return out;
+}
+
+/** Warn when a replay stopped at a fault its lint let pass. */
+void
+warnCutShort(const TraceReplay &replay)
+{
+    if (!replay.lint.malformed.empty())
+        warn("malformed trace: ", replay.lint.malformed, "; replayed ",
+             replay.events, " events");
 }
 
 /**
@@ -762,32 +761,33 @@ cmdTrainFromTraces(const Args &args)
     MetricSummarizer summarizer(cfg.summarizer);
     const std::vector<std::string> traces = args.all("trace");
 
-    // Pre-flight sequentially and in input order so a malformed trace
-    // fails with the same message (and at the same point) regardless
-    // of --jobs; only the replays themselves fan out.
-    if (args.num("no-audit", 0) == 0) {
-        for (const std::string &path : traces)
-            preflightTrace(trace::LoadedTrace(path));
-    }
-    // Workers keep only each run's series, so at most --jobs heap
-    // graphs are alive at once.
+    // Workers keep only each run's audit and series, so at most
+    // --jobs heap graphs are alive at once.
     const std::uint64_t frq = args.num("frq", 0);
     std::vector<TraceReplay> runs(traces.size());
     std::vector<MetricSeries> series(traces.size());
     parallelForIndexed(traces.size(), cfg.jobs, [&](std::size_t i) {
         runs[i] =
             replayLoadedTrace(trace::LoadedTrace(traces[i]), frq);
+        if (!runs[i].audit.clean())
+            return;
         series[i] = runs[i].process->series();
         series[i].label = "trace:" + traces[i];
         runs[i].process.reset();
     });
+    // Verdicts in input order, so a malformed trace fails with the
+    // same message (and at the same point) regardless of --jobs.
+    for (std::size_t i = 0; i < traces.size(); ++i)
+        preflight("trace", traces[i], runs[i].audit);
+    for (const TraceReplay &run : runs)
+        warnCutShort(run);
     for (std::size_t i = 0; i < traces.size(); ++i) {
         std::printf("replayed %s: %llu events, %zu samples%s\n",
                     traces[i].c_str(),
                     static_cast<unsigned long long>(runs[i].events),
                     series[i].samples().size(),
-                    runs[i].captureProvenance ? " (live capture)"
-                                              : "");
+                    runs[i].lint.captureProvenance ? " (live capture)"
+                                                   : "");
         summarizer.addRun(series[i]);
     }
 
@@ -934,8 +934,7 @@ cmdCheck(const Args &args)
 
     const HeapMD tool(configFrom(args));
     auto app = makeApp(args.str("app"));
-    if (args.num("no-audit", 0) == 0)
-        preflightModel(args.str("model"));
+    preflightModel(args.str("model"));
     const HeapModel model = loadModel(args.str("model"));
 
     if (inputs > 1)
@@ -995,12 +994,11 @@ cmdReplay(const Args &args)
     const std::uint64_t frq = args.num("frq", 0);
     const std::string model_path = args.str("model");
     const trace::LoadedTrace trace(args.str("trace"));
-    if (args.num("no-audit", 0) == 0) {
-        preflightModel(model_path);
-        preflightTrace(trace);
-    }
+    preflightModel(model_path);
     const HeapModel model = loadModel(model_path);
     const TraceReplay replay = replayLoadedTrace(trace, frq, &model);
+    preflight("trace", trace.path(), replay.audit);
+    warnCutShort(replay);
     const Process &process = *replay.process;
     const CheckResult &result = replay.check;
 
@@ -1033,22 +1031,19 @@ cmdReplay(const Args &args)
 #if defined(HEAPMD_HAVE_CAPTURE)
 
 /**
- * Chained `capture --check MODEL`.  A monolithic capture replays its
- * loaded @p trace under the batch checker; a rotating one (@p trace
- * empty) is consumed through the monitor's --once path, which runs
- * the same checker over the segment set rooted at @p base.  Returns
- * the command exit status contribution (0 clean, 3 findings).
+ * Chained `capture --check MODEL`.  A monolithic capture's @p replay
+ * already ran under the batch checker, in the pass that audited the
+ * trace; a rotating one (no replay) is consumed through the monitor's
+ * --once path, which runs the same checker over the segment set
+ * rooted at @p base.  Returns the command exit status contribution
+ * (0 clean, 3 findings).
  */
 int
-checkCapture(const std::optional<trace::LoadedTrace> &trace,
-             const std::string &base, const std::string &model_path,
-             const Args &args)
+checkCapture(const TraceReplay &replay, const HeapModel &model,
+             const std::string &base, const Args &args)
 {
-    preflightModel(model_path);
-    const HeapModel model = loadModel(model_path);
-
-    if (trace) {
-        const TraceReplay replay = replayLoadedTrace(*trace, 0, &model);
+    if (replay.process) {
+        warnCutShort(replay);
         std::printf("checked capture (%llu events): %zu report(s) "
                     "over %llu samples\n",
                     static_cast<unsigned long long>(replay.events),
@@ -1156,15 +1151,28 @@ cmdCapture(const Args &args)
     // Audit the fresh trace against the static rule catalog.  The
     // capture-provenance header downgrades truncation findings (a
     // killed child) to warnings; anything error-severity here is a
-    // shim bug and must fail loudly.  A monolithic trace is loaded
-    // once and the same bytes feed the audit, --train-out and --check.
-    std::optional<trace::LoadedTrace> trace;
-    if (options.rotateBytes == 0)
-        trace.emplace(session.tracePath);
-    analysis::Report audit;
-    const analysis::TraceLintStats lint_stats =
-        trace ? analysis::lintTraceFile(*trace, audit)
-              : analysis::lintSegmentSet(session.tracePath, audit);
+    // shim bug and must fail loudly.  A monolithic trace is decoded
+    // once: for --train-out and --check the audit's pass also replays
+    // it, under the checker when the --check model lints clean.
+    analysis::Report model_audit;
+    std::optional<HeapModel> check_model;
+    if (args.has("check")) {
+        analysis::lintModelFile(args.str("check"), model_audit);
+        if (model_audit.clean())
+            check_model.emplace(loadModel(args.str("check")));
+    }
+    TraceReplay replay;
+    if (options.rotateBytes != 0)
+        replay.lint =
+            analysis::lintSegmentSet(session.tracePath, replay.audit);
+    else if (args.has("train-out") || args.has("check"))
+        replay = replayLoadedTrace(trace::LoadedTrace(session.tracePath),
+                                   0, check_model ? &*check_model
+                                                  : nullptr);
+    else
+        replay.lint = analysis::lintTraceFile(
+            trace::LoadedTrace(session.tracePath), replay.audit);
+    const analysis::Report &audit = replay.audit;
     if (!audit.findings().empty())
         std::fprintf(stderr, "audit of trace '%s':\n%s",
                      session.tracePath.c_str(),
@@ -1174,16 +1182,16 @@ cmdCapture(const Args &args)
                      "' failed its audit");
     std::printf("trace audit clean: %llu bytes, %llu events, "
                 "%llu segment(s)\n",
-                static_cast<unsigned long long>(lint_stats.bytes),
-                static_cast<unsigned long long>(lint_stats.events),
+                static_cast<unsigned long long>(replay.lint.bytes),
+                static_cast<unsigned long long>(replay.lint.events),
                 static_cast<unsigned long long>(
-                    lint_stats.segments));
+                    replay.lint.segments));
 
     int status = 0;
     if (args.has("train-out")) {
-        const TraceReplay run = replayLoadedTrace(trace.value(), 0);
+        warnCutShort(replay);
         MetricSummarizer summarizer(configFrom(args).summarizer);
-        summarizer.addRun(run.process->series());
+        summarizer.addRun(replay.process->series());
         const HeapModel model = summarizer.buildModel(
             std::filesystem::path(g_capture_argv.front())
                 .filename()
@@ -1197,9 +1205,11 @@ cmdCapture(const Args &args)
         std::printf("model written to %s\n",
                     args.str("train-out").c_str());
     }
-    if (args.has("check"))
-        status = checkCapture(trace, session.tracePath,
-                              args.str("check"), args);
+    if (args.has("check")) {
+        preflight("model", args.str("check"), model_audit);
+        status = checkCapture(replay, *check_model, session.tracePath,
+                              args);
+    }
 
     if (args.has("manifest")) {
         diag::RunManifest manifest;
@@ -1283,10 +1293,10 @@ cmdSnapshot(const Args &args)
 
 /**
  * `audit --trace FILE [--trace ...]`: lint each trace into its own
- * report.  Traces are the heavy inputs (a deep pass decodes every
- * event), so they fan out over the thread pool; each report renders
- * into an indexed slot and prints in input order, keeping stdout
- * byte-identical for any --jobs value.
+ * report; with --deep the flow pass rides the lint's decode.  Traces
+ * are the heavy inputs, so they fan out over the thread pool; each
+ * report renders into an indexed slot and prints in input order,
+ * keeping stdout byte-identical for any --jobs value.
  */
 bool
 auditTraces(const Args &args, const std::vector<std::string> &traces,
@@ -1307,8 +1317,9 @@ auditTraces(const Args &args, const std::vector<std::string> &traces,
     parallelForIndexed(traces.size(), g_jobs, [&](std::size_t i) {
         analysis::Report report(max_findings);
         const trace::LoadedTrace trace(traces[i]);
-        const analysis::TraceLintStats stats =
-            analysis::lintTraceFile(trace, report);
+        analysis::FlowAnalysis flow;
+        const analysis::TraceLintStats stats = analysis::lintTraceFile(
+            trace, report, {}, deep ? &flow : nullptr);
         char line[512];
         std::snprintf(line, sizeof line,
                       "trace %s: %llu bytes, %llu events, %llu "
@@ -1319,12 +1330,10 @@ auditTraces(const Args &args, const std::vector<std::string> &traces,
                       static_cast<unsigned long long>(
                           stats.functions));
         std::string text = line;
-        // Skip the deep pass when the file itself was unreadable --
-        // it would only duplicate the trace.io finding.
+        // An unreadable file got no deep pass, only the trace.io
+        // finding.
         if (deep && trace.ok()) {
-            analysis::FlowAnalysis flow;
-            const analysis::FlowLintStats fstats =
-                analysis::lintTraceFlowFile(trace, report, &flow);
+            const analysis::FlowLintStats &fstats = flow.stats;
             std::snprintf(
                 line, sizeof line,
                 "flow: %llu live object(s) at exit holding %llu "
@@ -2123,13 +2132,13 @@ commandTable()
         {"train",
          {cmdTrain,
           {"app", "inputs", "seed", "version", "scale", "frq", "local",
-           "out", "manifest", "trace", "name", "no-audit"}}},
+           "out", "manifest", "trace", "name"}}},
         {"inspect", {cmdInspect, {"model"}}},
         {"check",
          {cmdCheck,
           {"app", "model", "seed", "inputs", "version", "scale",
-           "frq", "local", "fault", "rate", "budget", "no-audit",
-           "bundle-dir", "manifest"}}},
+           "frq", "local", "fault", "rate", "budget", "bundle-dir",
+           "manifest"}}},
         {"record",
          {cmdRecord,
           {"app", "out", "seed", "version", "scale", "frq", "fault",
@@ -2141,8 +2150,7 @@ commandTable()
            "local"}}},
         {"replay",
          {cmdReplay,
-          {"trace", "model", "frq", "no-audit", "bundle-dir",
-           "manifest"}}},
+          {"trace", "model", "frq", "bundle-dir", "manifest"}}},
         {"diff", {cmdDiff, {"model", "model-b"}}},
         {"snapshot",
          {cmdSnapshot,
