@@ -1,5 +1,6 @@
 #include "analysis/trace_lint.hh"
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string_view>
@@ -22,6 +23,9 @@ namespace analysis
 
 namespace
 {
+
+/** Decoded bytes between two releases of a loaded trace's pages. */
+constexpr std::uint64_t kReleaseStride = std::uint64_t{1} << 20;
 
 /** Event kind names as the findings spell them, indexed by tag. */
 constexpr const char *kKindNames[] = {
@@ -111,6 +115,8 @@ struct Linter
     Process *process = nullptr;
     /** The flow pass, until it stops. */
     std::unique_ptr<FlowPass> flow;
+    /** The file being linted, whose decoded pages are released. */
+    const trace::LoadedTrace *loaded = nullptr;
 
     Linter(Report &rep, ExtentTracker &ext)
         : report(rep), extents(ext)
@@ -283,7 +289,12 @@ Linter::lintBody(TraceReader &reader, std::uint64_t size)
     // Each event goes to the rules, then to the consumers.  Overlong
     // varints are findings the scan continues past; every other fault
     // ends it, and the flow pass stops at the first footer fault.
+    // The pass never reads a byte twice, so every kReleaseStride
+    // bytes a loaded file gives back the pages behind the cursor: a
+    // worker then holds its heap graph, not its whole trace.
     Event event;
+    std::uint64_t release_at =
+        loaded != nullptr ? kReleaseStride : UINT64_MAX;
     for (;;) {
         while (reader.next(event)) {
             const std::uint64_t offset = reader.eventOffset();
@@ -292,6 +303,10 @@ Linter::lintBody(TraceReader &reader, std::uint64_t size)
                 process->onEvent(event);
             if (flow)
                 flow->onEvent(event, offset);
+            if (offset >= release_at) {
+                loaded->releaseBefore(offset);
+                release_at = offset + kReleaseStride;
+            }
         }
         if (!reader.malformed())
             break;
@@ -361,18 +376,27 @@ Linter::run(std::string_view data, const TraceFold &fold,
         flow->finish(reader);
 }
 
+/** Lint one monolithic trace; @p loaded, if set, holds @p data. */
+TraceLintStats
+lintOne(std::string_view data, Report &report, const TraceFold &fold,
+        FlowAnalysis *flow, const trace::LoadedTrace *loaded)
+{
+    ExtentTracker extents;
+    Linter linter(report, extents);
+    linter.stats.bytes = data.size();
+    linter.stats.segments = 1;
+    linter.loaded = loaded;
+    linter.run(data, fold, flow);
+    return linter.stats;
+}
+
 } // namespace
 
 TraceLintStats
 lintTrace(std::string_view data, Report &report,
           const TraceFold &fold, FlowAnalysis *flow)
 {
-    ExtentTracker extents;
-    Linter linter(report, extents);
-    linter.stats.bytes = data.size();
-    linter.stats.segments = 1;
-    linter.run(data, fold, flow);
-    return linter.stats;
+    return lintOne(data, report, fold, flow, nullptr);
 }
 
 TraceLintStats
@@ -394,11 +418,11 @@ lintTraceFile(const trace::LoadedTrace &trace, Report &report,
     }
     TraceLintStats stats;
     if (flow == nullptr) {
-        stats = lintTrace(trace.bytes(), report, fold);
+        stats = lintOne(trace.bytes(), report, fold, nullptr, &trace);
     } else {
         HEAPMD_PHASE_SPAN_NAMED(phase, "phase.deep_audit");
         HEAPMD_COUNTER_INC("audit.flow_lints");
-        stats = lintTrace(trace.bytes(), report, fold, flow);
+        stats = lintOne(trace.bytes(), report, fold, flow, &trace);
         for (const FlowFinding &f : flow->findings)
             report.atByte(f.severity, f.rule, f.byteOffset, f.message);
         phase.addBytes(trace.bytes().size());
@@ -469,6 +493,7 @@ lintSegmentSet(const std::string &base, Report &report)
         Linter linter(report, extents);
         linter.stats.bytes = segment.bytes().size();
         linter.truncation_is_error = i + 1 < indices.size();
+        linter.loaded = &segment;
         linter.run(segment.bytes());
 
         total.bytes += linter.stats.bytes;

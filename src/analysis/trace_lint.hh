@@ -105,8 +105,11 @@ TraceLintStats lintTrace(std::string_view data, Report &report,
 /**
  * Lint a trace file loaded once by trace::LoadedTrace, in place (a
  * mapped plain file costs no buffering copy; a gzip trace was
- * inflated by the loader).  Counts as one audit: the audit.trace span
- * and the audit.trace_lints / audit.findings counters.  A file that
+ * inflated by the loader); the pass releases a mapped file's pages
+ * behind its cursor once per MiB (LoadedTrace::releaseBefore), so
+ * the process keeps about a MiB of the file resident, not all of it.
+ * Counts as one audit: the audit.trace span and the
+ * audit.trace_lints / audit.findings counters.  A file that
  * failed to load is one trace.io finding and feeds nothing.  With
  * @p flow it is also one deep audit (phase.deep_audit), and the flow
  * findings follow the lint's in @p report.

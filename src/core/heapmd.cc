@@ -3,7 +3,7 @@
 #include <chrono>
 #include <ctime>
 
-#include "support/thread_pool.hh"
+#include "support/parallel_for.hh"
 #include "telemetry/telemetry.hh"
 
 namespace heapmd

@@ -11,7 +11,7 @@
 #include "diag/json.hh"
 #include "diag/run_manifest.hh"
 #include "metrics/metric.hh"
-#include "support/thread_pool.hh"
+#include "support/parallel_for.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/trace_json.hh"
 

@@ -1,5 +1,6 @@
 #include "trace/trace_source.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "telemetry/telemetry.hh"
@@ -149,6 +150,26 @@ LoadedTrace::LoadedTrace(const std::string &path)
     ok_ = file.ok();
     data_ = file.data();
     size_ = file.size();
+}
+
+void
+LoadedTrace::releaseBefore(std::size_t offset) const
+{
+#if HEAPMD_TRACE_HAVE_MMAP
+    if (!file_ || !file_->mapped())
+        return;
+    // The mapping starts on a page boundary; release whole pages only.
+    static const std::size_t page =
+        static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t end = std::min(offset, size_) / page * page;
+    if (end <= released_)
+        return;
+    ::madvise(const_cast<unsigned char *>(data_) + released_,
+              end - released_, MADV_DONTNEED);
+    released_ = end;
+#else
+    (void)offset;
+#endif
 }
 
 } // namespace trace

@@ -107,6 +107,9 @@ class FileSource : public Source
     const unsigned char *data() const { return data_; }
     std::size_t size() const { return size_; }
 
+    /** The bytes are a read-only file mapping, not a heap copy. */
+    bool mapped() const { return mapped_; }
+
     std::size_t next(const unsigned char *&data) override;
 
   private:
@@ -153,12 +156,24 @@ class LoadedTrace
         return {reinterpret_cast<const char *>(data_), size_};
     }
 
+    /**
+     * Drop the resident pages that lie wholly before byte @p offset,
+     * once a single forward pass has decoded them.  A mapped file's
+     * pages fault back in from the file if read again, so bytes()
+     * never changes; inflated gzip bytes and the read() fallback live
+     * on the heap, where the release would zero them, so for those it
+     * does nothing.
+     */
+    void releaseBefore(std::size_t offset) const;
+
   private:
     std::string path_;
     std::optional<FileSource> file_;
     std::vector<unsigned char> inflated_;
     const unsigned char *data_ = nullptr;
     std::size_t size_ = 0;
+    /** Bytes before this offset are already released. */
+    mutable std::size_t released_ = 0;
     std::string error_;
     bool compressed_ = false;
     bool ok_ = false;

@@ -11,20 +11,30 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string_view>
+
+#if HEAPMD_HAVE_ZLIB
+#include <zlib.h>
+#endif
 
 #include "analysis/flow_lint.hh"
 #include "analysis/graph_lint.hh"
 #include "analysis/model_lint.hh"
 #include "analysis/trace_lint.hh"
 #include "core/heapmd.hh"
+#include "faults/fault_plan.hh"
 #include "heapgraph/graph_snapshot.hh"
 #include "model/model.hh"
 #include "runtime/process.hh"
 #include "telemetry/registry.hh"
 #include "trace/trace_reader.hh"
+#include "trace/trace_source.hh"
 #include "trace/trace_writer.hh"
 
 namespace heapmd
@@ -324,6 +334,125 @@ TEST(TraceLintTest, FoldMatchesReplayOnACleanTrace)
         for (MetricId id : kAllMetrics)
             EXPECT_EQ(a[i].value(id), b[i].value(id)) << i;
     }
+}
+
+/** Everything one deep, folded pass over a trace yields. */
+struct DeepPass
+{
+    analysis::TraceLintStats stats;
+    std::string report;
+    std::vector<std::string> flow;
+    std::uint64_t folded = 0;
+    std::size_t samples = 0;
+};
+
+DeepPass
+deepPass(const std::function<analysis::TraceLintStats(
+             Report &, const analysis::TraceFold &,
+             analysis::FlowAnalysis *)> &lint)
+{
+    ProcessConfig pcfg;
+    pcfg.metricFrequency = 300;
+    Process process(pcfg);
+    Report report;
+    analysis::FlowAnalysis flow;
+    DeepPass pass;
+    pass.stats =
+        lint(report, [&](bool) -> Process & { return process; }, &flow);
+    pass.report = report.describe();
+    for (const analysis::FlowFinding &f : flow.findings)
+        pass.flow.push_back(f.rule + " @" + std::to_string(f.byteOffset) +
+                            ": " + f.message);
+    pass.folded = process.now();
+    pass.samples = process.series().samples().size();
+    return pass;
+}
+
+void
+expectSamePass(const DeepPass &a, const DeepPass &b)
+{
+    EXPECT_EQ(a.stats.bytes, b.stats.bytes);
+    EXPECT_EQ(a.stats.events, b.stats.events);
+    EXPECT_EQ(a.stats.functions, b.stats.functions);
+    EXPECT_EQ(a.stats.captureProvenance, b.stats.captureProvenance);
+    EXPECT_EQ(a.stats.malformed, b.stats.malformed);
+    EXPECT_EQ(a.report, b.report);
+    EXPECT_EQ(a.flow, b.flow);
+    EXPECT_EQ(a.folded, b.folded);
+    EXPECT_EQ(a.samples, b.samples);
+}
+
+TEST(TraceLintTest, ReleasingDecodedPagesKeepsTheBytesAndTheVerdict)
+{
+    // A file pass releases the pages behind its cursor once per MiB.
+    // The loaded bytes must read back unchanged, from a mapped file
+    // and from an inflated gzip copy alike, and the pass must see
+    // what a pass over an in-memory copy sees.
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() /
+        ("heapmd_release_" + std::to_string(::getpid()));
+    std::filesystem::create_directories(dir);
+    const std::string plain = (dir / "leak.trace").string();
+    {
+        Process recorder;
+        std::ofstream out(plain, std::ios::binary);
+        TraceWriter writer(out, recorder.registry());
+        recorder.addEventObserver(&writer);
+        AppConfig cfg;
+        cfg.inputSeed = 1;
+        cfg.scale = 0.8;
+        cfg.faults.enable(faultKindFromName("small-leak"), 0.05);
+        makeApp("Multimedia")->run(recorder, cfg);
+        writer.finish();
+    }
+    std::string bytes;
+    {
+        std::ifstream in(plain, std::ios::binary);
+        std::ostringstream all;
+        all << in.rdbuf();
+        bytes = all.str();
+    }
+    ASSERT_GE(bytes.size(), std::size_t{3} << 20);
+
+    const DeepPass memory = deepPass(
+        [&](Report &report, const analysis::TraceFold &fold,
+            analysis::FlowAnalysis *flow) {
+            const analysis::TraceLintStats stats =
+                analysis::lintTrace(bytes, report, fold, flow);
+            for (const analysis::FlowFinding &f : flow->findings)
+                report.atByte(f.severity, f.rule, f.byteOffset,
+                              f.message);
+            return stats;
+        });
+    EXPECT_FALSE(memory.flow.empty());
+    EXPECT_GT(memory.folded, 0u);
+
+    std::vector<std::string> paths = {plain};
+#if HEAPMD_HAVE_ZLIB
+    const std::string gz = (dir / "leak.heapmd.gz").string();
+    {
+        gzFile out = gzopen(gz.c_str(), "wb");
+        ASSERT_NE(out, nullptr);
+        ASSERT_EQ(gzwrite(out, bytes.data(),
+                          static_cast<unsigned>(bytes.size())),
+                  static_cast<int>(bytes.size()));
+        ASSERT_EQ(gzclose(out), Z_OK);
+    }
+    paths.push_back(gz);
+#endif
+    for (const std::string &path : paths) {
+        SCOPED_TRACE(path);
+        const trace::LoadedTrace trace(path);
+        ASSERT_TRUE(trace.ok());
+        const DeepPass file = deepPass(
+            [&](Report &report, const analysis::TraceFold &fold,
+                analysis::FlowAnalysis *flow) {
+                return analysis::lintTraceFile(trace, report, fold, flow);
+            });
+        EXPECT_TRUE(trace.bytes() == bytes);
+        expectSamePass(file, memory);
+    }
+    std::filesystem::remove_all(dir);
 }
 
 // --- Model linter ---------------------------------------------------

@@ -13,6 +13,7 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -130,7 +131,8 @@ class CliDeterminismTest : public ::testing::Test
     }
 
     /**
-     * Run the CLI under HEAPMD_JOBS=@p jobs with @p subdir (under the
+     * Run the CLI under HEAPMD_JOBS=@p jobs (unset when @p jobs is
+     * empty, so the CLI's default applies) with @p subdir (under the
      * test directory, created on demand) as the working directory,
      * stdout captured to @p log, and stderr too unless @p err_log
      * names its own file.  Returns the exit status; the shell reports
@@ -147,9 +149,12 @@ class CliDeterminismTest : public ::testing::Test
         const std::filesystem::path cwd =
             subdir.empty() ? dir_ : dir_ / subdir;
         std::filesystem::create_directories(cwd);
+        const std::string env = jobs.empty()
+                                    ? "env -u HEAPMD_JOBS"
+                                    : "HEAPMD_JOBS=" + jobs;
         const std::string cmd =
-            "cd \"" + cwd.string() + "\" && HEAPMD_JOBS=" + jobs +
-            " \"" + HEAPMD_CLI_PATH "\" " + args + " > " + path(log) +
+            "cd \"" + cwd.string() + "\" && " + env + " \"" +
+            HEAPMD_CLI_PATH "\" " + args + " > " + path(log) +
             (err_log.empty() ? " 2>&1" : " 2> " + path(err_log));
         const int status = std::system(cmd.c_str());
         return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
@@ -283,13 +288,21 @@ TEST_F(CliDeterminismTest, TraceTrainArtifactsAreJobInvariant)
         << slurp("train1.log");
     ASSERT_EQ(run("8", train, "train8.log", "j8"), 0)
         << slurp("train8.log");
+    ASSERT_EQ(run("", train, "traind.log", "jd"), 0)
+        << slurp("traind.log");
 
     const std::string m1 = slurp("j1/m.model");
     ASSERT_FALSE(m1.empty());
-    EXPECT_EQ(m1, slurp("j8/m.model"));
-    EXPECT_EQ(zeroTimingCounters(slurp("j1/m.manifest")),
-              zeroTimingCounters(slurp("j8/m.manifest")));
-    EXPECT_EQ(slurp("train1.log"), slurp("train8.log"));
+    for (const char *jobs : {"8", "d"}) {
+        const std::string dir = std::string("j") + jobs;
+        EXPECT_EQ(m1, slurp(dir + "/m.model")) << dir;
+        EXPECT_EQ(zeroTimingCounters(slurp("j1/m.manifest")),
+                  zeroTimingCounters(slurp(dir + "/m.manifest")))
+            << dir;
+        EXPECT_EQ(slurp("train1.log"),
+                  slurp(std::string("train") + jobs + ".log"))
+            << dir;
+    }
     // The truncated capture trace really was replayed as one.
     EXPECT_NE(slurp("train1.log").find("(live capture)"),
               std::string::npos);
@@ -351,6 +364,66 @@ TEST_F(CliDeterminismTest, DeepAuditOutputIsJobInvariant)
     // the report precedes the faulted trace's and stays clean.
     const std::string log = slurp("audit1.log");
     EXPECT_LT(log.find("clean.trace"), log.find("fault.trace"));
+}
+
+TEST_F(CliDeterminismTest, DefaultJobsDeepAuditMatchesSerialOnTheCorpus)
+{
+    // The default fans out over every allowed CPU; on the malformed
+    // corpus it must print what a serial run prints, byte for byte.
+    std::vector<std::string> traces;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(HEAPMD_TEST_DATA_DIR)) {
+        if (entry.path().extension() == ".trace")
+            traces.push_back(entry.path().string());
+    }
+    std::sort(traces.begin(), traces.end());
+    ASSERT_EQ(traces.size(), 26u);
+    std::string audit = "audit --deep 1";
+    for (const std::string &trace : traces)
+        audit += " --trace " + trace;
+    const int serial = run("1", audit, "audit1.out", "", "audit1.err");
+    const int fanned = run("", audit, "auditd.out", "", "auditd.err");
+    EXPECT_EQ(serial, 3) << slurp("audit1.err");
+    EXPECT_EQ(fanned, serial);
+    EXPECT_EQ(slurp("audit1.out"), slurp("auditd.out"));
+    EXPECT_EQ(slurp("audit1.err"), slurp("auditd.err"));
+}
+
+TEST_F(CliDeterminismTest, BundleWriteFailureIsJobInvariant)
+{
+    // Every trace's first flow bundle path is taken by a directory,
+    // so every worker fails to write.  The run must fail as a serial
+    // one does, naming the first trace's bundle, at any job count.
+    std::string audit = "audit --deep 1 --bundle-dir D";
+    for (int seed = 1; seed <= 6; ++seed) {
+        const std::string trace = "f" + std::to_string(seed) + ".trace";
+        ASSERT_EQ(run("1",
+                      "record --app Multimedia --seed " +
+                          std::to_string(seed) +
+                          " --scale 0.3 --fault shared-state-free "
+                          "--rate 1.0 --out " + trace,
+                      "record.log"),
+                  0)
+            << slurp("record.log");
+        std::filesystem::create_directories(
+            dir_ / "D" / ("flow-00" + std::to_string(seed) + "-001.json"));
+        audit += " --trace " + trace;
+    }
+    const int serial = run("1", audit, "audit1.out", "", "audit1.err");
+    EXPECT_EQ(serial, 1) << slurp("audit1.err");
+    EXPECT_NE(slurp("audit1.err").find("flow-001-001.json"),
+              std::string::npos)
+        << slurp("audit1.err");
+    for (const char *jobs : {"8", ""}) {
+        for (int round = 0; round < 4; ++round) {
+            EXPECT_EQ(run(jobs, audit, "auditn.out", "", "auditn.err"),
+                      serial)
+                << "jobs '" << jobs << "'";
+            EXPECT_EQ(slurp("auditn.err"), slurp("audit1.err"))
+                << "jobs '" << jobs << "'";
+            EXPECT_EQ(slurp("auditn.out"), slurp("audit1.out"));
+        }
+    }
 }
 
 TEST_F(CliDeterminismTest, InvalidJobsValuesAreUsageErrors)

@@ -46,10 +46,13 @@
  *   --stats 0|1            print the counter table on exit (stderr);
  *                          HEAPMD_STATS=1 in the environment does the
  *                          same
- *   --jobs N               worker threads for multi-input train and
- *                          batch check (0 = one per hardware thread;
- *                          the HEAPMD_JOBS env var is the fallback);
- *                          outputs are bit-identical for any value
+ *   --jobs N               worker threads for train (--inputs or
+ *                          several --trace), check --inputs,
+ *                          multi-trace audit and fleet-merge
+ *                          (default 0 = one per CPU the process may
+ *                          run on; 1 = serial; the HEAPMD_JOBS env
+ *                          var is the fallback); outputs are
+ *                          bit-identical for any value
  *
  * Examples:
  *   heapmd train --app Multimedia --inputs 25 --out mm.model
@@ -100,8 +103,8 @@
 #include "heapgraph/graph_snapshot.hh"
 #include "model/model_diff.hh"
 #include "support/build_env.hh"
+#include "support/parallel_for.hh"
 #include "support/table.hh"
-#include "support/thread_pool.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/gzip_source.hh"
 #include "trace/trace_source.hh"
@@ -142,8 +145,11 @@ std::vector<std::string> g_capture_argv;
 /** Exit status for "the tool worked and found something" (README). */
 constexpr int kExitFindings = 3;
 
-/** Worker threads from --jobs / HEAPMD_JOBS (0 = auto, 1 = serial). */
-unsigned g_jobs = 1;
+/**
+ * Worker threads from --jobs / HEAPMD_JOBS (0 = one per allowed CPU,
+ * the default; 1 = serial).
+ */
+unsigned g_jobs = 0;
 
 #if defined(HEAPMD_HAVE_OBSV)
 
@@ -303,9 +309,11 @@ printUsage(std::FILE *to)
         "  --trace-out FILE   Chrome trace-event JSON timeline\n"
         "  --stats 0|1        counter table on exit (stderr); the\n"
         "                     HEAPMD_STATS env var does the same\n"
-        "  --jobs N           worker threads for multi-input train,\n"
-        "                     batch check, and multi-trace audit\n"
-        "                     (0 = one per hardware thread; the\n"
+        "  --jobs N           worker threads for train (--inputs or\n"
+        "                     several --trace), check --inputs,\n"
+        "                     multi-trace audit and fleet-merge\n"
+        "                     (default 0 = one per CPU the process\n"
+        "                     may run on; 1 = serial; the\n"
         "                     HEAPMD_JOBS env var is the fallback;\n"
         "                     outputs are bit-identical for any\n"
         "                     value)\n"
@@ -331,9 +339,9 @@ badInvocation(const std::string &what)
 
 /**
  * Parse a --jobs / HEAPMD_JOBS value: a small decimal integer, where
- * 0 means one worker per hardware thread.  Anything else is a usage
- * error -- not std::stoull, whose exceptions would abort instead of
- * exiting 2.
+ * 0 means one worker per CPU the process may run on.  Anything else
+ * is a usage error -- not std::stoull, whose exceptions would abort
+ * instead of exiting 2.
  */
 unsigned
 parseJobs(const std::string &text, const char *origin)
@@ -1314,6 +1322,10 @@ auditTraces(const Args &args, const std::vector<std::string> &traces,
 
     std::vector<std::string> outputs(traces.size());
     std::vector<char> clean(traces.size(), 1);
+    // A bundle that cannot be written is fatal, but not on a worker:
+    // each records its error, and the first by input order is the
+    // one reported, as a serial run would.
+    std::vector<std::string> errors(traces.size());
     parallelForIndexed(traces.size(), g_jobs, [&](std::size_t i) {
         analysis::Report report(max_findings);
         const trace::LoadedTrace trace(traces[i]);
@@ -1356,9 +1368,11 @@ auditTraces(const Args &args, const std::vector<std::string> &traces,
                     const std::filesystem::path path =
                         std::filesystem::path(bundle_dir) / line;
                     std::ofstream out(path);
-                    if (!out)
-                        HEAPMD_FATAL("cannot write '", path.string(),
-                                     "'");
+                    if (!out) {
+                        errors[i] = "cannot write '" + path.string() +
+                                    "'";
+                        return;
+                    }
                     diag::saveFlowIncident(incident, out);
                 }
                 if (written != 0) {
@@ -1374,6 +1388,10 @@ auditTraces(const Args &args, const std::vector<std::string> &traces,
         outputs[i] = std::move(text);
         clean[i] = report.clean() ? 1 : 0;
     });
+    for (const std::string &error : errors) {
+        if (!error.empty())
+            HEAPMD_FATAL(error);
+    }
 
     bool all_clean = true;
     for (std::size_t i = 0; i < traces.size(); ++i) {
