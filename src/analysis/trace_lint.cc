@@ -92,6 +92,17 @@ class ExtentTracker
     std::vector<std::uint32_t> hits_; //!< overlapping() scratch
 };
 
+/**
+ * The replay of one lint pass: the fold is called at the first header
+ * that decodes, and its Process then gets every later segment's events.
+ */
+struct Replay
+{
+    const TraceFold &fold;
+    Process *process = nullptr;
+    std::uint64_t bytes = 0; //!< decoded into process
+};
+
 /** Shared state of one lint pass. */
 struct Linter
 {
@@ -145,7 +156,7 @@ struct Linter
     void lintEvent(std::uint64_t offset, const Event &event);
     void lintFault(const trace::Fault &fault, std::uint64_t size);
     void lintBody(TraceReader &reader, std::uint64_t size);
-    void run(std::string_view data, const TraceFold &fold = {},
+    void run(std::string_view data, Replay *replay = nullptr,
              FlowAnalysis *flow_result = nullptr);
 };
 
@@ -345,27 +356,29 @@ Linter::lintBody(TraceReader &reader, std::uint64_t size)
 }
 
 void
-Linter::run(std::string_view data, const TraceFold &fold,
+Linter::run(std::string_view data, Replay *replay,
             FlowAnalysis *flow_result)
 {
     trace::MemorySource source(
         reinterpret_cast<const unsigned char *>(data.data()),
         data.size());
     TraceReader reader(source, TraceReader::Mode::Audit);
+    if (replay != nullptr && !reader.fault().inHeader()) {
+        if (replay->process == nullptr) {
+            HEAPMD_COUNTER_INC("trace.replays");
+            replay->process = &replay->fold(reader.captureProvenance());
+        }
+        reader.countAsReplay();
+        process = replay->process;
+    }
     if (flow_result != nullptr)
         flow = FlowPass::start(reader, data.size(), *flow_result);
-    if (reader.fault().inHeader()) {
+    if (reader.fault().inHeader())
         lintFault(reader.fault(), data.size());
-    } else if (!fold) {
+    else
         lintBody(reader, data.size());
-    } else {
-        HEAPMD_TRACE_SPAN("trace.replay");
-        HEAPMD_PHASE_SPAN_NAMED(phase, "phase.decode");
-        HEAPMD_COUNTER_INC("trace.replays");
-        reader.countAsReplay();
-        process = &fold(reader.captureProvenance());
-        lintBody(reader, data.size());
-        phase.addBytes(reader.offset());
+    if (process != nullptr) {
+        replay->bytes += reader.offset();
         // Rebuild the registry so reports symbolize correctly.
         for (const std::string &name : reader.functionNames())
             process->registry().intern(name);
@@ -386,66 +399,28 @@ lintOne(std::string_view data, Report &report, const TraceFold &fold,
     linter.stats.bytes = data.size();
     linter.stats.segments = 1;
     linter.loaded = loaded;
-    linter.run(data, fold, flow);
+    if (!fold) {
+        linter.run(data, nullptr, flow);
+        return linter.stats;
+    }
+    HEAPMD_TRACE_SPAN("trace.replay");
+    HEAPMD_PHASE_SPAN_NAMED(phase, "phase.decode");
+    Replay replay{fold};
+    linter.run(data, &replay, flow);
+    phase.addBytes(replay.bytes);
     return linter.stats;
 }
 
-} // namespace
-
+/** lintSegmentSet's loop: lint each segment, feeding @p replay. */
 TraceLintStats
-lintTrace(std::string_view data, Report &report,
-          const TraceFold &fold, FlowAnalysis *flow)
+lintSegments(const std::string &base, Report &report, Replay *replay)
 {
-    return lintOne(data, report, fold, flow, nullptr);
-}
-
-TraceLintStats
-lintTraceFile(const trace::LoadedTrace &trace, Report &report,
-              const TraceFold &fold, FlowAnalysis *flow)
-{
-    HEAPMD_TRACE_SPAN("audit.trace");
-    HEAPMD_COUNTER_INC("audit.trace_lints");
-    const std::size_t before = report.findings().size();
-    if (!trace.ok()) {
-        report.error("trace.io",
-                     trace.compressed()
-                         ? "cannot read gzip trace '" + trace.path() +
-                               "': " + trace.error()
-                         : "cannot open trace file '" + trace.path() +
-                               "'");
-        HEAPMD_COUNTER_INC("audit.findings");
-        return {};
-    }
-    TraceLintStats stats;
-    if (flow == nullptr) {
-        stats = lintOne(trace.bytes(), report, fold, nullptr, &trace);
-    } else {
-        HEAPMD_PHASE_SPAN_NAMED(phase, "phase.deep_audit");
-        HEAPMD_COUNTER_INC("audit.flow_lints");
-        stats = lintOne(trace.bytes(), report, fold, flow, &trace);
-        for (const FlowFinding &f : flow->findings)
-            report.atByte(f.severity, f.rule, f.byteOffset, f.message);
-        phase.addBytes(trace.bytes().size());
-    }
-    HEAPMD_COUNTER_ADD("audit.findings",
-                       report.findings().size() - before);
-    return stats;
-}
-
-TraceLintStats
-lintSegmentSet(const std::string &base, Report &report)
-{
-    HEAPMD_TRACE_SPAN("audit.segments");
-    HEAPMD_COUNTER_INC("audit.trace_lints");
-    const std::size_t before = report.findings().size();
-
     TraceLintStats total;
     const std::vector<std::uint64_t> indices =
         trace::listSegmentIndices(base);
     if (indices.empty()) {
         report.error("trace.io",
                      "no trace segments found for '" + base + "'");
-        HEAPMD_COUNTER_INC("audit.findings");
         return total;
     }
 
@@ -494,7 +469,7 @@ lintSegmentSet(const std::string &base, Report &report)
         linter.stats.bytes = segment.bytes().size();
         linter.truncation_is_error = i + 1 < indices.size();
         linter.loaded = &segment;
-        linter.run(segment.bytes());
+        linter.run(segment.bytes(), replay);
 
         total.bytes += linter.stats.bytes;
         total.events += linter.stats.events;
@@ -505,7 +480,68 @@ lintSegmentSet(const std::string &base, Report &report)
         total.captureProvenance |= linter.stats.captureProvenance;
         ++total.segments;
     }
+    return total;
+}
 
+} // namespace
+
+TraceLintStats
+lintTrace(std::string_view data, Report &report,
+          const TraceFold &fold, FlowAnalysis *flow)
+{
+    return lintOne(data, report, fold, flow, nullptr);
+}
+
+TraceLintStats
+lintTraceFile(const trace::LoadedTrace &trace, Report &report,
+              const TraceFold &fold, FlowAnalysis *flow)
+{
+    HEAPMD_TRACE_SPAN("audit.trace");
+    HEAPMD_COUNTER_INC("audit.trace_lints");
+    const std::size_t before = report.findings().size();
+    if (!trace.ok()) {
+        report.error("trace.io",
+                     trace.compressed()
+                         ? "cannot read gzip trace '" + trace.path() +
+                               "': " + trace.error()
+                         : "cannot open trace file '" + trace.path() +
+                               "'");
+        HEAPMD_COUNTER_INC("audit.findings");
+        return {};
+    }
+    TraceLintStats stats;
+    if (flow == nullptr) {
+        stats = lintOne(trace.bytes(), report, fold, nullptr, &trace);
+    } else {
+        HEAPMD_PHASE_SPAN_NAMED(phase, "phase.deep_audit");
+        HEAPMD_COUNTER_INC("audit.flow_lints");
+        stats = lintOne(trace.bytes(), report, fold, flow, &trace);
+        for (const FlowFinding &f : flow->findings)
+            report.atByte(f.severity, f.rule, f.byteOffset, f.message);
+        phase.addBytes(trace.bytes().size());
+    }
+    HEAPMD_COUNTER_ADD("audit.findings",
+                       report.findings().size() - before);
+    return stats;
+}
+
+TraceLintStats
+lintSegmentSet(const std::string &base, Report &report,
+               const TraceFold &fold)
+{
+    HEAPMD_TRACE_SPAN("audit.segments");
+    HEAPMD_COUNTER_INC("audit.trace_lints");
+    const std::size_t before = report.findings().size();
+    TraceLintStats total;
+    if (!fold) {
+        total = lintSegments(base, report, nullptr);
+    } else {
+        HEAPMD_TRACE_SPAN("trace.replay");
+        HEAPMD_PHASE_SPAN_NAMED(phase, "phase.decode");
+        Replay replay{fold};
+        total = lintSegments(base, report, &replay);
+        phase.addBytes(replay.bytes);
+    }
     HEAPMD_COUNTER_ADD("audit.findings",
                        report.findings().size() - before);
     return total;

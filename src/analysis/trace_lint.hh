@@ -18,9 +18,9 @@
  * the whole byte count (trailing bytes, bytes left after an unknown
  * tag) and the event-level rules are the linter's own.
  *
- * The linter's loop is the one decode of a monolithic trace: each
- * event goes to the lint rules, then to a replay (TraceFold) and to
- * the flow pass (flow_lint.hh).
+ * The linter's loop is the one decode of a trace or a segment set:
+ * each event goes to the lint rules, then to a replay (TraceFold) and,
+ * for a monolithic trace, to the flow pass (flow_lint.hh).
  *
  * Rule catalog (see DESIGN.md, "The audit subsystem"):
  *   trace.io                unreadable input file
@@ -136,9 +136,14 @@ TraceLintStats lintTraceFile(const trace::LoadedTrace &trace,
  *    provenance or not: the rotation protocol finalizes a segment
  *    before creating its successor, so only the newest file may be
  *    legitimately cut short.
+ *
+ * @p fold is called at the first segment whose header decodes; its
+ * Process gets the events of every later segment too, and each
+ * segment's footer names, as trace::SegmentChain does.  One replay.
  */
 TraceLintStats lintSegmentSet(const std::string &base,
-                              Report &report);
+                              Report &report,
+                              const TraceFold &fold = {});
 
 } // namespace analysis
 

@@ -59,10 +59,8 @@ ExecutionChecker::finalize(const MetricSeries &series, Tick now)
     }
 
     checkPersistentViolation(series, now, result);
-    if (config_.reportPoorlyDisguised)
-        checkPoorlyDisguised(series, now, result);
-    if (config_.reportPathological)
-        checkPathological(series, now, result);
+    checkPoorlyDisguised(series, now, result);
+    checkPathological(series, now, result);
     return result;
 }
 

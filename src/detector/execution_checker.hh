@@ -27,12 +27,6 @@ struct CheckerConfig
     /** Stability thresholds used by the post-run analyses. */
     StabilityThresholds thresholds;
 
-    /** Run the pathological-bug check (Section 4.1). */
-    bool reportPathological = true;
-
-    /** Run the poorly-disguised-bug check (Section 4.1/4.3). */
-    bool reportPoorlyDisguised = true;
-
     /**
      * Poorly-disguised heuristic: the fraction of the calibrated span
      * that counts as "pinned at an extreme" ...

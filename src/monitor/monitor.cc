@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
+#include <cstring>
 #include <ctime>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +11,7 @@
 
 #include "capture/capture_env.hh"
 #include "obsv/segment.hh"
+#include "support/logging.hh"
 #include "telemetry/prom_text.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/segment_set.hh"
@@ -135,9 +137,13 @@ MonitorSession::handleIncident(const BugReport &report)
         if (out) {
             diag::saveIncidentBundle(bundle, out);
             out.flush();
-            if (out)
-                ++stats_.bundlesWritten;
         }
+        // A daemon must not die on a bundle it cannot write.
+        if (out)
+            ++stats_.bundlesWritten;
+        else
+            warn("cannot write incident bundle '", path.string(), "': ",
+                 ec ? ec.message() : std::strerror(errno));
     }
 
     if (options_.onIncident)

@@ -26,6 +26,7 @@
 #include "analysis/trace_lint.hh"
 #include "capture/bootstrap_arena.hh"
 #include "capture/capture_session.hh"
+#include "metrics/metric.hh"
 #include "obsv/segment.hh"
 #include "runtime/process.hh"
 #include "trace/gzip_source.hh"
@@ -186,6 +187,55 @@ class PreloadCaptureTest : public ::testing::Test
         cfg.metricFrequency = 1; // one sample per scan marker
         cfg.tolerateAddressReuse = true;
         return cfg;
+    }
+
+    /**
+     * Differential oracle of the two segment-set decoders: the set
+     * folded in the lint's pass (lintSegmentSet with a TraceFold) and
+     * through trace::SegmentChain into a second Process, both under
+     * replayConfig(), must agree on the event count, every sample of
+     * every metric and the registry's names.
+     */
+    void
+    expectSetFoldsAgree()
+    {
+        Process linted(replayConfig());
+        analysis::Report report;
+        const analysis::TraceLintStats stats = analysis::lintSegmentSet(
+            trace_path_, report, [&](bool capture) -> Process & {
+                EXPECT_TRUE(capture);
+                return linted;
+            });
+        ASSERT_TRUE(report.clean()) << report.describe();
+
+        Process chained(replayConfig());
+        trace::SegmentChain chain(trace_path_, {});
+        Event event;
+        while (chain.next(event))
+            chained.onEvent(event);
+        ASSERT_FALSE(chain.failed()) << chain.error();
+        for (const std::string &name : chain.functionNames())
+            chained.registry().intern(name);
+
+        EXPECT_GT(linted.now(), 0u);
+        EXPECT_EQ(linted.now(), chained.now());
+        EXPECT_EQ(linted.now(), stats.events);
+        const std::vector<MetricSample> &a = linted.series().samples();
+        const std::vector<MetricSample> &b = chained.series().samples();
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].tick, b[i].tick) << i;
+            EXPECT_EQ(a[i].pointIndex, b[i].pointIndex) << i;
+            EXPECT_EQ(a[i].vertexCount, b[i].vertexCount) << i;
+            EXPECT_EQ(a[i].edgeCount, b[i].edgeCount) << i;
+            for (MetricId id : kAllMetrics)
+                EXPECT_EQ(a[i].value(id), b[i].value(id))
+                    << i << " " << metricName(id);
+        }
+        ASSERT_EQ(linted.registry().size(), chained.registry().size());
+        for (FnId fn = 0; fn < linted.registry().size(); ++fn)
+            EXPECT_EQ(linted.registry().name(fn),
+                      chained.registry().name(fn));
     }
 
     /**
@@ -432,6 +482,7 @@ TEST_F(PreloadCaptureTest, RotatedStormAuditsCleanAcrossSegments)
     EXPECT_EQ(chain.eventsDecoded(), stats.events);
     EXPECT_EQ(replayed.series().size(),
               result.counters.at("capture.scan_passes"));
+    expectSetFoldsAgree();
 }
 
 TEST_F(PreloadCaptureTest, RotatedUnderscoreExitTruncatesOnlyTheTail)
@@ -458,6 +509,7 @@ TEST_F(PreloadCaptureTest, RotatedUnderscoreExitTruncatesOnlyTheTail)
     EXPECT_FALSE(chain.failed()) << chain.error();
     EXPECT_TRUE(chain.sawTruncatedTail());
     EXPECT_EQ(chain.segmentsConsumed(), result.segmentPaths.size());
+    expectSetFoldsAgree();
 }
 
 TEST_F(PreloadCaptureTest, MissingSegmentIsAGapError)
@@ -544,6 +596,7 @@ TEST_F(PreloadCaptureTest, CompressedSegmentsRoundTripEndToEnd)
     EXPECT_EQ(chain.eventsDecoded(), stats.events);
     EXPECT_EQ(replayed.series().size(),
               result.counters.at("capture.scan_passes"));
+    expectSetFoldsAgree();
 }
 
 TEST_F(PreloadCaptureTest, CompressedUnderscoreExitKeepsDecodablePrefix)

@@ -45,10 +45,9 @@ seriesOf(MetricId id, const std::vector<double> &values)
 
 /** Run a series through attach-less checking (post-run only). */
 CheckResult
-checkSeries(const HeapModel &model, const MetricSeries &series,
-            CheckerConfig cfg = {})
+checkSeries(const HeapModel &model, const MetricSeries &series)
 {
-    ExecutionChecker checker(model, cfg);
+    ExecutionChecker checker(model);
     return checker.finalize(series, series.size() * 100);
 }
 
@@ -136,16 +135,6 @@ TEST(CheckerTest, MidRangeStableIsNotPoorlyDisguised)
     EXPECT_FALSE(checkSeries(model, series).anomalous());
 }
 
-TEST(CheckerTest, PoorlyDisguisedCanBeDisabled)
-{
-    CheckerConfig cfg;
-    cfg.reportPoorlyDisguised = false;
-    const HeapModel model = modelWith(MetricId::Indeg1, 40.0, 60.0);
-    const MetricSeries series =
-        seriesOf(MetricId::Indeg1, std::vector<double>(60, 40.2));
-    EXPECT_FALSE(checkSeries(model, series, cfg).anomalous());
-}
-
 TEST(CheckerTest, PathologicalStability)
 {
     // Indeg2 was never stable in training; in this run it is flat.
@@ -185,19 +174,6 @@ TEST(CheckerTest, PathologicalNotReportedWhenStillUnstable)
     }
     const CheckResult result = checkSeries(model, series);
     EXPECT_EQ(result.countOf(BugClass::Pathological), 0u);
-}
-
-TEST(CheckerTest, PathologicalCanBeDisabled)
-{
-    CheckerConfig cfg;
-    cfg.reportPathological = false;
-    HeapModel model = modelWith(MetricId::Leaves, 20.0, 30.0);
-    model.unstableMetrics.push_back(MetricId::Indeg2);
-    const MetricSeries series =
-        seriesOf(MetricId::Leaves, std::vector<double>(60, 25.0));
-    // Indeg2 flat at 0 in this series... changeCount is 0, which the
-    // check treats as non-evidence anyway; use a two-valued series.
-    EXPECT_FALSE(checkSeries(model, series, cfg).anomalous());
 }
 
 TEST(CheckerTest, OnlineReportsInStartupWindowFiltered)

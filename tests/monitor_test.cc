@@ -421,6 +421,31 @@ TEST_F(MonitorSessionTest, CleanModelSeesNoIncidents)
                                          "/incident-001.json"));
 }
 
+TEST_F(MonitorSessionTest, UnwritableBundleDirWarnsAndKeepsRunning)
+{
+    // --bundle-dir names a regular file: no bundle can be written,
+    // each failure is a warning naming the path and the reason, and
+    // the session still finishes with its verdicts.
+    { std::ofstream(bundle_dir_) << "not a directory\n"; }
+    MonitorOptions options;
+    options.segmentsBase = trace_path_;
+    options.bundleDir = bundle_dir_;
+    options.follow = false;
+    const HeapModel session_model = rootsModel();
+    MonitorSession session(session_model, options);
+    std::string error;
+    ::testing::internal::CaptureStderr();
+    const bool ran = session.run(error);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    ASSERT_TRUE(ran) << error;
+    EXPECT_TRUE(session.anomalous());
+    EXPECT_EQ(session.stats().bundlesWritten, 0u);
+    EXPECT_NE(err.find("warn: cannot write incident bundle '" +
+                       bundle_dir_ + "/incident-001.json': "),
+              std::string::npos)
+        << err;
+}
+
 TEST_F(MonitorSessionTest, PrometheusRenderingIsWellFormed)
 {
     MonitorOptions options;

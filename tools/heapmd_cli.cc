@@ -218,7 +218,9 @@ printUsage(std::FILE *to)
         "           still runs; --compress gzips each rotation\n"
         "           segment [.heapmd.gz], with the rotation threshold\n"
         "           still counted in raw trace bytes --\n"
-        "           HEAPMD_CAPTURE_COMPRESS=1 does the same)\n"
+        "           HEAPMD_CAPTURE_COMPRESS=1 does the same;\n"
+        "           --train-out and --check replay the trace or the\n"
+        "           segment set in the pass that audits it)\n"
         "  replay  --trace FILE --model FILE [--frq N=300]\n"
         "          [--bundle-dir DIR] [--manifest FILE]\n"
         "          (a trace lint error is fatal; capture-provenance\n"
@@ -673,8 +675,8 @@ cmdListApps()
 }
 
 /**
- * One trace linted and replayed into a fresh Process by
- * replayLoadedTrace().  The checker is declared first so the Process,
+ * One trace or segment set linted and replayed into a fresh Process
+ * by lintAndReplay().  The checker is declared first so the Process,
  * which still holds it as an observer, is destroyed before it.
  */
 struct TraceReplay
@@ -689,9 +691,11 @@ struct TraceReplay
 };
 
 /**
- * Lint a loaded trace and, from the same decode, replay it into a
- * fresh Process, under @p model's checker when non-null.  The replay
- * stops at the first lint error; the caller reports the audit.
+ * Lint the trace at @p path (with @p segments, the rotating segment
+ * set rooted there) and, from the same decode, replay it into a fresh
+ * Process, under @p model's checker when non-null; with @p replay
+ * false it only lints.  The replay stops at the first lint error; the
+ * caller reports the audit.
  *
  * The capture-provenance rule lives here and only here: a
  * live-capture trace samples at every scan-marker function entry (the
@@ -701,8 +705,8 @@ struct TraceReplay
  * samples every @p frq function entries, 300 when @p frq is 0.
  */
 TraceReplay
-replayLoadedTrace(const trace::LoadedTrace &trace, std::uint64_t frq,
-                  const HeapModel *model = nullptr)
+lintAndReplay(const std::string &path, bool segments, std::uint64_t frq,
+              const HeapModel *model = nullptr, bool replay = true)
 {
     TraceReplay out;
     const auto fold = [&](bool capture) -> Process & {
@@ -716,9 +720,13 @@ replayLoadedTrace(const trace::LoadedTrace &trace, std::uint64_t frq,
         }
         return *out.process;
     };
+    const analysis::TraceFold feed =
+        replay ? analysis::TraceFold(fold) : nullptr;
     const auto wall_start = std::chrono::steady_clock::now();
-    out.lint = analysis::lintTraceFile(trace, out.audit, fold);
-    if (!out.audit.clean())
+    out.lint = segments ? analysis::lintSegmentSet(path, out.audit, feed)
+                        : analysis::lintTraceFile(trace::LoadedTrace(path),
+                                                  out.audit, feed);
+    if (!out.audit.clean() || !out.process)
         return out;
     out.events = out.process->now();
     if (out.checker)
@@ -775,8 +783,7 @@ cmdTrainFromTraces(const Args &args)
     std::vector<TraceReplay> runs(traces.size());
     std::vector<MetricSeries> series(traces.size());
     parallelForIndexed(traces.size(), cfg.jobs, [&](std::size_t i) {
-        runs[i] =
-            replayLoadedTrace(trace::LoadedTrace(traces[i]), frq);
+        runs[i] = lintAndReplay(traces[i], /*segments=*/false, frq);
         if (!runs[i].audit.clean())
             return;
         series[i] = runs[i].process->series();
@@ -1001,11 +1008,12 @@ cmdReplay(const Args &args)
 {
     const std::uint64_t frq = args.num("frq", 0);
     const std::string model_path = args.str("model");
-    const trace::LoadedTrace trace(args.str("trace"));
+    const std::string trace_path = args.str("trace");
     preflightModel(model_path);
     const HeapModel model = loadModel(model_path);
-    const TraceReplay replay = replayLoadedTrace(trace, frq, &model);
-    preflight("trace", trace.path(), replay.audit);
+    const TraceReplay replay =
+        lintAndReplay(trace_path, /*segments=*/false, frq, &model);
+    preflight("trace", trace_path, replay.audit);
     warnCutShort(replay);
     const Process &process = *replay.process;
     const CheckResult &result = replay.check;
@@ -1020,7 +1028,7 @@ cmdReplay(const Args &args)
         RunOutcome run;
         run.series = process.series();
         if (run.series.label.empty())
-            run.series.label = "replay:" + trace.path();
+            run.series.label = "replay:" + trace_path;
         run.graphStats = process.graph().stats();
         run.liveBlocksAtExit = process.graph().vertexCount();
         run.finalTick = process.now();
@@ -1029,69 +1037,12 @@ cmdReplay(const Args &args)
             "replay", g_command_line, run, &result);
         fillManifestConfig(manifest, args, 0);
         diag::addManifestInput(manifest, "model", model_path);
-        diag::addManifestInput(manifest, "trace", trace.path());
+        diag::addManifestInput(manifest, "trace", trace_path);
         manifest.bundlePaths = bundles;
         writeManifest(manifest, args.str("manifest"));
     }
     return result.anomalous() ? kExitFindings : 0;
 }
-
-#if defined(HEAPMD_HAVE_CAPTURE)
-
-/**
- * Chained `capture --check MODEL`.  A monolithic capture's @p replay
- * already ran under the batch checker, in the pass that audited the
- * trace; a rotating one (no replay) is consumed through the monitor's
- * --once path, which runs the same checker over the segment set
- * rooted at @p base.  Returns the command exit status contribution
- * (0 clean, 3 findings).
- */
-int
-checkCapture(const TraceReplay &replay, const HeapModel &model,
-             const std::string &base, const Args &args)
-{
-    if (replay.process) {
-        warnCutShort(replay);
-        std::printf("checked capture (%llu events): %zu report(s) "
-                    "over %llu samples\n",
-                    static_cast<unsigned long long>(replay.events),
-                    replay.check.reports.size(),
-                    static_cast<unsigned long long>(
-                        replay.check.samplesChecked));
-        printReports(replay, args);
-        return replay.check.anomalous() ? kExitFindings : 0;
-    }
-
-    monitor::MonitorOptions options;
-    options.segmentsBase = base;
-    options.follow = false;
-    if (args.has("bundle-dir"))
-        options.bundleDir = args.str("bundle-dir");
-    monitor::MonitorSession session(model, options);
-    std::string error;
-    if (!session.run(error))
-        HEAPMD_FATAL("check of captured segments failed: ", error);
-
-    const monitor::MonitorStats &stats = session.stats();
-    std::printf("checked capture (%llu events over %llu segments): "
-                "%zu report(s) over %llu samples\n",
-                static_cast<unsigned long long>(stats.events),
-                static_cast<unsigned long long>(
-                    stats.segmentsConsumed),
-                session.reports().size(),
-                static_cast<unsigned long long>(stats.samples));
-    for (const BugReport &report : session.reports())
-        std::printf("\n%s",
-                    report.describe(session.registry()).c_str());
-    if (stats.bundlesWritten != 0)
-        std::printf("%llu incident bundle(s) written to %s\n",
-                    static_cast<unsigned long long>(
-                        stats.bundlesWritten),
-                    options.bundleDir.c_str());
-    return session.anomalous() ? kExitFindings : 0;
-}
-
-#endif // HEAPMD_HAVE_CAPTURE
 
 int
 cmdCapture(const Args &args)
@@ -1110,10 +1061,6 @@ cmdCapture(const Args &args)
         options.shimPath = args.str("lib");
     options.verbose = args.num("verbose", 0) != 0;
     options.rotateBytes = args.num("rotate-bytes", 0);
-    if (options.rotateBytes > 0 && args.has("train-out"))
-        badInvocation("capture: --train-out needs a monolithic "
-                      "trace (omit --rotate-bytes; train first, then "
-                      "monitor the rotating run against that model)");
     options.compress = args.num("compress", 0) != 0;
     if (options.compress && options.rotateBytes == 0)
         badInvocation("capture: --compress needs --rotate-bytes "
@@ -1159,9 +1106,10 @@ cmdCapture(const Args &args)
     // Audit the fresh trace against the static rule catalog.  The
     // capture-provenance header downgrades truncation findings (a
     // killed child) to warnings; anything error-severity here is a
-    // shim bug and must fail loudly.  A monolithic trace is decoded
-    // once: for --train-out and --check the audit's pass also replays
-    // it, under the checker when the --check model lints clean.
+    // shim bug and must fail loudly.  The trace or segment set is
+    // decoded once: for --train-out and --check the audit's pass also
+    // replays it, under the checker when the --check model lints
+    // clean.
     analysis::Report model_audit;
     std::optional<HeapModel> check_model;
     if (args.has("check")) {
@@ -1169,17 +1117,11 @@ cmdCapture(const Args &args)
         if (model_audit.clean())
             check_model.emplace(loadModel(args.str("check")));
     }
-    TraceReplay replay;
-    if (options.rotateBytes != 0)
-        replay.lint =
-            analysis::lintSegmentSet(session.tracePath, replay.audit);
-    else if (args.has("train-out") || args.has("check"))
-        replay = replayLoadedTrace(trace::LoadedTrace(session.tracePath),
-                                   0, check_model ? &*check_model
-                                                  : nullptr);
-    else
-        replay.lint = analysis::lintTraceFile(
-            trace::LoadedTrace(session.tracePath), replay.audit);
+    const bool segments = options.rotateBytes != 0;
+    const TraceReplay replay = lintAndReplay(
+        session.tracePath, segments, 0,
+        check_model ? &*check_model : nullptr,
+        args.has("train-out") || args.has("check"));
     const analysis::Report &audit = replay.audit;
     if (!audit.findings().empty())
         std::fprintf(stderr, "audit of trace '%s':\n%s",
@@ -1215,8 +1157,20 @@ cmdCapture(const Args &args)
     }
     if (args.has("check")) {
         preflight("model", args.str("check"), model_audit);
-        status = checkCapture(replay, *check_model, session.tracePath,
-                              args);
+        warnCutShort(replay);
+        const std::string over =
+            segments ? " over " + std::to_string(replay.lint.segments) +
+                           " segments"
+                     : "";
+        std::printf("checked capture (%llu events%s): %zu report(s) "
+                    "over %llu samples\n",
+                    static_cast<unsigned long long>(replay.events),
+                    over.c_str(), replay.check.reports.size(),
+                    static_cast<unsigned long long>(
+                        replay.check.samplesChecked));
+        printReports(replay, args);
+        if (replay.check.anomalous())
+            status = kExitFindings;
     }
 
     if (args.has("manifest")) {
