@@ -478,6 +478,11 @@ lintSegments(const std::string &base, Report &report, Replay *replay)
         if (linter.stats.functions > total.functions)
             total.functions = linter.stats.functions;
         total.captureProvenance |= linter.stats.captureProvenance;
+        // The first cut-short segment is where the set's replay
+        // stopped (a truncated segment that is not the newest fails
+        // the audit, which stops it too).
+        if (total.malformed.empty())
+            total.malformed = linter.stats.malformed;
         ++total.segments;
     }
     return total;

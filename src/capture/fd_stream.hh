@@ -2,8 +2,9 @@
  * @file
  * File-descriptor streambuf with explicit durability control.
  *
- * The shim writes the trace through std::ostream (what TraceWriter
- * expects) but needs two things std::ofstream cannot promise: a fixed
+ * The shim's TraceWriter encodes into its own fixed block and hands
+ * the stream one write per block; this buf is the std::ostream behind
+ * it.  It supplies two things std::ofstream cannot promise: a fixed
  * internal buffer that never reallocates inside interposed calls, and
  * an fsync hook so flushed prefixes survive a crashing child.
  */
@@ -47,8 +48,9 @@ class CaptureStreamBuf : public std::streambuf
     /**
      * Raw (pre-compression) bytes accepted so far, including bytes
      * still pending in the put area.  Segment rotation compares this
-     * against its byte threshold -- always in raw-trace terms, so the
-     * event count per segment does not depend on compressibility.
+     * plus the writer's TraceWriter::pendingBytes() against its byte
+     * threshold -- always in raw-trace terms, so the event count per
+     * segment does not depend on compressibility.
      */
     virtual std::size_t totalBytes() const = 0;
 };

@@ -3,12 +3,12 @@
  * Deflating CaptureStreamBuf: the writer half of gzip segment
  * compression (HEAPMD_CAPTURE_COMPRESS).
  *
- * The shim's TraceWriter keeps writing through std::ostream exactly
- * as before; this buf deflates the raw trace bytes into a single
- * gzip member on the way to the fd.  Durability mirrors FdStreamBuf:
- * syncToDisk() emits a Z_SYNC_FLUSH block and fsyncs, so the
- * decodable prefix of a ".heapmd.gz" segment grows in lockstep with
- * the fsync'd prefix and a killed writer leaves a truncated-but-
+ * The shim's TraceWriter hands its encoded blocks to the same
+ * std::ostream either way; this buf deflates the raw trace bytes into
+ * a single gzip member on the way to the fd.  Durability mirrors
+ * FdStreamBuf: syncToDisk() emits a Z_SYNC_FLUSH block and fsyncs,
+ * so the decodable prefix of a ".heapmd.gz" segment grows in lockstep
+ * with the fsync'd prefix and a killed writer leaves a truncated-but-
  * decodable tail; closeFd() finishes the member (Z_FINISH, with the
  * gzip CRC trailer) before closing.
  *

@@ -39,6 +39,7 @@
 #include <cstring>
 #include <ctime>
 #include <fstream>
+#include <memory>
 #include <new>
 #include <ostream>
 
@@ -122,15 +123,19 @@ std::atomic<int> g_sink_state{0};
  */
 struct TraceFile
 {
-    /** Owned; FdStreamBuf, or GzipStreamBuf when compressing. */
-    CaptureStreamBuf *buf;
+    /**
+     * FdStreamBuf, or GzipStreamBuf when compressing.  Declared first
+     * so it is destroyed last: the writer drains its block into it
+     * on destruction.
+     */
+    std::unique_ptr<CaptureStreamBuf> buf;
     std::ostream os;
     TraceWriter writer;
 
     TraceFile(int fd, bool compress, FunctionRegistry &registry,
               CaptureCounters &counters)
         : buf(makeBuf(fd, compress)),
-          os(buf),
+          os(buf.get()),
           writer(os, registry,
                  TraceWriterOptions{
                      true,
@@ -142,13 +147,23 @@ struct TraceFile
     {
     }
 
-    ~TraceFile() { delete buf; }
-
     TraceFile(const TraceFile &) = delete;
     TraceFile &operator=(const TraceFile &) = delete;
 
     /** False when the buf could not be set up (alloc/zlib failure). */
     bool ok() const { return buf != nullptr && !buf->hadError(); }
+
+    /**
+     * Raw trace bytes so far: what the buf accepted plus what the
+     * writer still holds in its block.  Rotation and the manifest
+     * count this, so segment boundaries do not depend on when the
+     * block drains.
+     */
+    std::uint64_t
+    rawBytes() const
+    {
+        return buf->totalBytes() + writer.pendingBytes();
+    }
 
   private:
     static CaptureStreamBuf *
@@ -307,7 +322,10 @@ onForkChild()
     // The trace fd is shared with the parent: any write from the
     // child corrupts the parent's stream.  Go dark; the mutex was
     // cloned in an unknown state, so do not touch it either (the
-    // disabled check precedes every lock acquisition).
+    // disabled check precedes every lock acquisition).  The writer's
+    // block, a copy of the parent's undrained bytes, is never drained
+    // here: the sink is never freed, and state 2 keeps every flush,
+    // rotation and finalize away from it.
     g_sink_state.store(2, std::memory_order_release);
 }
 
@@ -330,7 +348,7 @@ writeManifestLocked(Sink &sink, bool closed)
     manifest.rawBytes = sink.raw_bytes_done;
     manifest.compressedBytes = sink.compressed_bytes_done;
     if (sink.file != nullptr && sink.file->buf != nullptr) {
-        manifest.rawBytes += sink.file->buf->totalBytes();
+        manifest.rawBytes += sink.file->rawBytes();
         manifest.compressedBytes += sink.file->buf->bytesWritten();
     }
     heapmd::trace::saveSegmentManifest(
@@ -501,7 +519,7 @@ rotateLocked(Sink &sink)
     sink.file->buf->closeFd();
     // Fold the finished segment into the set-wide byte totals the
     // manifest advertises (equal values when not compressing).
-    sink.raw_bytes_done += sink.file->buf->totalBytes();
+    sink.raw_bytes_done += sink.file->rawBytes();
     sink.compressed_bytes_done += sink.file->buf->bytesWritten();
     delete sink.file;
     sink.file = nullptr;
@@ -555,7 +573,7 @@ maybeRotateLocked(Sink &sink)
 {
     if (sink.rotate_bytes == 0 || sink.finalized)
         return;
-    if (sink.file->buf->totalBytes() < sink.rotate_bytes)
+    if (sink.file->rawBytes() < sink.rotate_bytes)
         return;
     rotateLocked(sink);
 }
@@ -779,7 +797,7 @@ finalizeLocked(Sink &sink)
     sink.counters.bootstrapAllocs = g_arena.allocationCount();
     sink.file->writer.finalize();
     sink.file->buf->closeFd();
-    sink.raw_bytes_done += sink.file->buf->totalBytes();
+    sink.raw_bytes_done += sink.file->rawBytes();
     sink.compressed_bytes_done += sink.file->buf->bytesWritten();
     sink.counters.rawTraceBytes = sink.raw_bytes_done;
     sink.counters.compressedTraceBytes = sink.compressed_bytes_done;

@@ -18,15 +18,16 @@
  * the run, in id order) is appended as a footer so call stacks can be
  * symbolized after replay.
  *
- * This header holds the encoder; TraceReader (trace_reader.hh) is the
- * one decoder.
+ * This header holds the byte encoders, which write through a flat
+ * cursor; TraceWriter (trace_writer.hh) is the one writer and
+ * TraceReader (trace_reader.hh) the one decoder.
  */
 
 #ifndef HEAPMD_TRACE_TRACE_FORMAT_HH
 #define HEAPMD_TRACE_TRACE_FORMAT_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <ostream>
 
 namespace heapmd
 {
@@ -68,23 +69,51 @@ struct Header
 };
 
 /**
- * Write a trace header.  Zero @p flags emits the compact version-1
- * header; any flag promotes the header to version 2.
- */
-void putHeader(std::ostream &os, std::uint32_t flags = 0);
-
-/**
  * Longest legal LEB128 encoding of a 64-bit value.  Encodings using
  * more bytes are rejected as overlong (audit rule
  * trace.varint-overlong).
  */
 inline constexpr int kMaxVarintBytes = 10;
 
-/** Write an unsigned LEB128 varint. */
-void putVarint(std::ostream &os, std::uint64_t value);
+/** Longest header: magic, version and the v2 flags word. */
+inline constexpr std::size_t kMaxHeaderBytes = 12;
 
-/** Write a fixed-width little-endian u32. */
-void putU32(std::ostream &os, std::uint32_t value);
+/**
+ * Encode @p value as an unsigned LEB128 varint at @p out.
+ * @return one past the last byte written (at most kMaxVarintBytes).
+ */
+inline char *
+encodeVarint(char *out, std::uint64_t value)
+{
+    while (value >= 0x80) {
+        *out++ = static_cast<char>((value & 0x7F) | 0x80);
+        value >>= 7;
+    }
+    *out++ = static_cast<char>(value);
+    return out;
+}
+
+/** Encode a fixed-width little-endian u32 at @p out. */
+inline char *
+encodeU32(char *out, std::uint32_t value)
+{
+    for (int i = 0; i < 4; ++i)
+        *out++ = static_cast<char>((value >> (8 * i)) & 0xFF);
+    return out;
+}
+
+/**
+ * Encode a trace header at @p out (at most kMaxHeaderBytes).  Zero
+ * @p flags emits the compact version-1 header; any flag promotes the
+ * header to version 2.
+ */
+inline char *
+encodeHeader(char *out, std::uint32_t flags = 0)
+{
+    out = encodeU32(out, kMagic);
+    out = encodeU32(out, flags == 0 ? kVersion : kVersionFlags);
+    return flags == 0 ? out : encodeU32(out, flags);
+}
 
 } // namespace trace
 

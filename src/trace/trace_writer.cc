@@ -1,9 +1,10 @@
 #include "trace/trace_writer.hh"
 
+#include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "support/logging.hh"
-#include "trace/trace_format.hh"
 
 namespace heapmd
 {
@@ -13,9 +14,35 @@ TraceWriter::TraceWriter(std::ostream &os,
                          TraceWriterOptions options)
     : os_(os), registry_(registry), options_(std::move(options))
 {
-    trace::putHeader(os_, options_.captureProvenance
-                              ? trace::kFlagCaptureProvenance
-                              : 0);
+    cur_ = trace::encodeHeader(cur_, options_.captureProvenance
+                                         ? trace::kFlagCaptureProvenance
+                                         : 0);
+}
+
+TraceWriter::~TraceWriter()
+{
+    drain();
+}
+
+void
+TraceWriter::drain()
+{
+    os_.write(block_, static_cast<std::streamsize>(cur_ - block_));
+    cur_ = block_;
+}
+
+void
+TraceWriter::putBytes(const char *data, std::size_t size)
+{
+    while (size > 0) {
+        reserve(1);
+        const std::size_t chunk = std::min(
+            size, static_cast<std::size_t>(block_ + kBlockBytes - cur_));
+        std::memcpy(cur_, data, chunk);
+        cur_ += chunk;
+        data += chunk;
+        size -= chunk;
+    }
 }
 
 void
@@ -25,32 +52,35 @@ TraceWriter::onEvent(const Event &event, Tick tick)
     if (finished_)
         HEAPMD_PANIC("event appended to a finished trace");
 
-    os_.put(static_cast<char>(event.kind));
+    reserve(kMaxEventBytes);
+    char *out = cur_;
+    *out++ = static_cast<char>(event.kind);
     switch (event.kind) {
       case EventKind::Alloc:
-        trace::putVarint(os_, event.addr);
-        trace::putVarint(os_, event.size);
+        out = trace::encodeVarint(out, event.addr);
+        out = trace::encodeVarint(out, event.size);
         break;
       case EventKind::Free:
-        trace::putVarint(os_, event.addr);
+        out = trace::encodeVarint(out, event.addr);
         break;
       case EventKind::Realloc:
-        trace::putVarint(os_, event.addr);
-        trace::putVarint(os_, event.value);
-        trace::putVarint(os_, event.size);
+        out = trace::encodeVarint(out, event.addr);
+        out = trace::encodeVarint(out, event.value);
+        out = trace::encodeVarint(out, event.size);
         break;
       case EventKind::Write:
-        trace::putVarint(os_, event.addr);
-        trace::putVarint(os_, event.value);
+        out = trace::encodeVarint(out, event.addr);
+        out = trace::encodeVarint(out, event.value);
         break;
       case EventKind::Read:
-        trace::putVarint(os_, event.addr);
+        out = trace::encodeVarint(out, event.addr);
         break;
       case EventKind::FnEnter:
       case EventKind::FnExit:
-        trace::putVarint(os_, event.fn);
+        out = trace::encodeVarint(out, event.fn);
         break;
     }
+    cur_ = out;
     ++events_;
 }
 
@@ -60,20 +90,23 @@ TraceWriter::finish()
     if (finished_)
         return;
     finished_ = true;
-    os_.put(static_cast<char>(trace::kFooterMarker));
-    trace::putVarint(os_, registry_.size());
+    reserve(1 + trace::kMaxVarintBytes);
+    *cur_++ = static_cast<char>(trace::kFooterMarker);
+    cur_ = trace::encodeVarint(cur_, registry_.size());
     for (std::size_t id = 0; id < registry_.size(); ++id) {
         const std::string name = registry_.name(static_cast<FnId>(id));
-        trace::putVarint(os_, name.size());
-        os_.write(name.data(),
-                  static_cast<std::streamsize>(name.size()));
+        reserve(trace::kMaxVarintBytes);
+        cur_ = trace::encodeVarint(cur_, name.size());
+        putBytes(name.data(), name.size());
     }
+    drain();
     os_.flush();
 }
 
 void
 TraceWriter::flush()
 {
+    drain();
     os_.flush();
     if (options_.syncHook)
         options_.syncHook();

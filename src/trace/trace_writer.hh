@@ -6,10 +6,12 @@
 #ifndef HEAPMD_TRACE_TRACE_WRITER_HH
 #define HEAPMD_TRACE_TRACE_WRITER_HH
 
+#include <cstddef>
 #include <functional>
 #include <ostream>
 
 #include "runtime/process.hh"
+#include "trace/trace_format.hh"
 
 namespace heapmd
 {
@@ -40,6 +42,12 @@ struct TraceWriterOptions
  * monitored Process; call finish() once the run completes to append
  * the function-name footer.
  *
+ * Encoding is the mirror of TraceReader: a flat cursor fills a fixed
+ * block held inside the writer, and the stream sees one write() per
+ * block.  The block drains at three points only: when the next record
+ * might not fit, in flush(), and in finish().  Until then the stream
+ * lags the encoded trace by pendingBytes().
+ *
  * Durability: flush() pushes the buffered prefix to the stream (and
  * through the options' syncHook, to disk) without terminating the
  * stream -- everything written so far is then a readable, truncated
@@ -56,6 +64,15 @@ class TraceWriter : public EventObserver
      */
     TraceWriter(std::ostream &os, const FunctionRegistry &registry,
                 TraceWriterOptions options = {});
+
+    /**
+     * Drains the block, so a writer dropped without flush() still
+     * leaves its events in the stream; the stream must be alive.
+     */
+    ~TraceWriter() override;
+
+    TraceWriter(const TraceWriter &) = delete;
+    TraceWriter &operator=(const TraceWriter &) = delete;
 
     /** Append one event to the stream. */
     void onEvent(const Event &event, Tick tick) override;
@@ -82,12 +99,45 @@ class TraceWriter : public EventObserver
     /** True once finish()/finalize() wrote the footer. */
     bool finished() const { return finished_; }
 
+    /**
+     * Encoded bytes still in the block, not yet handed to the stream.
+     * The trace's size is the stream's byte count plus this.
+     */
+    std::size_t
+    pendingBytes() const
+    {
+        return static_cast<std::size_t>(cur_ - block_);
+    }
+
+    /** Size of the encode block; the stream sees writes this large. */
+    static constexpr std::size_t kBlockBytes = 4096;
+
   private:
+    /** Longest event record: the tag and three varints. */
+    static constexpr std::size_t kMaxEventBytes =
+        1 + 3 * trace::kMaxVarintBytes;
+
+    /** Drain the block unless @p bytes more fit behind the cursor. */
+    void
+    reserve(std::size_t bytes)
+    {
+        if (static_cast<std::size_t>(block_ + kBlockBytes - cur_) < bytes)
+            drain();
+    }
+
+    /** Hand the block to the stream in one write and rewind. */
+    void drain();
+
+    /** Copy @p size bytes through the cursor, draining as it fills. */
+    void putBytes(const char *data, std::size_t size);
+
     std::ostream &os_;
     const FunctionRegistry &registry_;
     TraceWriterOptions options_;
     std::uint64_t events_ = 0;
     bool finished_ = false;
+    char *cur_ = block_;
+    char block_[kBlockBytes];
 };
 
 } // namespace heapmd

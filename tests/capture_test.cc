@@ -14,9 +14,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -137,6 +140,8 @@ class PreloadCaptureTest : public ::testing::Test
                 trace::resolveSegmentPath(trace_path_, index), ec);
         std::filesystem::remove(
             trace::segmentManifestPath(trace_path_), ec);
+        for (const std::string &path : scratch_)
+            std::filesystem::remove(path, ec);
     }
 
     /** Run capture_child in @p mode under the shim. */
@@ -255,7 +260,67 @@ class PreloadCaptureTest : public ::testing::Test
                pids.end();
     }
 
+#if defined(HEAPMD_CLI_PATH)
+    /**
+     * Run `heapmd @p args` with stdout and stderr captured; returns
+     * the combined output.  The file it goes through is removed at
+     * TearDown.
+     */
+    std::string
+    runCli(const std::string &args)
+    {
+        const std::string log = scratchPath(".log");
+        const std::string cmd = std::string("\"") + HEAPMD_CLI_PATH +
+                                "\" " + args + " > \"" + log +
+                                "\" 2>&1";
+        const int status = std::system(cmd.c_str());
+        EXPECT_NE(status, -1) << cmd;
+        std::ifstream in(log);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    }
+
+    /** `heapmd capture` of capture_child @p mode with @p flags. */
+    std::string
+    cliCapture(const std::string &flags, const std::string &mode)
+    {
+        return runCli("capture --lib \"" HEAPMD_CAPTURE_SHIM_PATH
+                      "\" --out \"" + trace_path_ + "\" " + flags +
+                      " -- \"" HEAPMD_CAPTURE_CHILD_PATH "\" " + mode);
+    }
+
+    /** A small model trained on an app analogue, for --check. */
+    std::string
+    checkModel()
+    {
+        const std::string model = scratchPath(".check.model");
+        runCli("train --app gzip --inputs 1 --scale 0.1 --out \"" +
+               model + "\"");
+        return model;
+    }
+#endif
+
+    /** A path next to the trace, removed at TearDown. */
+    std::string
+    scratchPath(const std::string &suffix)
+    {
+        scratch_.push_back(trace_path_ + suffix);
+        return scratch_.back();
+    }
+
+    /** The lines of @p text that contain @p needle. */
+    static std::vector<std::string>
+    linesWith(const std::string &text, const std::string &needle)
+    {
+        std::vector<std::string> lines;
+        std::istringstream in(text);
+        for (std::string line; std::getline(in, line);)
+            if (line.find(needle) != std::string::npos)
+                lines.push_back(line);
+        return lines;
+    }
+
     std::string trace_path_;
+    std::vector<std::string> scratch_;
 };
 
 TEST_F(PreloadCaptureTest, BasicRunAuditsCleanAndReplays)
@@ -511,6 +576,112 @@ TEST_F(PreloadCaptureTest, RotatedUnderscoreExitTruncatesOnlyTheTail)
     EXPECT_EQ(chain.segmentsConsumed(), result.segmentPaths.size());
     expectSetFoldsAgree();
 }
+
+TEST_F(PreloadCaptureTest, RotationCountsBytesTheWriterStillHolds)
+{
+    // No scan until the final one, so every op before it records at
+    // most a few short records: a segment closes within one op's
+    // burst past the threshold, whether the writer's encode block
+    // has drained or not.
+    constexpr std::uint64_t kRotate = 512;
+    constexpr std::uint64_t kOpBurst = 64; // two 31-byte records + slack
+    const capture::SessionResult result = captureChild(
+        "basic", /*frq=*/1000000000, /*rotate_bytes=*/kRotate);
+    ASSERT_TRUE(result.exited);
+    EXPECT_EQ(result.exitCode, 0);
+    const std::vector<std::uint64_t> indices =
+        trace::listSegmentIndices(trace_path_);
+    ASSERT_GE(indices.size(), 3u);
+
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+        const std::string path =
+            trace::resolveSegmentPath(trace_path_, indices[i]);
+        total += std::filesystem::file_size(path);
+        if (i + 1 == indices.size())
+            break; // the newest segment closes at exit, not rotation
+        // The bytes before the footer are what the rotation check saw.
+        std::ifstream in(path, std::ios::binary);
+        TraceReader reader(in);
+        Event event;
+        while (reader.next(event))
+            ;
+        ASSERT_TRUE(reader.sawFooter()) << path;
+        EXPECT_GE(reader.eventOffset(), kRotate) << path;
+        EXPECT_LT(reader.eventOffset(), kRotate + kOpBurst) << path;
+    }
+
+    trace::SegmentManifest manifest;
+    ASSERT_TRUE(trace::loadSegmentManifest(
+        trace::segmentManifestPath(trace_path_), manifest));
+    EXPECT_TRUE(manifest.closed);
+    EXPECT_EQ(manifest.segments, indices.size());
+    EXPECT_EQ(manifest.rawBytes, total);
+    EXPECT_EQ(manifest.compressedBytes, total);
+}
+
+#if defined(HEAPMD_CLI_PATH)
+
+TEST_F(PreloadCaptureTest, TrainAndCheckWarnCutShortOnce)
+{
+    // One replay feeds both --train-out and --check, so a cut-short
+    // trace is one warning, not one per consumer.
+    const std::string model = checkModel();
+    const std::string out = cliCapture(
+        "--frq 2 --train-out \"" + scratchPath(".train.model") +
+            "\" --check \"" + model + "\"",
+        "exit");
+    const std::vector<std::string> warnings =
+        linesWith(out, "malformed trace: ");
+    ASSERT_EQ(warnings.size(), 1u) << out;
+    EXPECT_NE(warnings[0].find("[trace.no-footer]; replayed "),
+              std::string::npos)
+        << out;
+}
+
+TEST_F(PreloadCaptureTest, RotatedCaptureWarnsCutShortLikeMonolithic)
+{
+    const std::string model = checkModel();
+    const std::string check = "--check \"" + model + "\"";
+
+    // At the default scan frequency the child dies before its first
+    // scan: one segment holding only the header, whose warning must
+    // read exactly like the monolithic trace's.
+    const std::vector<std::string> whole =
+        linesWith(cliCapture(check, "exit"), "malformed trace: ");
+    const std::string out =
+        cliCapture("--rotate-bytes 512 " + check, "exit");
+    const std::vector<std::string> rotated =
+        linesWith(out, "malformed trace: ");
+    ASSERT_EQ(whole.size(), 1u);
+    ASSERT_EQ(rotated.size(), 1u) << out;
+    EXPECT_EQ(rotated[0], whole[0]);
+
+    // With scans, the set spans segments and the warning still comes
+    // once, counting every event the set replayed.
+    const std::string spanning =
+        cliCapture("--frq 2 --rotate-bytes 512 " + check, "exit");
+    const std::vector<std::string> warnings =
+        linesWith(spanning, "malformed trace: ");
+    ASSERT_EQ(warnings.size(), 1u) << spanning;
+    const std::vector<std::string> audit =
+        linesWith(spanning, "trace audit clean: ");
+    ASSERT_EQ(audit.size(), 1u) << spanning;
+    unsigned long long bytes = 0, events = 0, segments = 0;
+    ASSERT_EQ(std::sscanf(audit[0].c_str(),
+                          "trace audit clean: %llu bytes, %llu events, "
+                          "%llu segment(s)",
+                          &bytes, &events, &segments),
+              3)
+        << audit[0];
+    EXPECT_GE(segments, 2u) << spanning;
+    EXPECT_NE(warnings[0].find("; replayed " + std::to_string(events) +
+                               " events"),
+              std::string::npos)
+        << spanning;
+}
+
+#endif // HEAPMD_CLI_PATH
 
 TEST_F(PreloadCaptureTest, MissingSegmentIsAGapError)
 {

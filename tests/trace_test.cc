@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "trace/trace_format.hh"
 #include "trace/trace_reader.hh"
@@ -20,13 +23,27 @@ namespace heapmd
 namespace
 {
 
+/** The header bytes the writer emits for @p flags. */
+std::string
+headerBytes(std::uint32_t flags = 0)
+{
+    char bytes[trace::kMaxHeaderBytes];
+    return std::string(bytes, trace::encodeHeader(bytes, flags));
+}
+
+/** The writer's LEB128 encoding of @p value. */
+std::string
+varintBytes(std::uint64_t value)
+{
+    char bytes[trace::kMaxVarintBytes];
+    return std::string(bytes, trace::encodeVarint(bytes, value));
+}
+
 /** A version-1 header followed by @p body. */
 std::string
 withHeader(const std::string &body)
 {
-    std::stringstream ss;
-    trace::putHeader(ss);
-    return ss.str() + body;
+    return headerBytes() + body;
 }
 
 TEST(VarintTest, RoundTripBoundaries)
@@ -37,10 +54,8 @@ TEST(VarintTest, RoundTripBoundaries)
     };
     for (std::uint64_t v : values) {
         // Each value rides as the address of a Free event.
-        std::stringstream ss;
-        trace::putHeader(ss);
-        ss.put(static_cast<char>(EventKind::Free));
-        trace::putVarint(ss, v);
+        std::stringstream ss(withHeader(
+            static_cast<char>(EventKind::Free) + varintBytes(v)));
         TraceReader reader(ss);
         Event out;
         ASSERT_TRUE(reader.next(out)) << reader.error();
@@ -104,8 +119,7 @@ TEST(VarintTest, OverlongKeepsValueAndResumes)
 TEST(U32Test, RoundTrip)
 {
     // The flags word of a version-2 header is a little-endian u32.
-    std::stringstream ss;
-    trace::putHeader(ss, 0xdeadbeef);
+    std::stringstream ss(headerBytes(0xdeadbeef));
     TraceReader reader(ss);
     EXPECT_EQ(reader.header().version, trace::kVersionFlags);
     EXPECT_EQ(reader.header().flags, 0xdeadbeefu);
@@ -197,9 +211,8 @@ TEST(TraceReaderTest, AuditModeReportsHeaderFaults)
         std::uint64_t offset;
         const char *text;
     };
-    std::stringstream v2;
-    trace::putU32(v2, trace::kMagic);
-    trace::putU32(v2, trace::kVersionFlags);
+    // A version-2 header cut before its flags word.
+    const std::string v2 = headerBytes(1).substr(0, 8);
     const Case cases[] = {
         {std::string("HMDT\x01", 5), "trace.bad-magic", 0,
          "file too short for the 8-byte header"},
@@ -207,7 +220,7 @@ TEST(TraceReaderTest, AuditModeReportsHeaderFaults)
          "bad magic 0x58585858 (expected 0x54444d48 \"HMDT\")"},
         {std::string("HMDT\x63\x00\x00\x00", 8), "trace.bad-version", 4,
          "unsupported trace version 99 (expected 1 or 2)"},
-        {v2.str(), "trace.bad-version", 8,
+        {v2, "trace.bad-version", 8,
          "version-2 header is missing its flags word"},
     };
     for (const Case &c : cases) {
@@ -231,7 +244,8 @@ TEST(TraceReaderTest, TruncatedStreamFlagsMalformed)
     std::stringstream ss;
     TraceWriter writer(ss, registry);
     writer.onEvent(Event::alloc(0x1000, 64), 1);
-    // No finish(): stream ends without a footer.
+    // No finish(): once flushed, the stream ends without a footer.
+    writer.flush();
     TraceReader reader(ss);
     Event e;
     EXPECT_TRUE(reader.next(e));
@@ -251,18 +265,169 @@ TEST(TraceWriterDurabilityTest, FlushLeavesReadableTruncatedTrace)
     writer.onEvent(Event::write(0x1000, 0x2000), 2);
     writer.flush();
     EXPECT_EQ(syncs, 1);
+    EXPECT_EQ(writer.pendingBytes(), 0u);
 
     // The flushed prefix is a readable trace: both events decode,
     // then the reader reports truncation instead of corruption.
+    {
+        std::stringstream prefix(ss.str());
+        TraceReader reader(prefix);
+        Event e;
+        EXPECT_TRUE(reader.next(e));
+        EXPECT_EQ(e, Event::alloc(0x1000, 64));
+        EXPECT_TRUE(reader.next(e));
+        EXPECT_EQ(e, Event::write(0x1000, 0x2000));
+        EXPECT_FALSE(reader.next(e));
+        EXPECT_TRUE(reader.malformed());
+    }
+
+    // More than two blocks of events: between flushes the stream
+    // holds whole drained blocks and the writer the rest, and the
+    // next flush leaves every event readable.
+    constexpr int kMore = 3000; // 5 bytes each
+    Tick tick = 2;
+    for (int i = 0; i < kMore; ++i)
+        writer.onEvent(Event::write(0x1000 + 8 * (i % 16), 0x2000),
+                       ++tick);
+    // Header, the 4-byte alloc, then 5-byte writes.
+    const std::size_t encoded = 8 + 4 + 5 * (kMore + 1);
+    const std::size_t drained = ss.str().size();
+    EXPECT_GT(drained, 2 * TraceWriter::kBlockBytes);
+    EXPECT_EQ(drained + writer.pendingBytes(), encoded);
+    writer.flush();
+    EXPECT_EQ(syncs, 2);
+    EXPECT_EQ(ss.str().size(), encoded);
+
     std::stringstream prefix(ss.str());
     TraceReader reader(prefix);
     Event e;
-    EXPECT_TRUE(reader.next(e));
-    EXPECT_EQ(e, Event::alloc(0x1000, 64));
-    EXPECT_TRUE(reader.next(e));
-    EXPECT_EQ(e, Event::write(0x1000, 0x2000));
-    EXPECT_FALSE(reader.next(e));
+    std::uint64_t decoded = 0;
+    while (reader.next(e))
+        ++decoded;
+    EXPECT_EQ(decoded, 2u + kMore);
+    EXPECT_EQ(e, Event::write(0x1000 + 8 * ((kMore - 1) % 16), 0x2000));
     EXPECT_TRUE(reader.malformed());
+    EXPECT_STREQ(reader.fault().rule, "trace.no-footer");
+}
+
+/**
+ * Byte-at-a-time encoder written from the format description
+ * (trace_format.hh), sharing no code with TraceWriter.
+ */
+struct ReferenceEncoder
+{
+    std::string bytes;
+
+    void
+    u32(std::uint32_t value)
+    {
+        for (int i = 0; i < 4; ++i)
+            bytes += static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+
+    void
+    varint(std::uint64_t value)
+    {
+        do {
+            unsigned char byte = value & 0x7F;
+            value >>= 7;
+            if (value != 0)
+                byte |= 0x80;
+            bytes += static_cast<char>(byte);
+        } while (value != 0);
+    }
+
+    void
+    event(const Event &e)
+    {
+        bytes += static_cast<char>(e.kind);
+        switch (e.kind) {
+          case EventKind::Alloc:
+            varint(e.addr);
+            varint(e.size);
+            break;
+          case EventKind::Realloc:
+            varint(e.addr);
+            varint(e.value);
+            varint(e.size);
+            break;
+          case EventKind::Write:
+            varint(e.addr);
+            varint(e.value);
+            break;
+          case EventKind::Free:
+          case EventKind::Read:
+            varint(e.addr);
+            break;
+          case EventKind::FnEnter:
+          case EventKind::FnExit:
+            varint(e.fn);
+            break;
+        }
+    }
+};
+
+TEST(TraceWriterEncodeTest, EveryKindAtVarintBoundariesMatchesReference)
+{
+    const std::uint64_t values[] = {
+        0, 127, 128, 16383, 16384, 1ull << 63, UINT64_MAX,
+    };
+    std::vector<Event> round;
+    for (std::uint64_t a : values) {
+        const FnId fn = static_cast<FnId>(
+            a > UINT32_MAX ? UINT32_MAX : a);
+        round.push_back(Event::fnEnter(fn));
+        round.push_back(Event::fnExit(fn));
+        round.push_back(Event::free(a));
+        round.push_back(Event::read(a));
+        for (std::uint64_t b : values) {
+            round.push_back(Event::alloc(a, b));
+            round.push_back(Event::write(a, b));
+            for (std::uint64_t c : values)
+                round.push_back(Event::realloc(a, b, c));
+        }
+    }
+    // Three rounds of every combination: over two blocks of events.
+    std::vector<Event> events;
+    for (int i = 0; i < 3; ++i)
+        events.insert(events.end(), round.begin(), round.end());
+
+    FunctionRegistry registry;
+    registry.intern("main");
+    // Longer than a block, so the footer drains mid-name.
+    registry.intern(std::string(TraceWriter::kBlockBytes + 100, 'n'));
+    for (const bool provenance : {false, true}) {
+        std::stringstream ss;
+        {
+            TraceWriterOptions options;
+            options.captureProvenance = provenance;
+            TraceWriter writer(ss, registry, options);
+            Tick tick = 0;
+            for (const Event &e : events)
+                writer.onEvent(e, ++tick);
+            writer.finish();
+            EXPECT_EQ(writer.eventCount(), events.size());
+        }
+
+        ReferenceEncoder ref;
+        ref.u32(trace::kMagic);
+        ref.u32(provenance ? trace::kVersionFlags : trace::kVersion);
+        if (provenance)
+            ref.u32(trace::kFlagCaptureProvenance);
+        for (const Event &e : events)
+            ref.event(e);
+        const std::size_t event_bytes = ref.bytes.size();
+        ref.bytes += static_cast<char>(trace::kFooterMarker);
+        ref.varint(registry.size());
+        for (FnId fn = 0; fn < registry.size(); ++fn) {
+            ref.varint(registry.name(fn).size());
+            ref.bytes += registry.name(fn);
+        }
+
+        EXPECT_GT(event_bytes, 2 * TraceWriter::kBlockBytes);
+        ASSERT_EQ(ss.str().size(), ref.bytes.size());
+        EXPECT_TRUE(ss.str() == ref.bytes) << "provenance " << provenance;
+    }
 }
 
 TEST(TraceWriterDurabilityTest, FinalizeIsFinishPlusFlush)
@@ -455,9 +620,7 @@ TEST(BufferedDecodeTest, DefaultChunkRefillStraddle)
 
 TEST(BufferedDecodeTest, ErrorStringsAreChunkSizeInvariant)
 {
-    std::stringstream header;
-    trace::putHeader(header);
-    const std::string h = header.str(); // 8-byte version-1 header
+    const std::string h = headerBytes(); // 8-byte version-1 header
 
     struct Case
     {
@@ -511,13 +674,11 @@ TEST(BufferedDecodeTest, FooterNameLengthOverflowIsBounded)
     // A corrupt footer declaring a multi-exabyte name length must
     // fail with the truncation rule -- after copying only the bytes
     // that exist, never pre-allocating the claimed length.
-    std::stringstream ss;
-    trace::putHeader(ss);
-    ss.put(static_cast<char>(trace::kFooterMarker));
-    trace::putVarint(ss, 1);     // one function
-    trace::putVarint(ss, ~0ull); // claimed name length
-    ss << "ab";                  // only two bytes follow
-    const std::string bytes = ss.str();
+    const std::string bytes =
+        withHeader(static_cast<char>(trace::kFooterMarker) +
+                   varintBytes(1) +     // one function
+                   varintBytes(~0ull) + // claimed name length
+                   "ab");               // only two bytes follow
 
     for (std::size_t chunk : {1u, 4u, 4096u}) {
         const DecodeResult got = decodeChunked(bytes, chunk);

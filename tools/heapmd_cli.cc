@@ -1138,8 +1138,9 @@ cmdCapture(const Args &args)
                     replay.lint.segments));
 
     int status = 0;
-    if (args.has("train-out")) {
+    if (args.has("train-out") || args.has("check"))
         warnCutShort(replay);
+    if (args.has("train-out")) {
         MetricSummarizer summarizer(configFrom(args).summarizer);
         summarizer.addRun(replay.process->series());
         const HeapModel model = summarizer.buildModel(
@@ -1157,7 +1158,6 @@ cmdCapture(const Args &args)
     }
     if (args.has("check")) {
         preflight("model", args.str("check"), model_audit);
-        warnCutShort(replay);
         const std::string over =
             segments ? " over " + std::to_string(replay.lint.segments) +
                            " segments"
