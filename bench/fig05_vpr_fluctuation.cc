@@ -16,11 +16,10 @@ namespace
 void
 emitFluctuation(const char *label, const MetricSeries &series)
 {
-    const StabilityThresholds thr; // 10% trim, paper defaults
     const std::vector<double> in_eq_out = fluctuationOf(
-        series.trimmedValuesOf(MetricId::InEqOut, thr.trimFraction));
+        series.trimmedValuesOf(MetricId::InEqOut, kTrimFraction));
     const std::vector<double> outdeg1 = fluctuationOf(
-        series.trimmedValuesOf(MetricId::Outdeg1, thr.trimFraction));
+        series.trimmedValuesOf(MetricId::Outdeg1, kTrimFraction));
 
     std::printf("\n# CSV fluctuation: %s (step, in_eq_out_change_pct, "
                 "outdeg1_change_pct)\n",

@@ -33,8 +33,7 @@ main()
             cfg.inputSeed = seed;
             cfg.scale = bench::kScale;
             const RunOutcome run = tool.observe(*vpr, cfg);
-            const FluctuationSummary fs =
-                analyzeMetric(run.series, id, thr);
+            const FluctuationSummary fs = analyzeMetric(run.series, id);
             table.addRow({metricName(id),
                           "Input" + std::to_string(which),
                           bench::pct(fs.avgChange, 2) + "%",

@@ -334,8 +334,7 @@ constexpr const char *kFlowRules[] = {
 };
 
 void
-lintFlowSite(const JsonValue &root, const char *key, Checker &check,
-             Report &report)
+lintFlowSite(const JsonValue &root, const char *key, Checker &check)
 {
     const JsonValue *site = check.object(root, "flow incident", key);
     if (site == nullptr)
@@ -400,8 +399,8 @@ lintFlowDocument(const JsonValue &root, Report &report)
                          rule);
     }
 
-    lintFlowSite(root, "allocSite", check, report);
-    lintFlowSite(root, "freeSite", check, report);
+    lintFlowSite(root, "allocSite", check);
+    lintFlowSite(root, "freeSite", check);
 }
 
 } // namespace

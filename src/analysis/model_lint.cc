@@ -7,6 +7,7 @@
 
 #include "analysis/text_parse.hh"
 #include "metrics/metric.hh"
+#include "metrics/stability.hh"
 #include "telemetry/telemetry.hh"
 
 namespace heapmd
@@ -77,7 +78,8 @@ parseMetricLine(std::istringstream &ls, ParsedEntry &entry)
 struct Linter
 {
     Report &report;
-    const StabilityThresholds &thresholds;
+    /** The paper's bounds, which the default summarizer enforces. */
+    const StabilityThresholds thresholds{};
     ModelLintStats stats;
 
     std::set<std::string> calibrated;
@@ -86,10 +88,7 @@ struct Linter
     bool sawRuns = false;
     std::vector<std::pair<std::uint64_t, ParsedEntry>> entries;
 
-    Linter(Report &rep, const StabilityThresholds &thr)
-        : report(rep), thresholds(thr)
-    {
-    }
+    explicit Linter(Report &rep) : report(rep) {}
 
     void checkEntry(std::uint64_t line_no, const ParsedEntry &e);
     void finish(bool saw_end, std::uint64_t end_line);
@@ -153,8 +152,8 @@ Linter::checkEntry(std::uint64_t line_no, const ParsedEntry &e)
         report.errorAtLine("model.threshold-bounds", line_no,
                            oss.str());
     }
-    const double std_bound = e.local ? thresholds.locallyStableStdDev
-                                     : thresholds.maxStdDev;
+    const double std_bound =
+        e.local ? kLocallyStableStdDev : thresholds.maxStdDev;
     if (e.stdDev < 0.0 || e.stdDev > std_bound) {
         std::ostringstream oss;
         oss << "change stddev " << e.stdDev << " of "
@@ -208,10 +207,9 @@ Linter::finish(bool saw_end, std::uint64_t end_line)
 } // namespace
 
 ModelLintStats
-lintModel(std::istream &is, Report &report,
-          const StabilityThresholds &thresholds)
+lintModel(std::istream &is, Report &report)
 {
-    Linter linter(report, thresholds);
+    Linter linter(report);
     std::string line;
     std::uint64_t line_no = 0;
 
@@ -292,8 +290,7 @@ lintModel(std::istream &is, Report &report,
 }
 
 ModelLintStats
-lintModelFile(const std::string &path, Report &report,
-              const StabilityThresholds &thresholds)
+lintModelFile(const std::string &path, Report &report)
 {
     HEAPMD_TRACE_SPAN("audit.model");
     HEAPMD_COUNTER_INC("audit.model_lints");
@@ -305,7 +302,7 @@ lintModelFile(const std::string &path, Report &report,
         HEAPMD_COUNTER_INC("audit.findings");
         return {};
     }
-    const ModelLintStats stats = lintModel(in, report, thresholds);
+    const ModelLintStats stats = lintModel(in, report);
     HEAPMD_COUNTER_ADD("audit.findings",
                        report.findings().size() - before);
     return stats;

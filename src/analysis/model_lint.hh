@@ -33,7 +33,6 @@
 #include <string>
 
 #include "analysis/report.hh"
-#include "metrics/stability.hh"
 
 namespace heapmd
 {
@@ -50,18 +49,13 @@ struct ModelLintStats
 };
 
 /**
- * Lint one model document from @p is.
- *
- * @param thresholds stability bounds the calibrations are checked
- *        against; defaults to the paper values.
+ * Lint one model document from @p is against the paper's stability
+ * thresholds.
  */
-ModelLintStats lintModel(std::istream &is, Report &report,
-                         const StabilityThresholds &thresholds = {});
+ModelLintStats lintModel(std::istream &is, Report &report);
 
 /** Lint the model file at @p path. */
-ModelLintStats
-lintModelFile(const std::string &path, Report &report,
-              const StabilityThresholds &thresholds = {});
+ModelLintStats lintModelFile(const std::string &path, Report &report);
 
 } // namespace analysis
 

@@ -1,6 +1,7 @@
 #include "analysis/trace_lint.hh"
 
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string_view>
@@ -480,9 +481,14 @@ lintSegments(const std::string &base, Report &report, Replay *replay)
         total.captureProvenance |= linter.stats.captureProvenance;
         // The first cut-short segment is where the set's replay
         // stopped (a truncated segment that is not the newest fails
-        // the audit, which stops it too).
-        if (total.malformed.empty())
-            total.malformed = linter.stats.malformed;
+        // the audit, which stops it too).  Its byte offset is within
+        // that segment, so a later segment is named; a set cut in its
+        // first segment reads like the monolithic trace.
+        if (total.malformed.empty() && !linter.stats.malformed.empty())
+            total.malformed =
+                i == 0 ? linter.stats.malformed
+                       : std::filesystem::path(path).filename().string() +
+                             ": " + linter.stats.malformed;
         ++total.segments;
     }
     return total;

@@ -125,7 +125,7 @@ HeapMD::check(SyntheticApp &app, const AppConfig &config,
     HEAPMD_PHASE_SPAN("phase.check");
     HEAPMD_COUNTER_INC("pipeline.check_runs");
     Process process(config_.process);
-    ExecutionChecker checker(model, config_.checker);
+    ExecutionChecker checker(model);
     checker.attach(process);
 
     CheckOutcome outcome;

@@ -26,11 +26,8 @@ struct HeapMDConfig
     /** Execution-logger settings (metric frequency frq, etc.). */
     ProcessConfig process;
 
-    /** Model-construction settings (thresholds, 40% rule). */
+    /** Model-construction settings (thresholds, local metrics). */
     SummarizerConfig summarizer;
-
-    /** Execution-checker settings. */
-    CheckerConfig checker;
 
     /**
      * Worker threads for multi-input train/check (0 = one per

@@ -26,55 +26,20 @@
 namespace heapmd
 {
 
-/** Tunables of the online detector. */
-struct DetectorConfig
-{
-    /** Circular-buffer capacity for call-stack snapshots. */
-    std::size_t logCapacity = 64;
+/** Frames captured per call-stack snapshot, by every detector. */
+inline constexpr std::size_t kCallStackDepth = 16;
 
-    /** Frames captured per snapshot. */
-    std::size_t callStackDepth = 16;
+/**
+ * Metric samples logged after a crossing before the report is
+ * finalized (the paper reports context before/during/after).
+ */
+inline constexpr std::size_t kAfterSamples = 3;
 
-    /**
-     * "Approaching an extreme" band, as a fraction of the calibrated
-     * range span: logging arms when the value is within this band of
-     * a bound and sloping toward it.
-     */
-    double approachFraction = 0.10;
-
-    /**
-     * Metric samples logged after a crossing before the report is
-     * finalized (the paper reports context before/during/after).
-     */
-    std::size_t afterSamples = 3;
-
-    /** Span floor so a degenerate [x, x] range still has a band. */
-    double minSpan = 1e-6;
-
-    /**
-     * Calibration slack added to each bound before a violation is
-     * reported, as max(rangeSlackFraction * span, rangeSlackAbs
-     * percentage points).  Deviation from the paper (which checks the
-     * raw min/max): our synthetic inputs draw structure sizes from a
-     * *continuous* distribution, so the training min/max always
-     * undersamples the population tails; real regression suites are
-     * finite and reused, which hid this effect.  Injected bugs move
-     * metrics by many points, far beyond this slack.
-     */
-    double rangeSlackFraction = 0.25;
-    double rangeSlackAbs = 1.0;
-
-    /**
-     * Extra slack multiplier for *locally stable* model entries:
-     * their phase spikes are expected excursions, so their bands are
-     * proportionally wider.
-     */
-    double localSlackMultiplier = 2.5;
-};
+/** Span floor so a degenerate [x, x] range still has a band. */
+inline constexpr double kMinSpan = 1e-6;
 
 /** Detection slack applied to each bound of @p entry. */
-double boundSlack(const DetectorConfig &config,
-                  const HeapModel::Entry &entry);
+double boundSlack(const HeapModel::Entry &entry);
 
 /**
  * The detection range of one model entry:
@@ -95,8 +60,7 @@ struct SlackedRange
 };
 
 /** The slacked detection range of @p entry. */
-SlackedRange slackedRange(const DetectorConfig &config,
-                          const HeapModel::Entry &entry);
+SlackedRange slackedRange(const HeapModel::Entry &entry);
 
 /**
  * Checks each metric sample against a HeapModel and assembles
@@ -107,8 +71,7 @@ class AnomalyDetector : public SampleObserver, public EventObserver
 {
   public:
     /** @param model calibrated model; must outlive the detector. */
-    explicit AnomalyDetector(const HeapModel &model,
-                             DetectorConfig config = {});
+    explicit AnomalyDetector(const HeapModel &model);
 
     /** Register with @p process as sample + event observer. */
     void attach(Process &process);
@@ -133,12 +96,12 @@ class AnomalyDetector : public SampleObserver, public EventObserver
     std::uint64_t samplesChecked() const { return samples_checked_; }
 
   private:
+    /** Circular-buffer capacity for call-stack snapshots. */
+    static constexpr std::size_t kLogCapacity = 64;
+
     struct MetricState
     {
-        explicit MetricState(std::size_t log_capacity)
-            : log(log_capacity)
-        {
-        }
+        MetricState() : log(kLogCapacity) {}
 
         bool hasPrev = false;
         double prev = 0.0;
@@ -155,7 +118,6 @@ class AnomalyDetector : public SampleObserver, public EventObserver
     void finalizeReport(MetricState &state);
 
     const HeapModel &model_;
-    DetectorConfig config_;
     Process *process_ = nullptr;
     std::vector<MetricState> states_;        // parallel to entries()
     std::vector<BugReport> reports_;

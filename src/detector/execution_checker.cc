@@ -9,6 +9,33 @@
 namespace heapmd
 {
 
+namespace
+{
+
+/**
+ * Poorly-disguised heuristic: the fraction of the calibrated span
+ * that counts as "pinned at an extreme" ...
+ */
+constexpr double kExtremeBandFraction = 0.10;
+
+/** ... and the fraction of samples that must sit in that band. */
+constexpr double kExtremeOccupancy = 0.90;
+
+/**
+ * Post-run persistent-violation check: a stable metric whose trimmed
+ * samples sit outside the (slacked) calibrated range for at least
+ * this fraction of the run is reported even though the online
+ * crossing happened inside the ignored startup window (how
+ * startup-born bugs like the oct-DAG of Section 4.3 and the
+ * localization bug manifest).
+ */
+constexpr double kPersistentViolationFraction = 0.50;
+
+/** The post-run analyses judge stability by the paper's thresholds. */
+constexpr StabilityThresholds kThresholds{};
+
+} // namespace
+
 std::size_t
 CheckResult::countOf(BugClass klass) const
 {
@@ -19,10 +46,8 @@ CheckResult::countOf(BugClass klass) const
                       }));
 }
 
-ExecutionChecker::ExecutionChecker(const HeapModel &model,
-                                   CheckerConfig config)
-    : model_(model), config_(config),
-      detector_(model, config.detector)
+ExecutionChecker::ExecutionChecker(const HeapModel &model)
+    : model_(model), detector_(model)
 {
 }
 
@@ -47,12 +72,11 @@ ExecutionChecker::finalize(const MetricSeries &series, Tick now)
     CheckResult result;
     result.samplesChecked = detector_.samplesChecked();
 
-    // The model was calibrated with the first and last trimFraction
+    // The model was calibrated with the first and last kTrimFraction
     // of metric computation points ignored (startup/shutdown, Section
     // 2.1); violations inside those windows are expected and are not
     // anomalies.  Keep only reports from the calibrated window.
-    const auto [first, last] =
-        series.trimmedRange(config_.thresholds.trimFraction);
+    const auto [first, last] = series.trimmedRange(kTrimFraction);
     for (const BugReport &report : detector_.reports()) {
         if (report.pointIndex >= first && report.pointIndex < last)
             result.reports.push_back(report);
@@ -69,8 +93,7 @@ ExecutionChecker::checkPersistentViolation(const MetricSeries &series,
                                            Tick now,
                                            CheckResult &result) const
 {
-    const auto [first, last] =
-        series.trimmedRange(config_.thresholds.trimFraction);
+    const auto [first, last] = series.trimmedRange(kTrimFraction);
     if (last <= first)
         return;
 
@@ -81,7 +104,7 @@ ExecutionChecker::checkPersistentViolation(const MetricSeries &series,
         if (already_reported)
             continue;
 
-        const SlackedRange range = slackedRange(config_.detector, e);
+        const SlackedRange range = slackedRange(e);
 
         std::size_t below = 0, above = 0;
         double worst = 0.0;
@@ -106,7 +129,7 @@ ExecutionChecker::checkPersistentViolation(const MetricSeries &series,
         const double n = static_cast<double>(last - first);
         const double frac =
             static_cast<double>(std::max(below, above)) / n;
-        if (frac < config_.persistentViolationFraction)
+        if (frac < kPersistentViolationFraction)
             continue;
 
         BugReport report;
@@ -142,19 +165,17 @@ ExecutionChecker::checkPoorlyDisguised(const MetricSeries &series,
         if (already_reported)
             continue;
 
-        const std::vector<double> values = series.trimmedValuesOf(
-            e.id, config_.thresholds.trimFraction);
+        const std::vector<double> values =
+            series.trimmedValuesOf(e.id, kTrimFraction);
         if (values.size() < 2)
             continue;
 
-        const FluctuationSummary fs =
-            analyzeMetric(series, e.id, config_.thresholds);
-        if (!isGloballyStable(fs, config_.thresholds))
+        const FluctuationSummary fs = analyzeMetric(series, e.id);
+        if (!isGloballyStable(fs, kThresholds))
             continue; // poorly disguised requires *stability*
 
-        const double span = std::max(e.maxValue - e.minValue,
-                                     config_.detector.minSpan);
-        const double band = config_.extremeBandFraction * span;
+        const double span = std::max(e.maxValue - e.minValue, kMinSpan);
+        const double band = kExtremeBandFraction * span;
         std::size_t at_min = 0, at_max = 0;
         for (double v : values) {
             if (v <= e.minValue + band)
@@ -164,9 +185,9 @@ ExecutionChecker::checkPoorlyDisguised(const MetricSeries &series,
         }
         const double n = static_cast<double>(values.size());
         const bool pinned_min =
-            static_cast<double>(at_min) / n >= config_.extremeOccupancy;
+            static_cast<double>(at_min) / n >= kExtremeOccupancy;
         const bool pinned_max =
-            static_cast<double>(at_max) / n >= config_.extremeOccupancy;
+            static_cast<double>(at_max) / n >= kExtremeOccupancy;
         if (!pinned_min && !pinned_max)
             continue;
 
@@ -195,11 +216,10 @@ ExecutionChecker::checkPathological(const MetricSeries &series,
         return; // too short to call anything "stable"
 
     for (MetricId id : model_.unstableMetrics) {
-        const FluctuationSummary fs =
-            analyzeMetric(series, id, config_.thresholds);
+        const FluctuationSummary fs = analyzeMetric(series, id);
         if (fs.changeCount == 0)
             continue; // degenerate series; not evidence
-        if (!isGloballyStable(fs, config_.thresholds))
+        if (!isGloballyStable(fs, kThresholds))
             continue;
 
         BugReport report;

@@ -18,35 +18,6 @@
 namespace heapmd
 {
 
-/** Tunables of the full checker. */
-struct CheckerConfig
-{
-    /** Online detector knobs. */
-    DetectorConfig detector;
-
-    /** Stability thresholds used by the post-run analyses. */
-    StabilityThresholds thresholds;
-
-    /**
-     * Poorly-disguised heuristic: the fraction of the calibrated span
-     * that counts as "pinned at an extreme" ...
-     */
-    double extremeBandFraction = 0.10;
-
-    /** ... and the fraction of samples that must sit in that band. */
-    double extremeOccupancy = 0.90;
-
-    /**
-     * Post-run persistent-violation check: a stable metric whose
-     * trimmed samples sit outside the (slacked) calibrated range for
-     * at least this fraction of the run is reported even though the
-     * online crossing happened inside the ignored startup window
-     * (how startup-born bugs like the oct-DAG of Section 4.3 and the
-     * localization bug manifest).
-     */
-    double persistentViolationFraction = 0.50;
-};
-
 /** Outcome of checking one execution against a model. */
 struct CheckResult
 {
@@ -79,8 +50,7 @@ struct CheckResult
 class ExecutionChecker
 {
   public:
-    explicit ExecutionChecker(const HeapModel &model,
-                              CheckerConfig config = {});
+    explicit ExecutionChecker(const HeapModel &model);
 
     /** Register the online detector with @p process. */
     void attach(Process &process);
@@ -106,7 +76,6 @@ class ExecutionChecker
                            CheckResult &result) const;
 
     const HeapModel &model_;
-    CheckerConfig config_;
     AnomalyDetector detector_;
 };
 

@@ -94,15 +94,19 @@ MetricSeries::summaryOf(MetricId id) const
 }
 
 std::vector<double>
-fluctuationOf(const std::vector<double> &values, double zero_guard)
+fluctuationOf(const std::vector<double> &values)
 {
+    // Changes from a base this close to zero are skipped: the paper's
+    // formula divides by it.
+    constexpr double kZeroGuard = 1e-9;
+
     std::vector<double> out;
     if (values.size() < 2)
         return out;
     out.reserve(values.size() - 1);
     for (std::size_t i = 0; i + 1 < values.size(); ++i) {
         const double base = values[i];
-        if (std::fabs(base) < zero_guard)
+        if (std::fabs(base) < kZeroGuard)
             continue;
         out.push_back((values[i + 1] - base) / base * 100.0);
     }

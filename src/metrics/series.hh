@@ -94,11 +94,10 @@ class MetricSeries
  * Consecutive-point percentage changes of a value series:
  * (y[i+1] - y[i]) / y[i] * 100 (Section 3 of the paper).
  *
- * Entries whose base value |y[i]| < @p zero_guard are skipped, since
- * the paper's formula divides by y[i].
+ * Entries whose base value |y[i]| < 1e-9 are skipped, since the
+ * paper's formula divides by y[i].
  */
-std::vector<double> fluctuationOf(const std::vector<double> &values,
-                                  double zero_guard = 1e-9);
+std::vector<double> fluctuationOf(const std::vector<double> &values);
 
 } // namespace heapmd
 

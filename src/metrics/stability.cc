@@ -18,12 +18,11 @@ stabilityName(Stability s)
 }
 
 FluctuationSummary
-analyzeMetric(const MetricSeries &series, MetricId id,
-              const StabilityThresholds &thresholds)
+analyzeMetric(const MetricSeries &series, MetricId id)
 {
     FluctuationSummary out;
     const std::vector<double> values =
-        series.trimmedValuesOf(id, thresholds.trimFraction);
+        series.trimmedValuesOf(id, kTrimFraction);
     if (values.empty())
         return out;
 
@@ -34,7 +33,7 @@ analyzeMetric(const MetricSeries &series, MetricId id,
     out.maxValue = envelope.max();
 
     RunningStats changes;
-    for (double c : fluctuationOf(values, thresholds.zeroGuard))
+    for (double c : fluctuationOf(values))
         changes.push(c);
     out.avgChange = changes.mean();
     out.stdDev = changes.stddev();
@@ -61,7 +60,7 @@ classify(const FluctuationSummary &summary,
     if (isGloballyStable(summary, thresholds))
         return Stability::GloballyStable;
     if (std::fabs(summary.avgChange) <= thresholds.maxAbsAvgChange &&
-        summary.stdDev <= thresholds.locallyStableStdDev) {
+        summary.stdDev <= kLocallyStableStdDev) {
         return Stability::LocallyStable;
     }
     return Stability::Unstable;

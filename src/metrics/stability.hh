@@ -15,24 +15,30 @@ namespace heapmd
 {
 
 /**
+ * Fraction of metric computation points ignored at each end of a
+ * run, as startup and shutdown (paper: first/last 10%).
+ */
+inline constexpr double kTrimFraction = 0.10;
+
+/**
+ * Upper stddev bound separating *locally stable* from *unstable*
+ * when the average change is small.  Our extension (the paper
+ * describes locally stable metrics qualitatively).
+ */
+inline constexpr double kLocallyStableStdDev = 25.0;
+
+/**
  * Thresholds of the stability definition.  Paper values: a metric is
  * stable when the average change is within +/-1% and the standard
  * deviation of change is below 5, computed over consecutive metric
- * computation points after trimming 10% at each end.
+ * computation points after trimming kTrimFraction at each end.
+ * These two stay settings because the threshold ablation sweeps
+ * them.
  */
 struct StabilityThresholds
 {
     double maxAbsAvgChange = 1.0; //!< percent, paper: +/- 1%
     double maxStdDev = 5.0;       //!< paper: 5
-    double trimFraction = 0.10;   //!< paper: first/last 10%
-    double zeroGuard = 1e-9;      //!< skip changes with |base| below
-
-    /**
-     * Upper stddev bound separating *locally stable* from *unstable*
-     * when the average change is small.  Our extension (the paper
-     * describes locally stable metrics qualitatively).
-     */
-    double locallyStableStdDev = 25.0;
 };
 
 /** Stability classes of Section 2.1's metric summarizer. */
@@ -57,14 +63,11 @@ struct FluctuationSummary
 };
 
 /**
- * Summarize one metric of one run: trim, difference, average.
- *
- * @param series full-run metric series.
- * @param id     which metric.
- * @param thresholds supplies trim fraction and zero guard.
+ * Summarize one metric of one run: trim kTrimFraction at each end,
+ * difference, average.
  */
-FluctuationSummary analyzeMetric(const MetricSeries &series, MetricId id,
-                                 const StabilityThresholds &thresholds);
+FluctuationSummary analyzeMetric(const MetricSeries &series,
+                                 MetricId id);
 
 /** True when the summary meets the globally-stable thresholds. */
 bool isGloballyStable(const FluctuationSummary &summary,

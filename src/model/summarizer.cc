@@ -3,20 +3,54 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/logging.hh"
 #include "telemetry/telemetry.hh"
 
 namespace heapmd
 {
 
-MetricSummarizer::MetricSummarizer(SummarizerConfig config)
-    : config_(config)
+namespace
 {
-    if (config_.stableInputFraction <= 0.0 ||
-        config_.stableInputFraction > 1.0) {
-        HEAPMD_FATAL("stableInputFraction must be in (0, 1]");
-    }
-}
+
+/**
+ * Fraction of training inputs on which a metric must be stable to be
+ * declared globally stable (paper: 40%, Section 4.1).  For any
+ * non-empty run set the rounded-up count is at least one run.
+ */
+constexpr double kStableInputFraction = 0.40;
+
+/**
+ * Metrics whose maximum observed value (percent) never reaches this
+ * floor are dropped from the model: a constant-zero metric is
+ * trivially "stable" but its [0, 0] range would flag any measurement
+ * noise as an anomaly.
+ */
+constexpr double kMinMeaningfulValue = 0.5;
+
+/**
+ * Leave-one-out outlier rejection during range calibration: a stable
+ * run whose value envelope extends beyond the remaining stable runs'
+ * range by more than max(kOutlierGapFraction * their span,
+ * kOutlierGapFloor percentage points) is excluded from the range and
+ * reported as a suspect training input.  This automates the paper's
+ * manual step of selecting inputs "where the same set of metrics were
+ * consistently stable" (Section 4.1): a training input carrying a
+ * manifested bug can look stable at a displaced value, and must not
+ * silently widen the model.
+ */
+constexpr double kOutlierGapFraction = 1.0;
+constexpr double kOutlierGapFloor = 0.75;
+
+/**
+ * Slack applied when classifying training runs as suspect (Section
+ * 4.1's "treated as buggy" rule), mirroring the execution checker's
+ * calibration slack: a run is suspect only when its envelope leaves
+ * the calibrated range by more than max(kSuspectSlackFraction * span,
+ * kSuspectSlackAbs).
+ */
+constexpr double kSuspectSlackFraction = 0.25;
+constexpr double kSuspectSlackAbs = 1.0;
+
+} // namespace
 
 void
 MetricSummarizer::addRun(const MetricSeries &series)
@@ -27,8 +61,7 @@ MetricSummarizer::addRun(const MetricSeries &series)
     analysis.label = series.label;
     for (MetricId id : kAllMetrics) {
         const std::size_t i = metricIndex(id);
-        analysis.perMetric[i] =
-            analyzeMetric(series, id, config_.thresholds);
+        analysis.perMetric[i] = analyzeMetric(series, id);
         analysis.stable[i] =
             isGloballyStable(analysis.perMetric[i], config_.thresholds);
         analysis.klass[i] =
@@ -55,7 +88,7 @@ MetricSummarizer::rejectOutliers(MetricId id,
     std::size_t count = 0;
     for (std::size_t r = 0; r < qualifying.size(); ++r)
         count += qualifying[r] ? 1 : 0;
-    if (count < 3 || config_.outlierGapFraction < 0.0)
+    if (count < 3)
         return qualifying; // too few runs to call anything an outlier
 
     // Leave-one-out: a run whose envelope sits far beyond the range
@@ -74,8 +107,7 @@ MetricSummarizer::rejectOutliers(MetricId id,
             hi = std::max(hi, runs_[o].perMetric[i].maxValue);
         }
         const double margin =
-            std::max(config_.outlierGapFraction * (hi - lo),
-                     config_.outlierGapFloor);
+            std::max(kOutlierGapFraction * (hi - lo), kOutlierGapFloor);
         const FluctuationSummary &fs = runs_[r].perMetric[i];
         if (fs.maxValue > hi + margin || fs.minValue < lo - margin)
             keep[r] = false;
@@ -122,7 +154,7 @@ MetricSummarizer::buildEntry(MetricId id,
         return std::nullopt;
     entry.avgChange = avg_sum / static_cast<double>(contributors);
     entry.stdDev = std_sum / static_cast<double>(contributors);
-    if (entry.maxValue < config_.minMeaningfulValue)
+    if (entry.maxValue < kMinMeaningfulValue)
         return std::nullopt; // degenerate near-zero metric
     return entry;
 }
@@ -138,11 +170,8 @@ MetricSummarizer::buildModel(const std::string &program_name) const
     if (runs_.empty())
         return model;
 
-    const std::size_t needed = std::max<std::size_t>(
-        config_.minStableRuns,
-        static_cast<std::size_t>(std::ceil(
-            config_.stableInputFraction *
-            static_cast<double>(runs_.size()))));
+    const auto needed = static_cast<std::size_t>(std::ceil(
+        kStableInputFraction * static_cast<double>(runs_.size())));
 
     for (MetricId id : kAllMetrics) {
         const std::size_t stable_runs = stableRunCount(id);
@@ -198,10 +227,9 @@ MetricSummarizer::suspectTrainingRuns(const HeapModel &model) const
             const FluctuationSummary &fs = runs_[r].perMetric[i];
             if (runs_[r].stable[i] && rangeContributors(e.id)[r])
                 continue; // this run contributed to the range
-            const double slack = std::max(
-                config_.suspectSlackFraction *
-                    (e.maxValue - e.minValue),
-                config_.suspectSlackAbs);
+            const double slack =
+                std::max(kSuspectSlackFraction * (e.maxValue - e.minValue),
+                         kSuspectSlackAbs);
             if (fs.minValue < e.minValue - slack ||
                 fs.maxValue > e.maxValue + slack) {
                 out_of_range = true;

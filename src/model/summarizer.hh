@@ -18,57 +18,11 @@
 namespace heapmd
 {
 
-/** Knobs of the summarizer. */
+/** Settings of the summarizer that the ablation benches sweep. */
 struct SummarizerConfig
 {
-    /** Stability thresholds (paper: +/-1% avg, stddev 5, trim 10%). */
+    /** Stability thresholds (paper: +/-1% avg, stddev 5). */
     StabilityThresholds thresholds;
-
-    /**
-     * Fraction of training inputs on which a metric must be stable to
-     * be declared globally stable (paper: 40%, Section 4.1).
-     */
-    double stableInputFraction = 0.40;
-
-    /**
-     * Minimum number of stable inputs regardless of fraction (the
-     * paper reports "usually about 3" inputs suffice).
-     */
-    std::size_t minStableRuns = 1;
-
-    /**
-     * Metrics whose maximum observed value (percent) never reaches
-     * this floor are dropped from the model: a constant-zero metric
-     * is trivially "stable" but its [0, 0] range would flag any
-     * measurement noise as an anomaly.
-     */
-    double minMeaningfulValue = 0.5;
-
-    /**
-     * Leave-one-out outlier rejection during range calibration: a
-     * stable run whose value envelope extends beyond the remaining
-     * stable runs' range by more than
-     * max(outlierGapFraction * their span, outlierGapFloor) is
-     * excluded from the range and reported as a suspect training
-     * input.  This automates the paper's manual step of selecting
-     * inputs "where the same set of metrics were consistently
-     * stable" (Section 4.1): a training input carrying a manifested
-     * bug can look stable at a displaced value, and must not
-     * silently widen the model.  Set the fraction negative to
-     * disable.
-     */
-    double outlierGapFraction = 1.0;
-    double outlierGapFloor = 0.75; //!< percentage points
-
-    /**
-     * Slack applied when classifying training runs as suspect
-     * (Section 4.1's "treated as buggy" rule), mirroring the
-     * execution checker's calibration slack: a run is suspect only
-     * when its envelope leaves the calibrated range by more than
-     * max(suspectSlackFraction * span, suspectSlackAbs).
-     */
-    double suspectSlackFraction = 0.25;
-    double suspectSlackAbs = 1.0;
 
     /**
      * Also admit *locally stable* metrics into the model (Section
@@ -98,7 +52,10 @@ struct RunAnalysis
 class MetricSummarizer
 {
   public:
-    explicit MetricSummarizer(SummarizerConfig config = {});
+    explicit MetricSummarizer(SummarizerConfig config = {})
+        : config_(config)
+    {
+    }
 
     /** Analyze one training run and retain its summary. */
     void addRun(const MetricSeries &series);

@@ -155,7 +155,6 @@ MonitorSession::runSegments(std::string &error)
 {
     ProcessConfig pcfg;
     pcfg.metricFrequency = 1; // one sample per shim scan marker
-    pcfg.callStackDepth = options_.detector.callStackDepth;
     pcfg.tolerateAddressReuse = true;
     process_ = std::make_unique<Process>(pcfg);
 

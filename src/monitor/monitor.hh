@@ -80,7 +80,7 @@ struct MonitorOptions
     /** +/- pointIndex radius of each bundle's metric window. */
     std::uint64_t windowRadius = diag::kDefaultWindowRadius;
 
-    /** Hysteresis and range-slack tuning. */
+    /** Hysteresis tuning. */
     OnlineDetectorConfig detector;
 
     /** Abort check, polled while waiting (wire to a signal flag). */

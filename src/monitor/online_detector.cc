@@ -26,25 +26,19 @@ metricPhaseName(MetricPhase phase)
 
 OnlineDetector::OnlineDetector(const HeapModel &model,
                                OnlineDetectorConfig config)
-    : model_(model), config_(config)
+    : model_(model), config_(config), states_(model.entries().size())
 {
     if (config_.debounceSamples == 0)
         config_.debounceSamples = 1;
     if (config_.rearmSamples == 0)
         config_.rearmSamples = 1;
-    if (config_.contextCapacity == 0)
-        config_.contextCapacity = 1;
-    states_.reserve(model_.entries().size());
-    for (std::size_t i = 0; i < model_.entries().size(); ++i)
-        states_.emplace_back(config_.contextCapacity);
 }
 
 void
 OnlineDetector::onSample(const MetricSample &sample,
                          const Process &process)
 {
-    observe(sample,
-            process.callStack().capture(config_.callStackDepth));
+    observe(sample, process.callStack().capture(kCallStackDepth));
 }
 
 void
@@ -64,8 +58,7 @@ OnlineDetector::observe(const MetricSample &sample,
                                          sample.pointIndex, value,
                                          frames});
 
-        const SlackedRange range =
-            slackedRange(config_.detector, entry);
+        const SlackedRange range = slackedRange(entry);
         const bool violating = range.violatedBy(value);
         state.lastDistance =
             violating ? (value < range.lo ? range.lo - value
@@ -157,8 +150,7 @@ OnlineDetector::views() const
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const HeapModel::Entry &entry = entries[i];
         const MetricState &state = states_[i];
-        const SlackedRange range =
-            slackedRange(config_.detector, entry);
+        const SlackedRange range = slackedRange(entry);
         MetricView view;
         view.id = entry.id;
         view.observed = state.observed;

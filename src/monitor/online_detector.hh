@@ -44,16 +44,9 @@ namespace heapmd
 namespace monitor
 {
 
-/** Tunables of the streaming detector. */
+/** Tunables of the streaming detector (`monitor --debounce/--rearm`). */
 struct OnlineDetectorConfig
 {
-    /**
-     * Range-slack knobs, shared with the batch detector so the two
-     * agree on what "violating" means (logCapacity/afterSamples of
-     * the batch machinery are unused here).
-     */
-    DetectorConfig detector;
-
     /**
      * Consecutive violating samples before an incident fires.  One
      * noisy metric point never pages anyone; a real excursion
@@ -66,13 +59,10 @@ struct OnlineDetectorConfig
      * metric re-arms and may fire again.
      */
     std::size_t rearmSamples = 8;
-
-    /** Per-metric context ring: recent samples kept for the report. */
-    std::size_t contextCapacity = 64;
-
-    /** Frames captured per context snapshot (Process-fed mode). */
-    std::size_t callStackDepth = 16;
 };
+
+/** Per-metric context ring: recent samples kept for the report. */
+inline constexpr std::size_t kContextCapacity = 64;
 
 /** Where a metric is in the hysteresis cycle. */
 enum class MetricPhase
@@ -155,10 +145,7 @@ class OnlineDetector : public SampleObserver
   private:
     struct MetricState
     {
-        explicit MetricState(std::size_t context_capacity)
-            : context(context_capacity)
-        {
-        }
+        MetricState() : context(kContextCapacity) {}
 
         MetricPhase phase = MetricPhase::Armed;
         std::size_t streak = 0; //!< debounce or re-arm progress

@@ -160,12 +160,6 @@ Process::takeSample()
     graph_.flushTelemetry();
     HEAPMD_TRACE_COUNTER("graph.nodes_live", graph_.vertexCount());
     HEAPMD_TRACE_COUNTER("graph.edges_live", graph_.edgeCount());
-
-    if (config_.extendedEvery != 0 &&
-        sample_count_ % config_.extendedEvery == 0) {
-        extended_.push_back(
-            MetricEngine::sampleExtended(graph_, tick_, sample_count_));
-    }
     ++sample_count_;
 
     for (SampleObserver *observer : sample_observers_)

@@ -53,15 +53,6 @@ struct ProcessConfig
     std::uint64_t metricFrequency = 2000;
 
     /**
-     * Take an O(V+E) extended sample every this many core samples;
-     * 0 disables extended sampling.
-     */
-    std::uint64_t extendedEvery = 0;
-
-    /** Frames captured per call-stack snapshot. */
-    std::size_t callStackDepth = 16;
-
-    /**
      * When false the logger discards events without maintaining the
      * heap-graph (the "uninstrumented" baseline of the overhead
      * bench).
@@ -126,13 +117,6 @@ class Process
     /** Metric samples collected so far. */
     const MetricSeries &series() const { return series_; }
 
-    /** Extended samples collected so far (empty unless enabled). */
-    const std::vector<ExtendedSample> &
-    extendedSeries() const
-    {
-        return extended_;
-    }
-
     /** Event count so far (event time). */
     Tick now() const { return tick_; }
 
@@ -175,7 +159,6 @@ class Process
     CallStack call_stack_;
     FunctionRegistry registry_;
     MetricSeries series_;
-    std::vector<ExtendedSample> extended_;
     std::vector<EventObserver *> event_observers_;
     std::vector<SampleObserver *> sample_observers_;
     Tick tick_ = 0;

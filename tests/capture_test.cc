@@ -679,6 +679,15 @@ TEST_F(PreloadCaptureTest, RotatedCaptureWarnsCutShortLikeMonolithic)
                                " events"),
               std::string::npos)
         << spanning;
+    // The byte offset is within the cut segment, the set's newest,
+    // so the warning names that segment's file.
+    const std::string cut =
+        std::filesystem::path(trace::segmentPath(trace_path_, segments - 1))
+            .filename()
+            .string();
+    EXPECT_NE(warnings[0].find("malformed trace: " + cut + ": stream "),
+              std::string::npos)
+        << spanning;
 }
 
 #endif // HEAPMD_CLI_PATH

@@ -45,10 +45,9 @@ sampleAt(MetricId id, double value, std::uint64_t point)
 class DetectorHarness
 {
   public:
-    DetectorHarness(MetricId id, double min, double max,
-                    DetectorConfig cfg = {})
+    DetectorHarness(MetricId id, double min, double max)
         : id_(id), model_(singleMetricModel(id, min, max)),
-          detector_(model_, cfg)
+          detector_(model_)
     {
     }
 
@@ -115,22 +114,36 @@ TEST(AnomalyDetectorTest, SustainedViolationIsOneExcursion)
     EXPECT_EQ(h.detector().reports().size(), 1u);
 }
 
+/**
+ * One excursion: a crossing at 30, then @p after in-range samples.  A
+ * report is finalized on the kAfterSamples-th sample after its
+ * crossing.
+ */
+std::vector<double>
+excursion(std::size_t after)
+{
+    std::vector<double> values{15, 30};
+    values.insert(values.end(), after, 15.0);
+    return values;
+}
+
 TEST(AnomalyDetectorTest, SeparateExcursionsAreSeparateReports)
 {
-    DetectorConfig cfg;
-    cfg.afterSamples = 0; // finalize immediately at the crossing
-    DetectorHarness h(MetricId::Leaves, 10.0, 20.0, cfg);
-    h.feed({15, 30, 15, 15, 30, 15});
+    DetectorHarness h(MetricId::Leaves, 10.0, 20.0);
+    // Each excursion finalizes its report before the next crossing.
+    h.feed(excursion(kAfterSamples));
+    ASSERT_EQ(h.detector().reports().size(), 1u);
+    h.feed(excursion(kAfterSamples));
+    EXPECT_EQ(h.detector().reports().size(), 2u);
     h.detector().finish();
     EXPECT_EQ(h.detector().reports().size(), 2u);
 }
 
 TEST(AnomalyDetectorTest, PendingReportFlushedByFinish)
 {
-    DetectorConfig cfg;
-    cfg.afterSamples = 10; // wants 10 post-crossing samples
-    DetectorHarness h(MetricId::Leaves, 10.0, 20.0, cfg);
-    h.feed({15, 30}); // run ends right after the crossing
+    DetectorHarness h(MetricId::Leaves, 10.0, 20.0);
+    // The run ends one sample short of the post-crossing context.
+    h.feed(excursion(kAfterSamples - 1));
     EXPECT_TRUE(h.detector().reports().empty());
     h.detector().finish();
     EXPECT_EQ(h.detector().reports().size(), 1u);
@@ -138,12 +151,11 @@ TEST(AnomalyDetectorTest, PendingReportFlushedByFinish)
 
 TEST(AnomalyDetectorTest, ReportCarriesContextLog)
 {
-    DetectorConfig cfg;
-    cfg.afterSamples = 2;
-    DetectorHarness h(MetricId::Leaves, 10.0, 20.0, cfg);
-    // Approach the max from below (arming), cross, then 2 more.
-    h.feed({15, 19, 21, 22, 25, 26, 26});
-    h.detector().finish();
+    DetectorHarness h(MetricId::Leaves, 10.0, 20.0);
+    // Approach the max from below (arming), cross, then stay out
+    // until the report finalizes on its own.
+    h.feed({15, 19, 21, 22, 25});
+    h.feed(std::vector<double>(kAfterSamples, 26.0));
     ASSERT_EQ(h.detector().reports().size(), 1u);
     EXPECT_FALSE(h.detector().reports()[0].contextLog.empty());
 }
@@ -205,9 +217,7 @@ TEST(AnomalyDetectorTest, EventLoggingWhileArmedCapturesStacks)
     ProcessConfig pcfg;
     pcfg.metricFrequency = 4;
     Process process(pcfg);
-    DetectorConfig dcfg;
-    dcfg.afterSamples = 1;
-    AnomalyDetector detector(model, dcfg);
+    AnomalyDetector detector(model);
     detector.attach(process);
 
     const FnId leaker = process.registry().intern("leaky_alloc");

@@ -129,11 +129,10 @@ TEST_F(EngineTest, PhasesProduceMoreSamplesVariance)
         istl::Context ctx(heap, faults, 11);
         AppResult result;
         apps::WorkloadEngine(ctx, flat, result).runAll();
-        const StabilityThresholds thr;
         for (MetricId id : kAllMetrics) {
             flat_worst = std::max(
                 flat_worst,
-                analyzeMetric(process.series(), id, thr).stdDev);
+                analyzeMetric(process.series(), id).stdDev);
         }
     }
     {
@@ -143,11 +142,10 @@ TEST_F(EngineTest, PhasesProduceMoreSamplesVariance)
         istl::Context ctx(heap, faults, 11);
         AppResult result;
         apps::WorkloadEngine(ctx, phased, result).runAll();
-        const StabilityThresholds thr;
         for (MetricId id : kAllMetrics) {
             phased_worst = std::max(
                 phased_worst,
-                analyzeMetric(process.series(), id, thr).stdDev);
+                analyzeMetric(process.series(), id).stdDev);
         }
     }
     EXPECT_GT(phased_worst, flat_worst);

@@ -152,14 +152,13 @@ TEST(LocalMetricsTest, DetectorWidensLocalBands)
 
 TEST(LocalMetricsTest, SlackHelperValues)
 {
-    DetectorConfig cfg;
     HeapModel::Entry global;
     global.minValue = 10.0;
     global.maxValue = 20.0;
-    EXPECT_DOUBLE_EQ(boundSlack(cfg, global), 2.5);
+    EXPECT_DOUBLE_EQ(boundSlack(global), 2.5);
     HeapModel::Entry local = global;
     local.locallyStable = true;
-    EXPECT_DOUBLE_EQ(boundSlack(cfg, local), 6.25);
+    EXPECT_DOUBLE_EQ(boundSlack(local), 6.25);
 }
 
 TEST(LocalMetricsTest, PoorlyDisguisedSkipsLocalEntries)

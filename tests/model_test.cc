@@ -184,9 +184,7 @@ TEST(SummarizerTest, UnstableMetricExcluded)
 
 TEST(SummarizerTest, FortyPercentRule)
 {
-    SummarizerConfig cfg;
-    cfg.stableInputFraction = 0.40;
-    MetricSummarizer summarizer(cfg);
+    MetricSummarizer summarizer;
     // 2 stable runs of 5 = 40%: meets ceil(0.4 * 5) = 2.
     summarizer.addRun(flatSeries(20.0));
     summarizer.addRun(flatSeries(21.0));
@@ -198,7 +196,7 @@ TEST(SummarizerTest, FortyPercentRule)
     EXPECT_TRUE(model.isStable(MetricId::Leaves));
 
     // 1 of 5 = 20%: not enough.
-    MetricSummarizer strict(cfg);
+    MetricSummarizer strict;
     strict.addRun(flatSeries(20.0));
     strict.addRun(mixedSeries(20.0, MetricId::Leaves, 1));
     strict.addRun(mixedSeries(20.0, MetricId::Leaves, 2));
@@ -228,7 +226,7 @@ TEST(SummarizerTest, RangeComesFromStableRunsOnly)
 TEST(SummarizerTest, DegenerateZeroMetricDropped)
 {
     // A metric that is constantly zero is trivially stable but gets
-    // filtered by minMeaningfulValue.
+    // filtered by the 0.5% meaningful-value floor.
     MetricSummarizer summarizer;
     summarizer.addRun(flatSeries(0.0));
     summarizer.addRun(flatSeries(0.0));
@@ -260,13 +258,6 @@ TEST(SummarizerTest, EmptySummarizerBuildsEmptyModel)
     const HeapModel model = summarizer.buildModel("app");
     EXPECT_EQ(model.stableMetricCount(), 0u);
     EXPECT_EQ(model.trainingRuns, 0u);
-}
-
-TEST(SummarizerDeathTest, BadFractionFatal)
-{
-    SummarizerConfig cfg;
-    cfg.stableInputFraction = 0.0;
-    EXPECT_DEATH(MetricSummarizer summarizer(cfg), "stableInputFraction");
 }
 
 TEST(SummarizerTest, RunAnalysesRetained)

@@ -36,7 +36,6 @@ using monitor::MetricView;
 using monitor::MonitorOptions;
 using monitor::MonitorSession;
 using monitor::OnlineDetector;
-using monitor::OnlineDetectorConfig;
 
 // ---------------------------------------------------------------
 // OnlineDetector: the hysteresis machine on synthetic samples.
@@ -73,10 +72,9 @@ sampleAt(MetricId id, double value, std::uint64_t point)
 class OnlineHarness
 {
   public:
-    OnlineHarness(MetricId id, double min, double max,
-                  OnlineDetectorConfig cfg = {})
+    OnlineHarness(MetricId id, double min, double max)
         : id_(id), model_(singleMetricModel(id, min, max)),
-          detector_(model_, cfg)
+          detector_(model_)
     {
     }
 
@@ -205,18 +203,27 @@ TEST(OnlineDetectorTest, IncidentCallbackSeesTheFiringReport)
 
 TEST(OnlineDetectorTest, ContextRingCarriesRecentSamples)
 {
-    OnlineDetectorConfig cfg;
-    cfg.contextCapacity = 4;
-    OnlineHarness h(MetricId::Leaves, 10.0, 20.0, cfg);
-    h.feed({12, 13, 14, 15, 30, 30, 30});
+    using monitor::kContextCapacity;
+    OnlineHarness h(MetricId::Leaves, 10.0, 20.0);
+    // More in-range samples than the ring holds, then an excursion
+    // that fires on its third violating sample (the default
+    // debounce).
+    std::vector<double> values;
+    for (std::size_t i = 0; i < kContextCapacity + 10; ++i)
+        values.push_back(12.0 + static_cast<double>(i % 8));
+    values.insert(values.end(), 3, 30.0);
+    h.feed(values);
     ASSERT_EQ(h.detector().reports().size(), 1u);
 
-    // The ring kept the 4 newest snapshots: the firing sample and
-    // the three before it, oldest first.
+    // The ring kept the kContextCapacity newest snapshots, oldest
+    // first, ending at the firing sample.
     const std::vector<StackLogEntry> &log =
         h.detector().reports().front().contextLog;
-    ASSERT_EQ(log.size(), 4u);
-    EXPECT_DOUBLE_EQ(log.front().metricValue, 15.0);
+    ASSERT_EQ(log.size(), kContextCapacity);
+    EXPECT_EQ(log.front().pointIndex, values.size() - kContextCapacity);
+    EXPECT_DOUBLE_EQ(log.front().metricValue,
+                     values[values.size() - kContextCapacity]);
+    EXPECT_EQ(log.back().pointIndex, values.size() - 1);
     EXPECT_DOUBLE_EQ(log.back().metricValue, 30.0);
     EXPECT_EQ(log.back().frames, std::vector<FnId>{0});
 }

@@ -225,19 +225,6 @@ TEST(ProcessTest, TickAdvancesPerEvent)
     EXPECT_EQ(process.now(), 3u);
 }
 
-TEST(ProcessTest, ExtendedSamplingCadence)
-{
-    ProcessConfig cfg;
-    cfg.metricFrequency = 5;
-    cfg.extendedEvery = 2;
-    Process process(cfg);
-    const FnId fn = process.registry().intern("f");
-    for (int i = 0; i < 50; ++i)
-        process.onFnEnter(fn);
-    EXPECT_EQ(process.series().size(), 10u);
-    EXPECT_EQ(process.extendedSeries().size(), 5u);
-}
-
 class RecordingObserver : public EventObserver
 {
   public:

@@ -37,7 +37,7 @@ TEST(StabilityTest, ConstantSeriesIsGloballyStable)
     const StabilityThresholds thr;
     const auto series = seriesOf(std::vector<double>(50, 25.0));
     const FluctuationSummary fs =
-        analyzeMetric(series, MetricId::Roots, thr);
+        analyzeMetric(series, MetricId::Roots);
     EXPECT_DOUBLE_EQ(fs.avgChange, 0.0);
     EXPECT_DOUBLE_EQ(fs.stdDev, 0.0);
     EXPECT_DOUBLE_EQ(fs.minValue, 25.0);
@@ -57,7 +57,7 @@ TEST(StabilityTest, DriftingSeriesIsUnstable)
         v *= 1.03;
     }
     const FluctuationSummary fs =
-        analyzeMetric(seriesOf(values), MetricId::Roots, thr);
+        analyzeMetric(seriesOf(values), MetricId::Roots);
     EXPECT_GT(fs.avgChange, 1.0);
     EXPECT_FALSE(isGloballyStable(fs, thr));
     EXPECT_EQ(classify(fs, thr), Stability::Unstable);
@@ -74,7 +74,7 @@ TEST(StabilityTest, SpikySeriesIsLocallyStable)
         values[i + 1] = 20.0; // back down
     }
     const FluctuationSummary fs =
-        analyzeMetric(seriesOf(values), MetricId::Roots, thr);
+        analyzeMetric(seriesOf(values), MetricId::Roots);
     EXPECT_LT(std::fabs(fs.avgChange), 1.0);
     EXPECT_GT(fs.stdDev, thr.maxStdDev);
     EXPECT_EQ(classify(fs, thr), Stability::LocallyStable);
@@ -82,21 +82,20 @@ TEST(StabilityTest, SpikySeriesIsLocallyStable)
 
 TEST(StabilityTest, WildSeriesIsUnstable)
 {
-    StabilityThresholds thr;
-    thr.locallyStableStdDev = 25.0;
     std::vector<double> values;
     Rng rng(5);
     for (int i = 0; i < 80; ++i)
         values.push_back(5.0 + rng.uniform() * 90.0);
     const FluctuationSummary fs =
-        analyzeMetric(seriesOf(values), MetricId::Roots, thr);
-    EXPECT_GT(fs.stdDev, thr.locallyStableStdDev);
+        analyzeMetric(seriesOf(values), MetricId::Roots);
+    EXPECT_GT(fs.stdDev, kLocallyStableStdDev);
 }
 
 TEST(StabilityTest, TrimmingIgnoresStartupRamp)
 {
-    const StabilityThresholds thr; // trims 10% each end
-    // 10 wild startup points, then 80 flat ones, then 10 wild.
+    const StabilityThresholds thr;
+    // 10 wild startup points, then 80 flat ones, then 10 wild;
+    // analyzeMetric trims kTrimFraction (10%) off each end.
     std::vector<double> values;
     for (int i = 0; i < 10; ++i)
         values.push_back(1.0 + i * 10.0);
@@ -105,7 +104,7 @@ TEST(StabilityTest, TrimmingIgnoresStartupRamp)
     for (int i = 0; i < 10; ++i)
         values.push_back(90.0 - i * 8.0);
     const FluctuationSummary fs =
-        analyzeMetric(seriesOf(values), MetricId::Roots, thr);
+        analyzeMetric(seriesOf(values), MetricId::Roots);
     EXPECT_TRUE(isGloballyStable(fs, thr));
     EXPECT_DOUBLE_EQ(fs.minValue, 50.0);
     EXPECT_DOUBLE_EQ(fs.maxValue, 50.0);
@@ -115,7 +114,7 @@ TEST(StabilityTest, EmptySeriesSummaryIsTriviallyStable)
 {
     const StabilityThresholds thr;
     const FluctuationSummary fs =
-        analyzeMetric(MetricSeries{}, MetricId::Roots, thr);
+        analyzeMetric(MetricSeries{}, MetricId::Roots);
     EXPECT_EQ(fs.changeCount, 0u);
     EXPECT_TRUE(isGloballyStable(fs, thr));
 }
@@ -148,7 +147,7 @@ TEST_P(AvgChangeBoundaryTest, ClassifiedAgainstThreshold)
         v *= 1.0 + rate / 100.0;
     }
     const FluctuationSummary fs =
-        analyzeMetric(seriesOf(values), MetricId::Leaves, thr);
+        analyzeMetric(seriesOf(values), MetricId::Leaves);
     EXPECT_NEAR(fs.avgChange, rate, 1e-6);
     EXPECT_EQ(isGloballyStable(fs, thr), std::fabs(rate) <= 1.0);
 }
@@ -179,7 +178,7 @@ TEST_P(StdDevBoundaryTest, ClassifiedAgainstThreshold)
                           : 1.0 / (1.0 + amplitude / 100.0);
     }
     const FluctuationSummary fs =
-        analyzeMetric(seriesOf(values), MetricId::Indeg1, thr);
+        analyzeMetric(seriesOf(values), MetricId::Indeg1);
     // The up-step is +a% but the exact down-step is -a/(1+a/100)%,
     // so the mean change grows quadratically with the amplitude.
     EXPECT_LT(std::fabs(fs.avgChange),
@@ -215,9 +214,9 @@ TEST(StabilityTest, PaperVprExampleShape)
     }
     const StabilityThresholds thr;
     EXPECT_TRUE(isGloballyStable(
-        analyzeMetric(series, MetricId::Outdeg1, thr), thr));
+        analyzeMetric(series, MetricId::Outdeg1), thr));
     EXPECT_FALSE(isGloballyStable(
-        analyzeMetric(series, MetricId::InEqOut, thr), thr));
+        analyzeMetric(series, MetricId::InEqOut), thr));
 }
 
 } // namespace
