@@ -84,9 +84,8 @@ struct ScenarioOutcome
 };
 
 ScenarioOutcome
-runScenario(const HeapMD &tool, SyntheticApp &app,
-            const HeapModel &model, const LeakScenario &scenario,
-            std::uint64_t seed)
+runScenario(SyntheticApp &app, const HeapModel &model,
+            const LeakScenario &scenario, std::uint64_t seed)
 {
     AppConfig cfg;
     cfg.inputSeed = seed;
@@ -149,8 +148,7 @@ main()
             for (std::uint64_t seed = 300 + 10 * i;
                  seed < 300 + 10 * i + 3; ++seed) {
                 const ScenarioOutcome out = runScenario(
-                    tool, *app, training.model, plan.scenarios[i],
-                    seed);
+                    *app, training.model, plan.scenarios[i], seed);
                 best.swatFound |= out.swatFound;
                 best.heapmdFound |= out.heapmdFound;
                 best.swatCacheFp |= out.swatCacheFp;

@@ -36,14 +36,10 @@ struct ParsedVertex
     std::uint64_t outdeg = 0;
 };
 
-/** One parsed "hist" line. */
-struct ParsedHistogram
+/** One parsed "hist" line: its counts, and where it was. */
+struct ParsedHistogram : DegreeCounts
 {
     std::uint64_t line = 0;
-    std::uint64_t vertices = 0;
-    std::uint64_t indeg[kBuckets] = {};
-    std::uint64_t outdeg[kBuckets] = {};
-    std::uint64_t ineqout = 0;
 };
 
 /** Whole parsed document plus lint state. */
@@ -154,7 +150,7 @@ Linter::histLine(std::uint64_t line_no, std::istringstream &ls)
     ok = ok && (ls >> token) && token == "outdeg";
     for (std::size_t d = 0; ok && d < kBuckets; ++d)
         ok = (ls >> number) && parseCount(number, h.outdeg[d]);
-    ok = ok && parseKeyedCount(ls, "ineqout", h.ineqout);
+    ok = ok && parseKeyedCount(ls, "ineqout", h.inEqOut);
     if (!ok) {
         report.errorAtLine("graph.syntax", line_no,
                            "malformed hist line");
@@ -292,15 +288,9 @@ Linter::finish(bool saw_end, std::uint64_t end_line)
     if (!sawHist) {
         report.error("graph.histogram", "missing hist line");
     } else {
-        std::uint64_t indeg[kBuckets] = {}, outdeg[kBuckets] = {};
-        std::uint64_t ineqout = 0;
-        for (const auto &[id, v] : vertices) {
-            if (v.indeg < kBuckets)
-                ++indeg[v.indeg];
-            if (v.outdeg < kBuckets)
-                ++outdeg[v.outdeg];
-            ineqout += v.indeg == v.outdeg ? 1 : 0;
-        }
+        DegreeCounts recount;
+        for (const auto &[id, v] : vertices)
+            recount.add(v.indeg, v.outdeg);
         if (hist.vertices != vertices.size()) {
             report.errorAtLine(
                 "graph.histogram", hist.line,
@@ -309,47 +299,35 @@ Linter::finish(bool saw_end, std::uint64_t end_line)
                     std::to_string(vertices.size()));
         }
         for (std::size_t d = 0; d < kBuckets; ++d) {
-            if (hist.indeg[d] != indeg[d]) {
+            if (hist.indeg[d] != recount.indeg[d]) {
                 report.errorAtLine(
                     "graph.histogram", hist.line,
                     "indeg=" + std::to_string(d) + " bucket is " +
                         std::to_string(hist.indeg[d]) +
-                        ", recount says " + std::to_string(indeg[d]));
+                        ", recount says " +
+                        std::to_string(recount.indeg[d]));
             }
-            if (hist.outdeg[d] != outdeg[d]) {
+            if (hist.outdeg[d] != recount.outdeg[d]) {
                 report.errorAtLine(
                     "graph.histogram", hist.line,
                     "outdeg=" + std::to_string(d) + " bucket is " +
                         std::to_string(hist.outdeg[d]) +
                         ", recount says " +
-                        std::to_string(outdeg[d]));
+                        std::to_string(recount.outdeg[d]));
             }
         }
-        if (hist.ineqout != ineqout) {
+        if (hist.inEqOut != recount.inEqOut) {
             report.errorAtLine(
                 "graph.histogram", hist.line,
-                "ineqout count is " + std::to_string(hist.ineqout) +
-                    ", recount says " + std::to_string(ineqout));
+                "ineqout count is " + std::to_string(hist.inEqOut) +
+                    ", recount says " + std::to_string(recount.inEqOut));
         }
 
         // The seven paper metrics must be recomputable from the
         // histogram within epsilon.
-        const double total = static_cast<double>(hist.vertices);
-        const auto pct = [total](std::uint64_t count) {
-            return total == 0.0
-                       ? 0.0
-                       : 100.0 * static_cast<double>(count) / total;
-        };
-        const std::pair<MetricId, double> expected[] = {
-            {MetricId::Roots, pct(hist.indeg[0])},
-            {MetricId::Indeg1, pct(hist.indeg[1])},
-            {MetricId::Indeg2, pct(hist.indeg[2])},
-            {MetricId::Leaves, pct(hist.outdeg[0])},
-            {MetricId::Outdeg1, pct(hist.outdeg[1])},
-            {MetricId::Outdeg2, pct(hist.outdeg[2])},
-            {MetricId::InEqOut, pct(hist.ineqout)},
-        };
-        for (const auto &[id, want] : expected) {
+        const std::array<double, kNumMetrics> expected = hist.percents();
+        for (MetricId id : kAllMetrics) {
+            const double want = expected[metricIndex(id)];
             const auto it = metrics.find(id);
             if (it == metrics.end()) {
                 report.error("graph.metric-recompute",

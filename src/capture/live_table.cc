@@ -354,21 +354,11 @@ LiveTable::degreeCensus() const
         }
     });
 
-    std::array<std::uint64_t, kNumMetrics> hits{};
+    DegreeCounts counts;
     arena_.forEach([&](std::uint32_t slot, const Extent &) {
-        const Degree &d = degrees_[slot];
-        hits[metricIndex(MetricId::Roots)] += d.in == 0;
-        hits[metricIndex(MetricId::Indeg1)] += d.in == 1;
-        hits[metricIndex(MetricId::Indeg2)] += d.in == 2;
-        hits[metricIndex(MetricId::Leaves)] += d.out == 0;
-        hits[metricIndex(MetricId::Outdeg1)] += d.out == 1;
-        hits[metricIndex(MetricId::Outdeg2)] += d.out == 2;
-        hits[metricIndex(MetricId::InEqOut)] += d.in == d.out;
+        counts.add(degrees_[slot].in, degrees_[slot].out);
     });
-    const double denom = static_cast<double>(census.objects);
-    for (std::size_t i = 0; i < kNumMetrics; ++i)
-        census.percent[i] =
-            100.0 * static_cast<double>(hits[i]) / denom;
+    census.percent = counts.percents();
     return census;
 }
 

@@ -8,16 +8,16 @@ namespace heapmd
 void
 DegreeHistogram::addVertex()
 {
-    ++vertex_count_;
+    ++counts_.vertices;
     applyVertex(0, 0, +1);
 }
 
 void
 DegreeHistogram::removeVertex(std::size_t indeg, std::size_t outdeg)
 {
-    if (vertex_count_ == 0)
+    if (counts_.vertices == 0)
         HEAPMD_PANIC("removeVertex on empty DegreeHistogram");
-    --vertex_count_;
+    --counts_.vertices;
     applyVertex(indeg, outdeg, -1);
 }
 
@@ -36,7 +36,7 @@ DegreeHistogram::indegCount(std::size_t d) const
 {
     if (d >= kExactBuckets)
         HEAPMD_PANIC("indegCount bucket ", d, " not tracked");
-    return indeg_[d];
+    return counts_.indeg[d];
 }
 
 std::uint64_t
@@ -44,7 +44,7 @@ DegreeHistogram::outdegCount(std::size_t d) const
 {
     if (d >= kExactBuckets)
         HEAPMD_PANIC("outdegCount bucket ", d, " not tracked");
-    return outdeg_[d];
+    return counts_.outdeg[d];
 }
 
 void
@@ -68,11 +68,11 @@ DegreeHistogram::applyVertex(std::size_t indeg, std::size_t outdeg,
     };
 
     if (indeg < kExactBuckets)
-        bump(indeg_[indeg]);
+        bump(counts_.indeg[indeg]);
     if (outdeg < kExactBuckets)
-        bump(outdeg_[outdeg]);
+        bump(counts_.outdeg[outdeg]);
     if (indeg == outdeg)
-        bump(in_eq_out_);
+        bump(counts_.inEqOut);
 }
 
 } // namespace heapmd

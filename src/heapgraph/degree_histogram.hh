@@ -6,9 +6,10 @@
 #ifndef HEAPMD_HEAPGRAPH_DEGREE_HISTOGRAM_HH
 #define HEAPMD_HEAPGRAPH_DEGREE_HISTOGRAM_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
+
+#include "metrics/metric.hh"
 
 namespace heapmd
 {
@@ -25,7 +26,7 @@ class DegreeHistogram
 {
   public:
     /** Number of exact low-degree buckets (0, 1, 2). */
-    static constexpr std::size_t kExactBuckets = 3;
+    static constexpr std::size_t kExactBuckets = DegreeCounts::kBuckets;
 
     /** Account for a new vertex with indegree = outdegree = 0. */
     void addVertex();
@@ -40,8 +41,11 @@ class DegreeHistogram
     void transition(std::size_t old_in, std::size_t old_out,
                     std::size_t new_in, std::size_t new_out);
 
+    /** The low-degree counts, from which the seven metrics follow. */
+    const DegreeCounts &counts() const { return counts_; }
+
     /** Total live vertices. */
-    std::uint64_t vertexCount() const { return vertex_count_; }
+    std::uint64_t vertexCount() const { return counts_.vertices; }
 
     /** Vertices with indegree exactly @p d (d < kExactBuckets). */
     std::uint64_t indegCount(std::size_t d) const;
@@ -50,7 +54,7 @@ class DegreeHistogram
     std::uint64_t outdegCount(std::size_t d) const;
 
     /** Vertices with indegree == outdegree (any value). */
-    std::uint64_t inEqOutCount() const { return in_eq_out_; }
+    std::uint64_t inEqOutCount() const { return counts_.inEqOut; }
 
     /** Drop all counts. */
     void reset();
@@ -58,10 +62,7 @@ class DegreeHistogram
   private:
     void applyVertex(std::size_t indeg, std::size_t outdeg, int delta);
 
-    std::uint64_t vertex_count_ = 0;
-    std::array<std::uint64_t, kExactBuckets> indeg_{};
-    std::array<std::uint64_t, kExactBuckets> outdeg_{};
-    std::uint64_t in_eq_out_ = 0;
+    DegreeCounts counts_;
 };
 
 } // namespace heapmd

@@ -51,26 +51,10 @@ saveGraphSnapshot(const HeapGraph &graph, std::ostream &os)
     os << " ineqout " << h.inEqOutCount() << '\n';
 
     os.precision(17);
-    const double total = static_cast<double>(h.vertexCount());
-    const auto pct = [total](std::uint64_t count) {
-        return total == 0.0
-                   ? 0.0
-                   : 100.0 * static_cast<double>(count) / total;
-    };
-    os << "metric " << metricName(MetricId::Roots) << ' '
-       << pct(h.indegCount(0)) << '\n';
-    os << "metric " << metricName(MetricId::Indeg1) << ' '
-       << pct(h.indegCount(1)) << '\n';
-    os << "metric " << metricName(MetricId::Indeg2) << ' '
-       << pct(h.indegCount(2)) << '\n';
-    os << "metric " << metricName(MetricId::Leaves) << ' '
-       << pct(h.outdegCount(0)) << '\n';
-    os << "metric " << metricName(MetricId::Outdeg1) << ' '
-       << pct(h.outdegCount(1)) << '\n';
-    os << "metric " << metricName(MetricId::Outdeg2) << ' '
-       << pct(h.outdegCount(2)) << '\n';
-    os << "metric " << metricName(MetricId::InEqOut) << ' '
-       << pct(h.inEqOutCount()) << '\n';
+    const std::array<double, kNumMetrics> values = h.counts().percents();
+    for (MetricId id : kAllMetrics)
+        os << "metric " << metricName(id) << ' ' << values[metricIndex(id)]
+           << '\n';
     os << "end\n";
     os.flush();
 }

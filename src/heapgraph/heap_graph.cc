@@ -470,17 +470,7 @@ HeapGraph::checkConsistency() const
         HEAPMD_PANIC("edge count drifted: ", edge_count_, " vs ",
                      distinct_edges);
 
-    const DegreeHistogram fresh = recomputeHistogram();
-    const bool same =
-        fresh.vertexCount() == hist_.vertexCount() &&
-        fresh.inEqOutCount() == hist_.inEqOutCount() &&
-        fresh.indegCount(0) == hist_.indegCount(0) &&
-        fresh.indegCount(1) == hist_.indegCount(1) &&
-        fresh.indegCount(2) == hist_.indegCount(2) &&
-        fresh.outdegCount(0) == hist_.outdegCount(0) &&
-        fresh.outdegCount(1) == hist_.outdegCount(1) &&
-        fresh.outdegCount(2) == hist_.outdegCount(2);
-    if (!same)
+    if (recomputeHistogram().counts() != hist_.counts())
         HEAPMD_PANIC("incremental histogram disagrees with recompute");
 }
 

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -45,6 +46,57 @@ metricIndex(MetricId id)
 {
     return static_cast<std::size_t>(id);
 }
+
+/**
+ * The vertex counts behind the seven metrics: how many vertices have
+ * indegree and outdegree 0, 1 and 2, and how many have indegree equal
+ * to outdegree.  Every metric calculator fills one of these and reads
+ * its percentages, so the count-to-metric mapping lives only here.
+ */
+struct DegreeCounts
+{
+    /** Exact low-degree buckets: degrees 0, 1 and 2. */
+    static constexpr std::size_t kBuckets = 3;
+
+    std::uint64_t vertices = 0;
+    std::uint64_t indeg[kBuckets] = {};
+    std::uint64_t outdeg[kBuckets] = {};
+    std::uint64_t inEqOut = 0;
+
+    bool operator==(const DegreeCounts &) const = default;
+
+    /** Count one vertex of the given degrees. */
+    void
+    add(std::uint64_t in, std::uint64_t out)
+    {
+        ++vertices;
+        if (in < kBuckets)
+            ++indeg[in];
+        if (out < kBuckets)
+            ++outdeg[out];
+        if (in == out)
+            ++inEqOut;
+    }
+
+    /** @p count as a percentage of the vertices; 0 when there are none. */
+    double
+    percent(std::uint64_t count) const
+    {
+        return vertices == 0 ? 0.0
+                             : 100.0 * static_cast<double>(count) /
+                                   static_cast<double>(vertices);
+    }
+
+    /** The seven metrics, indexed by metricIndex(). */
+    std::array<double, kNumMetrics>
+    percents() const
+    {
+        return {percent(indeg[0]),  percent(indeg[1]),
+                percent(indeg[2]),  percent(outdeg[0]),
+                percent(outdeg[1]), percent(outdeg[2]),
+                percent(inEqOut)};
+    }
+};
 
 /** Short display name matching the paper's tables (e.g. "Outdeg=1"). */
 const std::string &metricName(MetricId id);

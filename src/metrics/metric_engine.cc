@@ -11,28 +11,13 @@ MetricSample
 MetricEngine::sample(const HeapGraph &graph, Tick tick,
                      std::uint64_t point_index)
 {
-    const DegreeHistogram &h = graph.histogram();
+    const DegreeCounts &counts = graph.histogram().counts();
     MetricSample s;
     s.tick = tick;
     s.pointIndex = point_index;
-    s.vertexCount = h.vertexCount();
+    s.vertexCount = counts.vertices;
     s.edgeCount = graph.edgeCount();
-
-    if (s.vertexCount == 0)
-        return s; // all metrics 0 on an empty heap
-
-    const double total = static_cast<double>(s.vertexCount);
-    const auto pct = [total](std::uint64_t count) {
-        return 100.0 * static_cast<double>(count) / total;
-    };
-
-    s.values[metricIndex(MetricId::Roots)] = pct(h.indegCount(0));
-    s.values[metricIndex(MetricId::Indeg1)] = pct(h.indegCount(1));
-    s.values[metricIndex(MetricId::Indeg2)] = pct(h.indegCount(2));
-    s.values[metricIndex(MetricId::Leaves)] = pct(h.outdegCount(0));
-    s.values[metricIndex(MetricId::Outdeg1)] = pct(h.outdegCount(1));
-    s.values[metricIndex(MetricId::Outdeg2)] = pct(h.outdegCount(2));
-    s.values[metricIndex(MetricId::InEqOut)] = pct(h.inEqOutCount());
+    s.values = counts.percents(); // all 0 on an empty heap
     return s;
 }
 

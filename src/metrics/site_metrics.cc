@@ -15,11 +15,8 @@ namespace
 
 struct SiteAccumulator
 {
-    std::uint64_t count = 0;
+    DegreeCounts degrees;
     std::uint64_t bytes = 0;
-    std::uint64_t indeg[3] = {0, 0, 0};
-    std::uint64_t outdeg[3] = {0, 0, 0};
-    std::uint64_t in_eq_out = 0;
 };
 
 } // namespace
@@ -31,38 +28,20 @@ computeSiteMetrics(const HeapGraph &graph, std::size_t top_k,
     std::unordered_map<FnId, SiteAccumulator> acc;
     graph.forEachObject([&](const ObjectRecord &rec) {
         SiteAccumulator &a = acc[graph.provenanceOf(rec).allocSite];
-        ++a.count;
+        a.degrees.add(rec.indegree(), rec.outdegree());
         a.bytes += rec.size;
-        const std::size_t in = rec.indegree();
-        const std::size_t out = rec.outdegree();
-        if (in < 3)
-            ++a.indeg[in];
-        if (out < 3)
-            ++a.outdeg[out];
-        if (in == out)
-            ++a.in_eq_out;
     });
 
     std::vector<SiteMetrics> sites;
     sites.reserve(acc.size());
     for (const auto &[site, a] : acc) {
-        if (a.count < min_objects)
+        if (a.degrees.vertices < min_objects)
             continue;
         SiteMetrics m;
         m.site = site;
-        m.objectCount = a.count;
+        m.objectCount = a.degrees.vertices;
         m.liveBytes = a.bytes;
-        const double total = static_cast<double>(a.count);
-        const auto pct = [total](std::uint64_t n) {
-            return 100.0 * static_cast<double>(n) / total;
-        };
-        m.values[metricIndex(MetricId::Roots)] = pct(a.indeg[0]);
-        m.values[metricIndex(MetricId::Indeg1)] = pct(a.indeg[1]);
-        m.values[metricIndex(MetricId::Indeg2)] = pct(a.indeg[2]);
-        m.values[metricIndex(MetricId::Leaves)] = pct(a.outdeg[0]);
-        m.values[metricIndex(MetricId::Outdeg1)] = pct(a.outdeg[1]);
-        m.values[metricIndex(MetricId::Outdeg2)] = pct(a.outdeg[2]);
-        m.values[metricIndex(MetricId::InEqOut)] = pct(a.in_eq_out);
+        m.values = a.degrees.percents();
         sites.push_back(m);
     }
 

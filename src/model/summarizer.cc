@@ -208,9 +208,10 @@ MetricSummarizer::buildModel(const std::string &program_name) const
         }
     }
 
-    // Metrics never stable on any input feed the pathological check.
+    // Metrics never stable on any input feed the pathological check;
+    // a locally stable entry is already in the model.
     for (MetricId id : kAllMetrics) {
-        if (stableRunCount(id) == 0)
+        if (stableRunCount(id) == 0 && !model.isStable(id))
             model.unstableMetrics.push_back(id);
     }
     return model;

@@ -278,7 +278,7 @@ TEST(HeapGraphTest, ReallocMovePreservesOutEdges)
 TEST(HeapGraphTest, ReallocMoveDropsInEdges)
 {
     HeapGraph g;
-    const ObjectId a = g.allocate(kA, 64);
+    g.allocate(kA, 64);
     g.allocate(kB, 64);
     g.write(kB, kA); // b -> a
     const ObjectId a2 = g.reallocate(kA, kC, 64);

@@ -8,6 +8,7 @@
 
 #include <sstream>
 
+#include "analysis/model_lint.hh"
 #include "detector/anomaly_detector.hh"
 #include "detector/execution_checker.hh"
 #include "core/heapmd.hh"
@@ -94,6 +95,23 @@ TEST(LocalMetricsTest, SerializationRoundTripsKind)
     ASSERT_TRUE(loaded.isStable(MetricId::InEqOut));
     EXPECT_TRUE(loaded.entry(MetricId::InEqOut)->locallyStable);
     EXPECT_FALSE(loaded.entry(MetricId::Leaves)->locallyStable);
+}
+
+TEST(LocalMetricsTest, SavedLocalModelLintsClean)
+{
+    // InEqOut is locally stable on every run and globally stable on
+    // none: it is a model entry, so it is not also "never stable".
+    MetricSummarizer summarizer(localConfig());
+    for (std::uint64_t s = 1; s <= 4; ++s)
+        summarizer.addRun(phasedSeries(30.0, 20.0, s));
+    const HeapModel model = summarizer.buildModel("app");
+    ASSERT_TRUE(model.entry(MetricId::InEqOut)->locallyStable);
+
+    std::stringstream ss;
+    model.save(ss);
+    analysis::Report report;
+    analysis::lintModel(ss, report);
+    EXPECT_TRUE(report.findings().empty()) << report.describe();
 }
 
 TEST(LocalMetricsTest, LegacyModelTextStillLoads)

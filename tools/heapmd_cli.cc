@@ -2,34 +2,8 @@
  * @file
  * heapmd -- command-line driver for the HeapMD pipeline.
  *
- * Subcommands (see usage() for flags):
- *   list-apps              enumerate the bundled benchmark programs
- *   train                  calibrate a model over training inputs
- *   inspect                print a saved model
- *   check                  check one input against a saved model
- *   record                 record an instrumented run to a trace
- *   capture                record a *real* process via the preloaded
- *                          allocator-interposition shim
- *   replay                 post-mortem: replay a trace under a model
- *   diff                   compare two models (program evolution)
- *   snapshot               dump the final heap-graph of a run
- *   audit                  statically verify traces/models/snapshots
- *                          and diag artifacts (bundles, manifests)
- *   report                 render an incident bundle for a developer
- *   trend                  compare run manifests, flag regressions
- *   fleet-merge            fold N run manifests into a population
- *                          model: pooled stable ranges, per-process
- *                          outliers, incident clusters
- *   fleet-trend            compare two fleet models, flag
- *                          fleet-level drift
- *   top                    live view of capture stats segments
- *   export                 serve segments as Prometheus /metrics
- *   monitor                online detector daemon: follow a rotating
- *                          capture segment set (or a live pid's shm
- *                          stats) against a model and fire incident
- *                          bundles while the workload still runs
- *   stats                  run once and print the telemetry counters
- *                          (or --format prometheus for live segments)
+ * Each command and its flags are declared once, in commandTable();
+ * `heapmd` with no arguments prints them as the usage text.
  *
  * train, check, replay and capture stop on any audit error in their
  * inputs; the trace lint rides the decode that replays the trace.
@@ -40,33 +14,9 @@
  *   2  usage error (unknown command/flag, missing value)
  *   3  findings: anomaly reports from check/replay, audit defects,
  *      model drift from diff, regressions from trend
- *
- * Every command also accepts:
- *   --trace-out FILE       write a Chrome trace-event JSON timeline
- *   --stats 0|1            print the counter table on exit (stderr);
- *                          HEAPMD_STATS=1 in the environment does the
- *                          same
- *   --jobs N               worker threads for train (--inputs or
- *                          several --trace), check --inputs,
- *                          multi-trace audit and fleet-merge
- *                          (default 0 = one per CPU the process may
- *                          run on; 1 = serial; the HEAPMD_JOBS env
- *                          var is the fallback); outputs are
- *                          bit-identical for any value
- *
- * Examples:
- *   heapmd train --app Multimedia --inputs 25 --out mm.model
- *   heapmd check --app Multimedia --model mm.model --seed 404 \
- *                --fault typo-leak --rate 1.0
- *   heapmd record --app gzip --seed 7 --out run.trace
- *   heapmd capture --out live.trace -- ./server --port 8080
- *   heapmd replay --trace run.trace --model gzip.model
- *   heapmd diff --model v1.model --model-b v2.model
- *   heapmd snapshot --app gzip --seed 7 --out run.graph
- *   heapmd audit --trace run.trace --model gzip.model \
- *                --graph run.graph
  */
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cerrno>
@@ -151,181 +101,12 @@ constexpr int kExitFindings = 3;
  */
 unsigned g_jobs = 0;
 
-#if defined(HEAPMD_HAVE_OBSV)
-
-/** Set by SIGINT/SIGTERM: the long-running commands wind down. */
-volatile std::sig_atomic_t g_stop = 0;
-
-/**
- * Arrange for SIGINT/SIGTERM to request a graceful shutdown of
- * `export --listen` and `monitor`: the flag is polled from their wait
- * loops, and SA_RESTART is deliberately *not* set so a blocking
- * poll/accept wakes with EINTR instead of sleeping through the
- * signal.
- */
-void
-installStopHandlers()
-{
-    struct sigaction sa{};
-    sa.sa_handler = [](int) { g_stop = 1; };
-    ::sigemptyset(&sa.sa_mask);
-    sa.sa_flags = 0;
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::sigaction(SIGTERM, &sa, nullptr);
-}
-
-#endif // HEAPMD_HAVE_OBSV
 
 /** Process start, for the manifest's end-to-end duration stamp. */
 const std::chrono::steady_clock::time_point g_main_start =
     std::chrono::steady_clock::now();
 
-void
-printUsage(std::FILE *to)
-{
-    std::fprintf(
-        to,
-        "usage: %s <command> [flags]\n"
-        "\n"
-        "commands:\n"
-        "  list-apps\n"
-        "  train   --app NAME [--inputs N=25] [--seed S=1]\n"
-        "          [--version V=1] [--scale X=1.0] [--frq N=300]\n"
-        "          [--local 0|1] [--out FILE] [--manifest FILE]\n"
-        "          or: --trace FILE [--trace FILE ...] [--name NAME]\n"
-        "          (train from recorded/captured traces instead of\n"
-        "           synthetic apps)\n"
-        "  inspect --model FILE\n"
-        "  check   --app NAME --model FILE [--seed S=100]\n"
-        "          [--inputs N=1] [--version V=1] [--scale X=1.0]\n"
-        "          [--frq N=300]\n"
-        "          [--fault KIND [--rate R=1.0] [--budget B=0]]\n"
-        "          [--bundle-dir DIR] [--manifest FILE]\n"
-        "          (--inputs N checks seeds S..S+N-1 as a batch)\n"
-        "  record  --app NAME --out FILE [--seed S=1] [--version V]\n"
-        "          [--scale X] [--fault KIND [--rate R] [--budget B]]\n"
-        "  capture [--out FILE=capture.trace] [--frq N=10000]\n"
-        "          [--lib SHIM.so] [--train-out FILE]\n"
-        "          [--check MODEL] [--bundle-dir DIR]\n"
-        "          [--rotate-bytes N] [--compress 1]\n"
-        "          [--manifest FILE] [--verbose 1]\n"
-        "          -- <command> [args...]\n"
-        "          (LD_PRELOADs the allocator shim into the command\n"
-        "           and records a live trace; --frq is the\n"
-        "           conservative-scan period in allocation events;\n"
-        "           --rotate-bytes records rotating FILE.NNNNNN.heapmd\n"
-        "           segments `monitor` can follow while the command\n"
-        "           still runs; --compress gzips each rotation\n"
-        "           segment [.heapmd.gz], with the rotation threshold\n"
-        "           still counted in raw trace bytes --\n"
-        "           HEAPMD_CAPTURE_COMPRESS=1 does the same;\n"
-        "           --train-out and --check replay the trace or the\n"
-        "           segment set in the pass that audits it)\n"
-        "  replay  --trace FILE --model FILE [--frq N=300]\n"
-        "          [--bundle-dir DIR] [--manifest FILE]\n"
-        "          (a trace lint error is fatal; capture-provenance\n"
-        "           traces default to --frq 1 and tolerate allocator\n"
-        "           address reuse)\n"
-        "  diff    --model FILE --model-b FILE\n"
-        "  snapshot --app NAME --out FILE [--seed S=1] [--version V]\n"
-        "          [--scale X] [--fault KIND [--rate R] [--budget B]]\n"
-        "  audit   [--trace FILE ...] [--segments BASE ...]\n"
-        "          [--model FILE ...]\n"
-        "          [--graph FILE ...] [--bundle FILE ...]\n"
-        "          [--manifest FILE ...] [--fleet FILE ...]\n"
-        "          [--deep 0|1]\n"
-        "          [--bundle-dir DIR] [--max-findings N=1000]\n"
-        "          (static verification: lint artifacts against the\n"
-        "           rule catalog in DESIGN.md without replaying;\n"
-        "           every input repeats, reports print per file in\n"
-        "           input order, and the exit code reflects the\n"
-        "           worst finding across all of them; --deep 1 adds\n"
-        "           the shadow-heap flow analysis [flow.* rules] on\n"
-        "           traces and --bundle-dir exports its findings as\n"
-        "           flow incidents for `report`)\n"
-        "  report  --bundle FILE [--stacks N=3] [--suspects N=5]\n"
-        "          (render an incident bundle or a flow incident:\n"
-        "           ranked suspects, metric trajectory, call stacks\n"
-        "           / rule, site pair, triage hint)\n"
-        "  trend   --baseline FILE --manifest FILE [--manifest ...]\n"
-        "          [--counter-tol R=0.10] [--sample-tol R=0.10]\n"
-        "          [--min-base N=100] [--rss-tol R=0.35]\n"
-        "          [--phase-tol R=1.0]\n"
-        "          (compare run manifests against a clean baseline;\n"
-        "           exits %d when a regression is flagged; all\n"
-        "           manifests must share one schemaVersion)\n"
-        "  fleet-merge <path...> [--manifest FILE ...]\n"
-        "          [--out FILE=fleet.json] [--outlier-z Z=3.0]\n"
-        "          [--min-members N=3]\n"
-        "          (fold run manifests -- given directly or found in\n"
-        "           directories, along with any incident bundles --\n"
-        "           into one population model: pooled per-metric\n"
-        "           stable ranges, leave-one-out outlier attribution\n"
-        "           weighted by sample counts, incident clusters\n"
-        "           keyed on suspect-function signature; the output\n"
-        "           is byte-identical for any input order or --jobs;\n"
-        "           exits %d when a member is attributed as an\n"
-        "           outlier)\n"
-        "  fleet-trend --fleet FILE --baseline FILE\n"
-        "          [--range-tol R=0.25]\n"
-        "          (compare today's fleet model against yesterday's;\n"
-        "           new outliers, drifted pooled ranges, and new\n"
-        "           incident clusters exit %d)\n"
-        "  top     [--pid P | --all 1] [--once 1] [--interval MS=2000]\n"
-        "          [--model FILE] [--reap 1]\n"
-        "          (live view of capture shim stats segments in\n"
-        "           /dev/shm; --model adds drift against a trained\n"
-        "           model's stable ranges; --reap removes segments\n"
-        "           left by SIGKILLed processes)\n"
-        "  export  [--listen HOST:PORT=127.0.0.1:9464] [--pid P]\n"
-        "          [--once 1] [--fleet FILE]\n"
-        "          (serve the live segments as a Prometheus /metrics\n"
-        "           HTTP endpoint; SIGINT/SIGTERM shut it down\n"
-        "           cleanly; --fleet appends the heapmd_fleet_*\n"
-        "           families of a fleet-merge model to every scrape)\n"
-        "  monitor --model FILE (--segments BASE | --pid P)\n"
-        "          [--once 1] [--bundle-dir DIR] [--poll-ms N=50]\n"
-        "          [--debounce N=3] [--rearm N=8] [--window N=16]\n"
-        "          [--listen HOST:PORT]\n"
-        "          (online detector daemon: tail a rotating capture\n"
-        "           segment set -- or, with --pid, a live process's\n"
-        "           shm stats -- against a trained model and write\n"
-        "           incident bundles the moment an excursion survives\n"
-        "           its debounce, while the workload still runs;\n"
-        "           --once consumes a completed set with the same\n"
-        "           verdicts as `check`; --listen serves the\n"
-        "           heapmd_monitor_* Prometheus families)\n"
-        "  observe --app NAME [--seed S=1] [--version V] [--scale X]\n"
-        "          [--frq N=300] [--fault KIND [--rate R]]\n"
-        "          (prints the metric series as CSV -- the paper's\n"
-        "           GUI plotter substitute)\n"
-        "  stats   [--app NAME=%s] [--seed S=1] [--version V]\n"
-        "          [--scale X] [--frq N=300]\n"
-        "          (runs once and prints the telemetry counters)\n"
-        "          or: --format prometheus [--pid P] [--fleet FILE]\n"
-        "          (print the live stats segments as Prometheus\n"
-        "           text exposition instead of running anything;\n"
-        "           --fleet appends the heapmd_fleet_* families)\n"
-        "\n"
-        "global flags (any command):\n"
-        "  --trace-out FILE   Chrome trace-event JSON timeline\n"
-        "  --stats 0|1        counter table on exit (stderr); the\n"
-        "                     HEAPMD_STATS env var does the same\n"
-        "  --jobs N           worker threads for train (--inputs or\n"
-        "                     several --trace), check --inputs,\n"
-        "                     multi-trace audit and fleet-merge\n"
-        "                     (default 0 = one per CPU the process\n"
-        "                     may run on; 1 = serial; the\n"
-        "                     HEAPMD_JOBS env var is the fallback;\n"
-        "                     outputs are bit-identical for any\n"
-        "                     value)\n"
-        "\n"
-        "exit status: 0 clean; 1 fatal error; 2 usage error;\n"
-        "  3 findings (anomaly reports, audit defects, model drift,\n"
-        "  trend regressions)\n",
-        g_argv0, kExitFindings, kExitFindings, kExitFindings,
-        specAppNames().front().c_str());
-}
+void printUsage(std::FILE *to);
 
 /**
  * Bad invocation: name the offending command/flag on stderr, show the
@@ -395,19 +176,14 @@ class Args
         }
     }
 
-    /**
-     * Reject flags outside @p allowed (plus the global flags every
-     * command accepts), naming the first offender.
-     */
+    /** Reject flags outside @p allowed, naming the first offender. */
     void
     checkAllowed(const std::string &command,
                  const std::set<std::string> &allowed) const
     {
-        static const std::set<std::string> global = {"trace-out",
-                                                     "stats", "jobs"};
         for (const auto &[key, value] : values_) {
             (void)value;
-            if (allowed.count(key) == 0 && global.count(key) == 0)
+            if (allowed.count(key) == 0)
                 badInvocation("unknown flag '--" + key +
                               "' for command '" + command + "'");
         }
@@ -527,6 +303,26 @@ loadModel(const std::string &path)
     return HeapModel::load(in);
 }
 
+void
+saveModel(const HeapModel &model, const std::string &path)
+{
+    std::ofstream out(path);
+    if (!out)
+        HEAPMD_FATAL("cannot write '", path, "'");
+    model.save(out);
+    std::printf("model written to %s\n", path.c_str());
+}
+
+fleet::FleetModel
+loadFleetModel(const std::string &path)
+{
+    fleet::FleetModel model;
+    std::string error;
+    if (!fleet::loadFleetModelFile(path, model, &error))
+        HEAPMD_FATAL("cannot load fleet model '", path, "': ", error);
+    return model;
+}
+
 /**
  * Pre-flight one artifact through its static auditor.  Prints the
  * findings and fails fatally when the artifact has error-severity
@@ -571,23 +367,28 @@ fillManifestConfig(diag::RunManifest &manifest, const Args &args,
 }
 
 /**
- * Serialize one incident bundle per anomaly report into @p dir
- * (created if absent) as incident-NNN.json, returning the paths.
- * @p first numbers the first bundle, so a batch check can append its
- * runs' bundles to one directory without collisions.
+ * Print a checked run's anomaly reports and, under --bundle-dir, write
+ * one incident bundle per report into that directory (created if
+ * absent) as incident-NNN.json, returning the paths.  @p first numbers
+ * the first bundle, so a batch check can append its runs' bundles to
+ * one directory without collisions.
  */
 std::vector<std::string>
-writeBundles(const std::string &dir,
-             const std::vector<BugReport> &reports,
+printReports(const Args &args, const std::vector<BugReport> &reports,
              const FunctionRegistry &registry,
              const MetricSeries &series, std::size_t first = 1)
 {
+    for (const BugReport &report : reports)
+        std::printf("\n%s", report.describe(registry).c_str());
+    std::vector<std::string> paths;
+    if (!args.has("bundle-dir"))
+        return paths;
+    const std::string dir = args.str("bundle-dir");
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
     if (ec)
         HEAPMD_FATAL("cannot create bundle directory '", dir, "': ",
                      ec.message());
-    std::vector<std::string> paths;
     for (std::size_t i = 0; i < reports.size(); ++i) {
         char name[40];
         std::snprintf(name, sizeof name, "incident-%03zu.json",
@@ -751,22 +552,6 @@ warnCutShort(const TraceReplay &replay)
 }
 
 /**
- * Print a checked replay's reports and write one incident bundle per
- * report under --bundle-dir; returns the bundle paths.
- */
-std::vector<std::string>
-printReports(const TraceReplay &replay, const Args &args)
-{
-    const FunctionRegistry &registry = replay.process->registry();
-    for (const BugReport &report : replay.check.reports)
-        std::printf("\n%s", report.describe(registry).c_str());
-    if (!args.has("bundle-dir"))
-        return {};
-    return writeBundles(args.str("bundle-dir"), replay.check.reports,
-                        registry, replay.process->series());
-}
-
-/**
  * `train --trace FILE [--trace ...]`: build a model from recorded or
  * captured traces instead of synthetic app runs.
  */
@@ -814,13 +599,8 @@ cmdTrainFromTraces(const Args &args)
     for (std::size_t idx : summarizer.suspectTrainingRuns(model))
         std::printf("  suspect training trace: #%zu\n", idx);
 
-    if (args.has("out")) {
-        std::ofstream out(args.str("out"));
-        if (!out)
-            HEAPMD_FATAL("cannot write '", args.str("out"), "'");
-        model.save(out);
-        std::printf("model written to %s\n", args.str("out").c_str());
-    }
+    if (args.has("out"))
+        saveModel(model, args.str("out"));
     if (args.has("manifest")) {
         diag::RunManifest manifest;
         manifest.command = "train";
@@ -862,13 +642,8 @@ cmdTrain(const Args &args)
     for (std::size_t idx : training.suspectTrainingRuns)
         std::printf("  suspect training input: #%zu\n", idx);
 
-    if (args.has("out")) {
-        std::ofstream out(args.str("out"));
-        if (!out)
-            HEAPMD_FATAL("cannot write '", args.str("out"), "'");
-        training.model.save(out);
-        std::printf("model written to %s\n", args.str("out").c_str());
-    }
+    if (args.has("out"))
+        saveModel(training.model, args.str("out"));
     if (args.has("manifest")) {
         diag::RunManifest manifest;
         manifest.command = "train";
@@ -922,14 +697,9 @@ cmdCheckBatch(const Args &args, const HeapMD &tool, SyntheticApp &app,
                     out.check.reports.size(),
                     static_cast<unsigned long long>(
                         out.check.samplesChecked));
-        const FunctionRegistry registry = out.run.registry();
-        for (const BugReport &report : out.check.reports)
-            std::printf("\n%s", report.describe(registry).c_str());
-        if (args.has("bundle-dir")) {
-            writeBundles(args.str("bundle-dir"), out.check.reports,
-                         registry, out.run.series, next_bundle);
-            next_bundle += out.check.reports.size();
-        }
+        printReports(args, out.check.reports, out.run.registry(),
+                     out.run.series, next_bundle);
+        next_bundle += out.check.reports.size();
         anomalous = anomalous || out.check.anomalous();
     }
     return anomalous ? kExitFindings : 0;
@@ -961,15 +731,8 @@ cmdCheck(const Args &args)
                 app->name().c_str(), out.check.reports.size(),
                 static_cast<unsigned long long>(
                     out.check.samplesChecked));
-    const FunctionRegistry registry = out.run.registry();
-    for (const BugReport &report : out.check.reports)
-        std::printf("\n%s", report.describe(registry).c_str());
-
-    std::vector<std::string> bundles;
-    if (args.has("bundle-dir"))
-        bundles = writeBundles(args.str("bundle-dir"),
-                               out.check.reports, registry,
-                               out.run.series);
+    const std::vector<std::string> bundles = printReports(
+        args, out.check.reports, out.run.registry(), out.run.series);
     if (args.has("manifest")) {
         diag::RunManifest manifest = diag::makeRunManifest(
             "check", g_command_line, out.run, &out.check);
@@ -984,11 +747,14 @@ cmdCheck(const Args &args)
 int
 cmdRecord(const Args &args)
 {
-    HeapMDConfig cfg = configFrom(args);
     // Every flag is parsed before --out is truncated.
     auto app = makeApp(args.str("app"));
     const AppConfig app_cfg = appConfigFrom(args, 1);
-    Process process(cfg.process);
+    // The trace is the product: the Process only ticks and feeds the
+    // writer, and folds no heap graph.
+    ProcessConfig pcfg;
+    pcfg.instrumentationEnabled = false;
+    Process process(pcfg);
     std::ofstream out(args.str("out"), std::ios::binary);
     if (!out)
         HEAPMD_FATAL("cannot write '", args.str("out"), "'");
@@ -1021,7 +787,9 @@ cmdReplay(const Args &args)
     std::printf("replayed %llu events: %zu report(s)\n",
                 static_cast<unsigned long long>(replay.events),
                 result.reports.size());
-    const std::vector<std::string> bundles = printReports(replay, args);
+    const std::vector<std::string> bundles =
+        printReports(args, result.reports, process.registry(),
+                     process.series());
     if (args.has("manifest")) {
         // Replay bypasses HeapMD::observe(), so assemble the outcome
         // the manifest builder expects from the Process directly.
@@ -1148,13 +916,7 @@ cmdCapture(const Args &args)
                 .filename()
                 .string());
         printModel(model);
-        std::ofstream out(args.str("train-out"));
-        if (!out)
-            HEAPMD_FATAL("cannot write '", args.str("train-out"),
-                         "'");
-        model.save(out);
-        std::printf("model written to %s\n",
-                    args.str("train-out").c_str());
+        saveModel(model, args.str("train-out"));
     }
     if (args.has("check")) {
         preflight("model", args.str("check"), model_audit);
@@ -1168,7 +930,9 @@ cmdCapture(const Args &args)
                     over.c_str(), replay.check.reports.size(),
                     static_cast<unsigned long long>(
                         replay.check.samplesChecked));
-        printReports(replay, args);
+        printReports(args, replay.check.reports,
+                     replay.process->registry(),
+                     replay.process->series());
         if (replay.check.anomalous())
             status = kExitFindings;
     }
@@ -1471,46 +1235,48 @@ cmdReport(const Args &args)
     return 0;
 }
 
+/** Reads a document's schemaVersion without loading it. */
+using SchemaPeek = bool (*)(const std::string &, std::uint64_t &,
+                            std::string *);
+
 /**
- * Pre-flight for trend: every manifest in the comparison must carry a
- * known schemaVersion, and they must all carry the *same* one --
- * comparing a v1 document against a v4 one silently misreads the
- * newer fields as "absent", so mixing is a usage error (exit 2), not
- * a finding.  Files the peek cannot even parse fall through to the
- * loader's fatal-error path (exit 1).
+ * Schema pre-flight for @p command: every @p noun in @p paths must
+ * carry a schemaVersion in 1..@p newest and, when @p mixed names the
+ * documents, all the same one -- comparing a v1 document against a v4
+ * one silently misreads the newer fields as "absent".  Either
+ * violation is the user's mismatch (a stale binary or a future
+ * capture), so it is a usage error (exit 2), not a finding; @p hint
+ * ends the mixed-version message.  Files the peek cannot even parse
+ * fall through to the loader's fatal-error path (exit 1).
  */
 void
-requireUniformManifestSchema(const std::string &baseline,
-                             const std::vector<std::string> &candidates)
+requireKnownSchema(const std::string &command, const std::string &noun,
+                   const std::vector<std::string> &paths,
+                   SchemaPeek peek, std::uint64_t newest,
+                   const char *mixed = nullptr, const char *hint = "")
 {
     std::string first_path;
     std::uint64_t first_version = 0;
-    std::vector<std::string> paths = {baseline};
-    paths.insert(paths.end(), candidates.begin(), candidates.end());
     for (const std::string &path : paths) {
         std::uint64_t version = 0;
         std::string error;
-        if (!diag::peekManifestSchemaVersionFile(path, version,
-                                                 &error))
+        if (!peek(path, version, &error))
             continue;
-        if (version < 1 || version > diag::kManifestSchemaVersion)
-            badInvocation("trend: manifest '" + path +
+        if (version < 1 || version > newest)
+            badInvocation(command + ": " + noun + " '" + path +
                           "' has unknown schemaVersion " +
                           std::to_string(version) +
                           " (this build understands 1.." +
-                          std::to_string(diag::kManifestSchemaVersion) +
-                          ")");
+                          std::to_string(newest) + ")");
         if (first_path.empty()) {
             first_path = path;
             first_version = version;
-        } else if (version != first_version) {
-            badInvocation(
-                "trend: mixed manifest schema versions ('" +
-                first_path + "' is v" +
-                std::to_string(first_version) + ", '" + path +
-                "' is v" + std::to_string(version) +
-                "); re-run the older capture or compare like with "
-                "like");
+        } else if (mixed != nullptr && version != first_version) {
+            badInvocation(command + ": mixed " + mixed +
+                          " schema versions ('" + first_path +
+                          "' is v" + std::to_string(first_version) +
+                          ", '" + path + "' is v" +
+                          std::to_string(version) + ")" + hint);
         }
     }
 }
@@ -1521,7 +1287,14 @@ cmdTrend(const Args &args)
     const std::vector<std::string> candidates = args.all("manifest");
     if (candidates.empty())
         badInvocation("trend needs at least one --manifest candidate");
-    requireUniformManifestSchema(args.str("baseline"), candidates);
+    std::vector<std::string> documents = {args.str("baseline")};
+    documents.insert(documents.end(), candidates.begin(),
+                     candidates.end());
+    requireKnownSchema("trend", "manifest", documents,
+                       diag::peekManifestSchemaVersionFile,
+                       diag::kManifestSchemaVersion, "manifest",
+                       "; re-run the older capture or compare like "
+                       "with like");
 
     diag::RunManifest baseline;
     std::string error;
@@ -1577,24 +1350,11 @@ cmdFleetMerge(const Args &args)
     if (!fleet::collectFleetInputs(paths, inputs, error))
         HEAPMD_FATAL("fleet-merge: ", error);
 
-    // Schema pre-flight: a manifest claiming a version this build
-    // does not understand is the *user's* mismatch (stale binary or
-    // future capture), so it exits 2, not 1.  Unparseable files fall
-    // through to the loader's fatal path.
-    for (const std::string &path : inputs.manifests) {
-        std::uint64_t version = 0;
-        std::string peek_error;
-        if (!diag::peekManifestSchemaVersionFile(path, version,
-                                                 &peek_error))
-            continue;
-        if (version < 1 || version > diag::kManifestSchemaVersion)
-            badInvocation(
-                "fleet-merge: manifest '" + path +
-                "' has unknown schemaVersion " +
-                std::to_string(version) +
-                " (this build understands 1.." +
-                std::to_string(diag::kManifestSchemaVersion) + ")");
-    }
+    // Members may mix manifest versions; each must be one this build
+    // understands.
+    requireKnownSchema("fleet-merge", "manifest", inputs.manifests,
+                       diag::peekManifestSchemaVersionFile,
+                       diag::kManifestSchemaVersion);
 
     fleet::FleetMergeOptions options;
     options.jobs = g_jobs;
@@ -1634,45 +1394,13 @@ cmdFleetTrend(const Args &args)
     const std::string baseline_path = args.str("baseline");
     const std::string fleet_path = args.str("fleet");
 
-    // Same schema discipline as trend: unknown or mixed fleet
-    // versions are a usage error, named per file.
-    std::string first_path;
-    std::uint64_t first_version = 0;
-    for (const std::string &path : {baseline_path, fleet_path}) {
-        std::uint64_t version = 0;
-        std::string peek_error;
-        if (!fleet::peekFleetSchemaVersionFile(path, version,
-                                               &peek_error))
-            continue;
-        if (version < 1 || version > fleet::kFleetSchemaVersion)
-            badInvocation(
-                "fleet-trend: fleet model '" + path +
-                "' has unknown schemaVersion " +
-                std::to_string(version) +
-                " (this build understands 1.." +
-                std::to_string(fleet::kFleetSchemaVersion) + ")");
-        if (first_path.empty()) {
-            first_path = path;
-            first_version = version;
-        } else if (version != first_version) {
-            badInvocation("fleet-trend: mixed fleet schema versions "
-                          "('" +
-                          first_path + "' is v" +
-                          std::to_string(first_version) + ", '" +
-                          path + "' is v" +
-                          std::to_string(version) + ")");
-        }
-    }
+    requireKnownSchema("fleet-trend", "fleet model",
+                       {baseline_path, fleet_path},
+                       fleet::peekFleetSchemaVersionFile,
+                       fleet::kFleetSchemaVersion, "fleet");
 
-    std::string error;
-    fleet::FleetModel baseline;
-    if (!fleet::loadFleetModelFile(baseline_path, baseline, &error))
-        HEAPMD_FATAL("cannot load fleet model '", baseline_path,
-                     "': ", error);
-    fleet::FleetModel candidate;
-    if (!fleet::loadFleetModelFile(fleet_path, candidate, &error))
-        HEAPMD_FATAL("cannot load fleet model '", fleet_path, "': ",
-                     error);
+    const fleet::FleetModel baseline = loadFleetModel(baseline_path);
+    const fleet::FleetModel candidate = loadFleetModel(fleet_path);
 
     fleet::FleetTrendOptions options;
     options.rangeTolerance =
@@ -1741,16 +1469,9 @@ collectSegments(const Args &args)
     return snapshots;
 }
 
-#endif // HEAPMD_HAVE_OBSV
-
 int
 cmdTop(const Args &args)
 {
-#if !defined(HEAPMD_HAVE_OBSV)
-    (void)args;
-    HEAPMD_FATAL("this build has no live-observability support "
-                 "(POSIX shared memory required)");
-#else
     if (args.num("reap", 0) != 0) {
         const obsv::ReapResult result = obsv::reapDeadSegments();
         for (std::uint32_t pid : result.reaped)
@@ -1785,10 +1506,7 @@ cmdTop(const Args &args)
         std::this_thread::sleep_for(
             std::chrono::milliseconds(interval_ms));
     }
-#endif // HEAPMD_HAVE_OBSV
 }
-
-#if defined(HEAPMD_HAVE_OBSV)
 
 /** write(2) until done; a vanished scraper is not an error. */
 void
@@ -1905,32 +1623,41 @@ class MetricsServer
     int fd_ = -1;
 };
 
-#endif // HEAPMD_HAVE_OBSV
+/** Set by SIGINT/SIGTERM: the long-running commands wind down. */
+volatile std::sig_atomic_t g_stop = 0;
+
+/**
+ * Arrange for SIGINT/SIGTERM to request a graceful shutdown of
+ * `export --listen` and `monitor`: the flag is polled from their wait
+ * loops, and SA_RESTART is deliberately *not* set so a blocking
+ * poll/accept wakes with EINTR instead of sleeping through the
+ * signal.
+ */
+void
+installStopHandlers()
+{
+    struct sigaction sa{};
+    sa.sa_handler = [](int) { g_stop = 1; };
+    ::sigemptyset(&sa.sa_mask);
+    sa.sa_flags = 0;
+    ::sigaction(SIGINT, &sa, nullptr);
+    ::sigaction(SIGTERM, &sa, nullptr);
+}
 
 int
 cmdExport(const Args &args)
 {
-#if !defined(HEAPMD_HAVE_OBSV)
-    (void)args;
-    HEAPMD_FATAL("this build has no live-observability support "
-                 "(POSIX shared memory required)");
-#else
     const std::string listen_addr =
         args.str("listen", "127.0.0.1:9464");
 
     // --fleet appends the heapmd_fleet_* families to every scrape.
     // The model is a static artifact, so it renders once up front --
     // re-run fleet-merge and restart to publish a new population.
-    std::string fleet_text;
-    if (args.has("fleet")) {
-        fleet::FleetModel model;
-        std::string error;
-        if (!fleet::loadFleetModelFile(args.str("fleet"), model,
-                                       &error))
-            HEAPMD_FATAL("cannot load fleet model '",
-                         args.str("fleet"), "': ", error);
-        fleet_text = fleet::renderFleetPrometheus(model);
-    }
+    const std::string fleet_text =
+        args.has("fleet")
+            ? fleet::renderFleetPrometheus(
+                  loadFleetModel(args.str("fleet")))
+            : "";
 
     MetricsServer server;
     server.open(listen_addr);
@@ -1957,17 +1684,11 @@ cmdExport(const Args &args)
     }
     server.close();
     return 0;
-#endif // HEAPMD_HAVE_OBSV
 }
 
 int
 cmdMonitor(const Args &args)
 {
-#if !defined(HEAPMD_HAVE_OBSV)
-    (void)args;
-    HEAPMD_FATAL("this build has no live-observability support "
-                 "(POSIX shared memory required)");
-#else
     monitor::MonitorOptions options;
     if (args.has("segments"))
         options.segmentsBase = args.str("segments");
@@ -2050,8 +1771,35 @@ cmdMonitor(const Args &args)
                 stats.truncatedTail ? " (truncated tail tolerated)"
                                     : "");
     return session.anomalous() ? kExitFindings : 0;
-#endif // HEAPMD_HAVE_OBSV
 }
+
+/** `stats --format prometheus`: the live segments as exposition text. */
+int
+printPrometheus(const Args &args)
+{
+    std::string text = obsv::renderPrometheus(collectSegments(args));
+    if (args.has("fleet"))
+        text += fleet::renderFleetPrometheus(
+            loadFleetModel(args.str("fleet")));
+    std::fwrite(text.data(), 1, text.size(), stdout);
+    return 0;
+}
+
+#else // !HEAPMD_HAVE_OBSV
+
+/** Every live-observability command, in a build without them. */
+int
+noObservability(const Args &)
+{
+    HEAPMD_FATAL("this build has no live-observability support "
+                 "(POSIX shared memory required)");
+}
+const auto cmdTop = noObservability;
+const auto cmdExport = noObservability;
+const auto cmdMonitor = noObservability;
+const auto printPrometheus = noObservability;
+
+#endif // HEAPMD_HAVE_OBSV
 
 int
 cmdStats(const Args &args)
@@ -2060,24 +1808,7 @@ cmdStats(const Args &args)
         if (args.str("format") != "prometheus")
             badInvocation("stats --format only supports "
                           "'prometheus'");
-#if !defined(HEAPMD_HAVE_OBSV)
-        HEAPMD_FATAL("this build has no live-observability support "
-                     "(POSIX shared memory required)");
-#else
-        std::string text =
-            obsv::renderPrometheus(collectSegments(args));
-        if (args.has("fleet")) {
-            fleet::FleetModel model;
-            std::string error;
-            if (!fleet::loadFleetModelFile(args.str("fleet"), model,
-                                           &error))
-                HEAPMD_FATAL("cannot load fleet model '",
-                             args.str("fleet"), "': ", error);
-            text += fleet::renderFleetPrometheus(model);
-        }
-        std::fwrite(text.data(), 1, text.size(), stdout);
-        return 0;
-#endif
+        return printPrometheus(args);
     }
     const HeapMD tool(configFrom(args));
     auto app = makeApp(args.str("app", specAppNames().front()));
@@ -2088,80 +1819,230 @@ cmdStats(const Args &args)
     return 0;
 }
 
-/** One dispatch-table entry: handler plus its known flags. */
+/**
+ * One command: its handler and its usage entry.  The synopsis lines
+ * name every flag the command accepts -- the parser takes exactly
+ * their `--name` tokens -- and the help is the prose under them,
+ * which may mention flags of other commands.
+ */
 struct CommandSpec
 {
+    std::string name;
     int (*run)(const Args &);
-    std::set<std::string> flags;
+    std::string synopsis;    //!< usage lines naming flags, '\n'-separated
+    std::string help;        //!< parenthesised prose, '\n'-separated
     bool positional = false; //!< bare operands OK (fleet-merge)
 };
 
-const std::map<std::string, CommandSpec> &
+/** Every command, in usage order. */
+const std::vector<CommandSpec> &
 commandTable()
 {
-    static const std::map<std::string, CommandSpec> table = {
-        {"list-apps", {[](const Args &) { return cmdListApps(); }, {}}},
-        {"train",
-         {cmdTrain,
-          {"app", "inputs", "seed", "version", "scale", "frq", "local",
-           "out", "manifest", "trace", "name"}}},
-        {"inspect", {cmdInspect, {"model"}}},
-        {"check",
-         {cmdCheck,
-          {"app", "model", "seed", "inputs", "version", "scale",
-           "frq", "local", "fault", "rate", "budget", "bundle-dir",
-           "manifest"}}},
-        {"record",
-         {cmdRecord,
-          {"app", "out", "seed", "version", "scale", "frq", "fault",
-           "rate", "budget"}}},
-        {"capture",
-         {cmdCapture,
-          {"out", "frq", "lib", "check", "train-out", "bundle-dir",
-           "rotate-bytes", "compress", "manifest", "verbose",
-           "local"}}},
-        {"replay",
-         {cmdReplay,
-          {"trace", "model", "frq", "bundle-dir", "manifest"}}},
-        {"diff", {cmdDiff, {"model", "model-b"}}},
-        {"snapshot",
-         {cmdSnapshot,
-          {"app", "out", "seed", "version", "scale", "frq", "fault",
-           "rate", "budget"}}},
-        {"audit",
-         {cmdAudit,
-          {"trace", "segments", "model", "graph", "bundle",
-           "manifest", "fleet", "max-findings", "deep",
-           "bundle-dir"}}},
-        {"report", {cmdReport, {"bundle", "stacks", "suspects"}}},
-        {"trend",
-         {cmdTrend,
-          {"baseline", "manifest", "counter-tol", "sample-tol",
-           "min-base", "rss-tol", "phase-tol"}}},
-        {"fleet-merge",
-         {cmdFleetMerge,
-          {"out", "manifest", "outlier-z", "min-members"},
-          /*positional=*/true}},
-        {"fleet-trend",
-         {cmdFleetTrend, {"fleet", "baseline", "range-tol"}}},
-        {"top",
-         {cmdTop,
-          {"pid", "all", "once", "interval", "model", "reap"}}},
-        {"export", {cmdExport, {"listen", "pid", "once", "fleet"}}},
-        {"monitor",
-         {cmdMonitor,
-          {"segments", "pid", "model", "bundle-dir", "once",
-           "listen", "poll-ms", "debounce", "rearm", "window"}}},
-        {"observe",
-         {cmdObserve,
-          {"app", "seed", "version", "scale", "frq", "fault", "rate",
-           "budget"}}},
-        {"stats",
-         {cmdStats,
-          {"app", "seed", "version", "scale", "frq", "fault", "rate",
-           "budget", "format", "pid", "fleet"}}},
+    const std::string findings = std::to_string(kExitFindings);
+    static const std::vector<CommandSpec> table = {
+        {"list-apps", [](const Args &) { return cmdListApps(); }, "",
+         ""},
+        {"train", cmdTrain,
+         "--app NAME [--inputs N=25] [--seed S=1]\n"
+         "[--version V=1] [--scale X=1.0] [--frq N=300]\n"
+         "[--local 0|1] [--out FILE] [--manifest FILE]\n"
+         "or: --trace FILE [--trace FILE ...] [--name NAME]",
+         "(train from recorded/captured traces instead of\n"
+         " synthetic apps)"},
+        {"inspect", cmdInspect, "--model FILE", ""},
+        {"check", cmdCheck,
+         "--app NAME --model FILE [--seed S=100]\n"
+         "[--inputs N=1] [--version V=1] [--scale X=1.0]\n"
+         "[--frq N=300]\n"
+         "[--fault KIND [--rate R=1.0] [--budget B=0]]\n"
+         "[--bundle-dir DIR] [--manifest FILE]",
+         "(--inputs N checks seeds S..S+N-1 as a batch)"},
+        {"record", cmdRecord,
+         "--app NAME --out FILE [--seed S=1] [--version V]\n"
+         "[--scale X] [--fault KIND [--rate R] [--budget B]]",
+         ""},
+        {"capture", cmdCapture,
+         "[--out FILE=capture.trace] [--frq N=10000]\n"
+         "[--lib SHIM.so] [--train-out FILE [--local 0|1]]\n"
+         "[--check MODEL] [--bundle-dir DIR]\n"
+         "[--rotate-bytes N] [--compress 1]\n"
+         "[--manifest FILE] [--verbose 1]\n"
+         "-- <command> [args...]",
+         "(LD_PRELOADs the allocator shim into the command\n"
+         " and records a live trace; --frq is the\n"
+         " conservative-scan period in allocation events;\n"
+         " --rotate-bytes records rotating FILE.NNNNNN.heapmd\n"
+         " segments `monitor` can follow while the command\n"
+         " still runs; --compress gzips each rotation\n"
+         " segment [.heapmd.gz], with the rotation threshold\n"
+         " still counted in raw trace bytes --\n"
+         " HEAPMD_CAPTURE_COMPRESS=1 does the same;\n"
+         " --train-out and --check replay the trace or the\n"
+         " segment set in the pass that audits it)"},
+        {"replay", cmdReplay,
+         "--trace FILE --model FILE [--frq N=300]\n"
+         "[--bundle-dir DIR] [--manifest FILE]",
+         "(a trace lint error is fatal; capture-provenance\n"
+         " traces default to --frq 1 and tolerate allocator\n"
+         " address reuse)"},
+        {"diff", cmdDiff, "--model FILE --model-b FILE", ""},
+        {"snapshot", cmdSnapshot,
+         "--app NAME --out FILE [--seed S=1] [--version V]\n"
+         "[--scale X] [--fault KIND [--rate R] [--budget B]]",
+         ""},
+        {"audit", cmdAudit,
+         "[--trace FILE ...] [--segments BASE ...]\n"
+         "[--model FILE ...]\n"
+         "[--graph FILE ...] [--bundle FILE ...]\n"
+         "[--manifest FILE ...] [--fleet FILE ...]\n"
+         "[--deep 0|1]\n"
+         "[--bundle-dir DIR] [--max-findings N=1000]",
+         "(static verification: lint artifacts against the\n"
+         " rule catalog in DESIGN.md without replaying;\n"
+         " every input repeats, reports print per file in\n"
+         " input order, and the exit code reflects the\n"
+         " worst finding across all of them; --deep 1 adds\n"
+         " the shadow-heap flow analysis [flow.* rules] on\n"
+         " traces and --bundle-dir exports its findings as\n"
+         " flow incidents for `report`)"},
+        {"report", cmdReport,
+         "--bundle FILE [--stacks N=3] [--suspects N=5]",
+         "(render an incident bundle or a flow incident:\n"
+         " ranked suspects, metric trajectory, call stacks\n"
+         " / rule, site pair, triage hint)"},
+        {"trend", cmdTrend,
+         "--baseline FILE --manifest FILE [--manifest ...]\n"
+         "[--counter-tol R=0.10] [--sample-tol R=0.10]\n"
+         "[--min-base N=100] [--rss-tol R=0.35]\n"
+         "[--phase-tol R=1.0]",
+         "(compare run manifests against a clean baseline;\n"
+         " exits " + findings + " when a regression is flagged; all\n"
+         " manifests must share one schemaVersion)"},
+        {"fleet-merge", cmdFleetMerge,
+         "<path...> [--manifest FILE ...]\n"
+         "[--out FILE=fleet.json] [--outlier-z Z=3.0]\n"
+         "[--min-members N=3]",
+         "(fold run manifests -- given directly or found in\n"
+         " directories, along with any incident bundles --\n"
+         " into one population model: pooled per-metric\n"
+         " stable ranges, leave-one-out outlier attribution\n"
+         " weighted by sample counts, incident clusters\n"
+         " keyed on suspect-function signature; the output\n"
+         " is byte-identical for any input order or --jobs;\n"
+         " exits " + findings + " when a member is attributed as an\n"
+         " outlier)",
+         /*positional=*/true},
+        {"fleet-trend", cmdFleetTrend,
+         "--fleet FILE --baseline FILE\n"
+         "[--range-tol R=0.25]",
+         "(compare today's fleet model against yesterday's;\n"
+         " new outliers, drifted pooled ranges, and new\n"
+         " incident clusters exit " + findings + ")"},
+        {"top", cmdTop,
+         "[--pid P | --all 1] [--once 1] [--interval MS=2000]\n"
+         "[--model FILE] [--reap 1]",
+         "(live view of capture shim stats segments in\n"
+         " /dev/shm; --model adds drift against a trained\n"
+         " model's stable ranges; --reap removes segments\n"
+         " left by SIGKILLed processes)"},
+        {"export", cmdExport,
+         "[--listen HOST:PORT=127.0.0.1:9464] [--pid P]\n"
+         "[--once 1] [--fleet FILE]",
+         "(serve the live segments as a Prometheus /metrics\n"
+         " HTTP endpoint; SIGINT/SIGTERM shut it down\n"
+         " cleanly; --fleet appends the heapmd_fleet_*\n"
+         " families of a fleet-merge model to every scrape)"},
+        {"monitor", cmdMonitor,
+         "--model FILE (--segments BASE | --pid P)\n"
+         "[--once 1] [--bundle-dir DIR] [--poll-ms N=50]\n"
+         "[--debounce N=3] [--rearm N=8] [--window N=16]\n"
+         "[--listen HOST:PORT]",
+         "(online detector daemon: tail a rotating capture\n"
+         " segment set -- or, with --pid, a live process's\n"
+         " shm stats -- against a trained model and write\n"
+         " incident bundles the moment an excursion survives\n"
+         " its debounce, while the workload still runs;\n"
+         " --once consumes a completed set with the same\n"
+         " verdicts as `check`; --listen serves the\n"
+         " heapmd_monitor_* Prometheus families)"},
+        {"observe", cmdObserve,
+         "--app NAME [--seed S=1] [--version V] [--scale X]\n"
+         "[--frq N=300] [--fault KIND [--rate R] [--budget B]]",
+         "(prints the metric series as CSV -- the paper's\n"
+         " GUI plotter substitute)"},
+        {"stats", cmdStats,
+         "[--app NAME=" + specAppNames().front() +
+             "] [--seed S=1] [--version V]\n"
+             "[--scale X] [--frq N=300]\n"
+             "[--fault KIND [--rate R] [--budget B]]\n"
+             "or: --format prometheus [--pid P] [--fleet FILE]",
+         "(runs once and prints the telemetry counters)\n"
+         "(print the live stats segments as Prometheus\n"
+         " text exposition instead of running anything;\n"
+         " --fleet appends the heapmd_fleet_* families)"},
     };
     return table;
+}
+
+/** The flags of the usage text's global block: every command's. */
+const std::set<std::string> kGlobalFlags = {"trace-out", "stats",
+                                            "jobs"};
+
+/** The flags a command takes: the global ones and its synopsis' `--name`s. */
+std::set<std::string>
+acceptedFlags(const std::string &synopsis)
+{
+    std::set<std::string> flags = kGlobalFlags;
+    for (std::size_t at = synopsis.find("--"); at != std::string::npos;
+         at = synopsis.find("--", at)) {
+        at += 2;
+        const std::size_t end = std::min(
+            synopsis.find_first_not_of(
+                "abcdefghijklmnopqrstuvwxyz0123456789-", at),
+            synopsis.size());
+        if (end > at) // not the bare `--` of capture's command split
+            flags.insert(synopsis.substr(at, end - at));
+        at = end;
+    }
+    return flags;
+}
+
+void
+printUsage(std::FILE *to)
+{
+    std::fprintf(to, "usage: %s <command> [flags]\n\ncommands:\n",
+                 g_argv0);
+    for (const CommandSpec &command : commandTable()) {
+        std::string lines = command.synopsis;
+        if (!command.help.empty())
+            lines += '\n' + command.help;
+        // Every line after the first aligns under the first.
+        for (std::size_t at = lines.find('\n'); at != std::string::npos;
+             at = lines.find('\n', at + 11))
+            lines.insert(at + 1, 10, ' ');
+        const std::string name =
+            lines.empty() ? command.name : command.name + ' ';
+        std::fprintf(to, "  %-8s%s\n", name.c_str(), lines.c_str());
+    }
+    std::fprintf(
+        to,
+        "\n"
+        "global flags (any command):\n"
+        "  --trace-out FILE   Chrome trace-event JSON timeline\n"
+        "  --stats 0|1        counter table on exit (stderr); the\n"
+        "                     HEAPMD_STATS env var does the same\n"
+        "  --jobs N           worker threads for train (--inputs or\n"
+        "                     several --trace), check --inputs,\n"
+        "                     multi-trace audit and fleet-merge\n"
+        "                     (default 0 = one per CPU the process\n"
+        "                     may run on; 1 = serial; the\n"
+        "                     HEAPMD_JOBS env var is the fallback;\n"
+        "                     outputs are bit-identical for any\n"
+        "                     value)\n"
+        "\n"
+        "exit status: 0 clean; 1 fatal error; 2 usage error;\n"
+        "  3 findings (anomaly reports, audit defects, model drift,\n"
+        "  trend regressions)\n");
 }
 
 /** --stats 1 on the command line, or HEAPMD_STATS set and not "0". */
@@ -2190,7 +2071,10 @@ main(int argc, char **argv)
     }
 
     const auto &table = commandTable();
-    const auto it = table.find(command);
+    const auto it = std::find_if(table.begin(), table.end(),
+                                 [&command](const CommandSpec &spec) {
+                                     return spec.name == command;
+                                 });
     if (it == table.end())
         badInvocation("unknown command '" + command + "'");
 
@@ -2215,8 +2099,8 @@ main(int argc, char **argv)
             badInvocation("capture: no command follows '--'");
     }
 
-    const Args args(flags_end, argv, it->second.positional);
-    args.checkAllowed(command, it->second.flags);
+    const Args args(flags_end, argv, it->positional);
+    args.checkAllowed(command, acceptedFlags(it->synopsis));
 
     if (args.has("jobs")) {
         g_jobs = parseJobs(args.str("jobs"), "--jobs");
@@ -2232,7 +2116,7 @@ main(int argc, char **argv)
     int status = 0;
     {
         HEAPMD_TRACE_SPAN("cli." + command);
-        status = it->second.run(args);
+        status = it->run(args);
     }
     if (tracing)
         telemetry::TraceSession::stop();
