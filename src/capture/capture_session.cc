@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include <sys/wait.h>
 #include <unistd.h>
@@ -210,17 +211,12 @@ runCapture(const std::vector<std::string> &argv,
         return false;
     }
 
-    result.counters = readStatsSidecarFile(result.statsPath);
-    mergeCountersIntoTelemetry(result.counters);
-    return true;
-}
-
-void
-mergeCountersIntoTelemetry(
-    const std::map<std::string, std::uint64_t> &counters)
-{
-    for (const auto &[name, value] : counters)
+    // A missing sidecar (the child never finalized) reads as empty.
+    std::ifstream sidecar(result.statsPath);
+    result.counters = readStatsSidecar(sidecar);
+    for (const auto &[name, value] : result.counters)
         telemetry::Registry::instance().counter(name).add(value);
+    return true;
 }
 
 } // namespace capture

@@ -111,13 +111,6 @@ bool runCapture(const std::vector<std::string> &argv,
                 const SessionOptions &options, SessionResult &result,
                 std::string &error);
 
-/**
- * Fold sidecar counters into the process-wide telemetry registry
- * (no-op per entry when telemetry is compiled out).
- */
-void mergeCountersIntoTelemetry(
-    const std::map<std::string, std::uint64_t> &counters);
-
 } // namespace capture
 
 } // namespace heapmd

@@ -17,7 +17,7 @@
  *  - a thread-local guard makes the shim's own bookkeeping
  *    allocations (table arena growth, trace buffers) invisible: any
  *    allocator entry while the guard is up passes straight through to
- *    the real allocator, counted as capture.dropped_reentrant;
+ *    the real allocator, counted as dropped reentrant;
  *  - one global mutex serializes table + writer access (correct event
  *    order beats parallel recording);
  *  - the trace is finalized via atexit, and periodically
@@ -29,7 +29,6 @@
  *    corrupting the parent's trace file.
  */
 
-#include <array>
 #include <atomic>
 #include <cerrno>
 #include <cstdarg>
@@ -71,12 +70,15 @@ using heapmd::FunctionRegistry;
 using heapmd::TraceWriter;
 using heapmd::TraceWriterOptions;
 using heapmd::capture::BootstrapArena;
-using heapmd::capture::CaptureCounters;
 using heapmd::capture::CaptureStreamBuf;
 using heapmd::capture::FdStreamBuf;
 using heapmd::capture::GzipStreamBuf;
 using heapmd::capture::LiveTable;
 using heapmd::capture::ScanStats;
+using heapmd::obsv::LocalCounter;
+using heapmd::obsv::Slot;
+
+namespace obsv = heapmd::obsv;
 
 struct RealAllocFns
 {
@@ -133,17 +135,16 @@ struct TraceFile
     TraceWriter writer;
 
     TraceFile(int fd, bool compress, FunctionRegistry &registry,
-              CaptureCounters &counters)
+              std::uint64_t &flushes)
         : buf(makeBuf(fd, compress)),
           os(buf.get()),
           writer(os, registry,
-                 TraceWriterOptions{
-                     true,
-                     [this, &counters] {
-                         if (buf != nullptr)
-                             buf->syncToDisk();
-                         ++counters.flushes;
-                     }})
+                 TraceWriterOptions{true,
+                                    [this, &flushes] {
+                                        if (buf != nullptr)
+                                            buf->syncToDisk();
+                                        ++flushes;
+                                    }})
     {
     }
 
@@ -186,7 +187,11 @@ struct Sink
 {
     FunctionRegistry registry;
     LiveTable table;
-    CaptureCounters counters;
+    /**
+     * Every catalog counter; `counters.slots` is also the staging
+     * buffer of the seqlock publishes, so publishing copies nothing.
+     */
+    heapmd::capture::CounterValues counters;
     /** Active segment; replaced on rotation, null only mid-rotate. */
     TraceFile *file = nullptr;
     /** Configured output path (segment names derive from it). */
@@ -209,15 +214,13 @@ struct Sink
     bool finalized = false;
     /** Live stats segment (/dev/shm/heapmd.<pid>); may be invalid. */
     heapmd::obsv::SegmentWriter segment;
-    /** Staging buffer for full seqlock publishes; no per-op allocs. */
-    std::array<std::uint64_t, heapmd::obsv::kSlotCount> slots{};
     /** Recorded ops since the last gauge publish (throttling). */
     std::uint64_t ops_since_publish = 0;
 
     Sink(int fd, std::string out, std::uint64_t rotate, bool gz,
          std::uint64_t frq, std::string stats, bool verbose)
         : file(new (std::nothrow)
-                   TraceFile(fd, gz, registry, counters)),
+                   TraceFile(fd, gz, registry, counters[Slot::Flushes])),
           base_path(std::move(out)),
           rotate_bytes(rotate),
           compress(gz),
@@ -227,10 +230,6 @@ struct Sink
           stats_path(std::move(stats)),
           log(verbose)
     {
-        for (std::size_t i = 0; i < heapmd::kNumMetrics; ++i)
-            slots[heapmd::obsv::slotIndex(
-                      heapmd::obsv::Slot::MetricBase) +
-                  i] = heapmd::obsv::kMetricAbsent;
     }
 };
 
@@ -477,7 +476,28 @@ void
 writeEvent(Sink &sink, const Event &event)
 {
     sink.file->writer.onEvent(event, 0);
-    ++sink.counters.eventsEmitted;
+    ++sink.counters[Slot::EventsEmitted];
+}
+
+/**
+ * Stamp the counters that settle only when recording ends -- the
+ * guard's drops, the bootstrap arena's use, the byte totals of the
+ * finished segments -- and write the counter sidecar.
+ */
+void
+writeSidecarLocked(Sink &sink)
+{
+    sink.counters[Slot::DroppedReentrant] =
+        g_dropped.load(std::memory_order_relaxed);
+    sink.counters[LocalCounter::BootstrapBytes] = g_arena.bytesUsed();
+    sink.counters[LocalCounter::BootstrapAllocs] =
+        g_arena.allocationCount();
+    sink.counters[LocalCounter::TraceRawBytes] = sink.raw_bytes_done;
+    sink.counters[LocalCounter::TraceCompressedBytes] =
+        sink.compressed_bytes_done;
+    std::ofstream stats(sink.stats_path, std::ios::trunc);
+    if (stats)
+        heapmd::capture::writeStatsSidecar(stats, sink.counters);
 }
 
 /**
@@ -489,16 +509,7 @@ void
 goDarkLocked(Sink &sink)
 {
     sink.finalized = true;
-    sink.counters.droppedReentrant =
-        g_dropped.load(std::memory_order_relaxed);
-    sink.counters.bootstrapBytes = g_arena.bytesUsed();
-    sink.counters.bootstrapAllocs = g_arena.allocationCount();
-    sink.counters.rawTraceBytes = sink.raw_bytes_done;
-    sink.counters.compressedTraceBytes =
-        sink.compressed_bytes_done;
-    std::ofstream stats(sink.stats_path, std::ios::trunc);
-    if (stats)
-        heapmd::capture::writeStatsSidecar(stats, sink.counters);
+    writeSidecarLocked(sink);
     writeManifestLocked(sink, true);
     sink.segment.unlinkAndClose();
     g_sink_state.store(2, std::memory_order_release);
@@ -523,7 +534,7 @@ rotateLocked(Sink &sink)
     sink.compressed_bytes_done += sink.file->buf->bytesWritten();
     delete sink.file;
     sink.file = nullptr;
-    ++sink.counters.segmentsRotated;
+    ++sink.counters[LocalCounter::SegmentsRotated];
 
     const std::uint64_t next_index = sink.segment_index + 1;
     const std::string next_path = heapmd::trace::segmentPath(
@@ -532,9 +543,9 @@ rotateLocked(Sink &sink)
                           O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC,
                           0644);
     TraceFile *file =
-        fd >= 0 ? new (std::nothrow) TraceFile(fd, sink.compress,
-                                               sink.registry,
-                                               sink.counters)
+        fd >= 0 ? new (std::nothrow)
+                      TraceFile(fd, sink.compress, sink.registry,
+                                sink.counters[Slot::Flushes])
                 : nullptr;
     if (file != nullptr && !file->ok()) {
         delete file;
@@ -547,7 +558,7 @@ rotateLocked(Sink &sink)
                 "capture stops after %llu finished segment(s)\n",
                 next_path.c_str(), std::strerror(errno),
                 static_cast<unsigned long long>(
-                    sink.counters.segmentsRotated));
+                    sink.counters[LocalCounter::SegmentsRotated]));
         goDarkLocked(sink);
         return;
     }
@@ -578,8 +589,6 @@ maybeRotateLocked(Sink &sink)
     rotateLocked(sink);
 }
 
-namespace obsv = heapmd::obsv;
-
 /** CLOCK_MONOTONIC nanos for scan timing (0 if the clock fails). */
 std::uint64_t
 nowNanos()
@@ -592,12 +601,9 @@ nowNanos()
 }
 
 // The allocator hot path publishes only the gauge/event prefix of
-// the slot array; these pins make sure the prefix and the layout
-// never drift apart.
-static_assert(obsv::slotIndex(obsv::Slot::LiveObjects) == 0);
-static_assert(obsv::slotIndex(obsv::Slot::EventsEmitted) == 7);
+// the slot array.
 constexpr std::size_t kOpPublishSlots =
-    obsv::slotIndex(obsv::Slot::EventsEmitted) + 1;
+    obsv::slotIndex(Slot::EventsEmitted) + 1;
 
 /**
  * Gauge publishes happen at most once per this many recorded ops.
@@ -611,12 +617,22 @@ constexpr std::size_t kOpPublishSlots =
  */
 constexpr std::uint64_t kOpPublishPeriod = 32;
 
+/** Copy the live table's three gauges into their slots. */
+void
+refreshGaugesLocked(Sink &sink)
+{
+    sink.counters[Slot::LiveObjects] = sink.table.objectCount();
+    sink.counters[Slot::LiveBytes] = sink.table.liveBytes();
+    sink.counters[Slot::LiveEdges] = sink.table.edgeCount();
+}
+
 /**
- * Light per-operation publish: refresh the live gauges and event
- * counters (first kOpPublishSlots slots) plus the heartbeat, under
- * one seqlock write.  Allocation-free; called with the shim mutex
- * held after every recorded allocator op so `heapmd top` tracks the
- * heap between scans (throttled to every kOpPublishPeriod'th op).
+ * Light per-operation publish: refresh the live gauges, then publish
+ * them and the event counters (first kOpPublishSlots slots) plus the
+ * heartbeat, under one seqlock write.  Allocation-free; called with
+ * the shim mutex held after every recorded allocator op so `heapmd
+ * top` tracks the heap between scans (throttled to every
+ * kOpPublishPeriod'th op).
  */
 void
 publishOpLocked(Sink &sink)
@@ -626,33 +642,18 @@ publishOpLocked(Sink &sink)
     if (++sink.ops_since_publish < kOpPublishPeriod)
         return;
     sink.ops_since_publish = 0;
-    ++sink.counters.segmentPublishes;
-    std::uint64_t values[kOpPublishSlots];
-    values[obsv::slotIndex(obsv::Slot::LiveObjects)] =
-        sink.table.objectCount();
-    values[obsv::slotIndex(obsv::Slot::LiveBytes)] =
-        sink.table.liveBytes();
-    values[obsv::slotIndex(obsv::Slot::LiveEdges)] =
-        sink.table.edgeCount();
-    values[obsv::slotIndex(obsv::Slot::PeakLiveObjects)] =
-        sink.counters.peakLiveObjects;
-    values[obsv::slotIndex(obsv::Slot::AllocEvents)] =
-        sink.counters.allocEvents;
-    values[obsv::slotIndex(obsv::Slot::FreeEvents)] =
-        sink.counters.freeEvents;
-    values[obsv::slotIndex(obsv::Slot::ReallocEvents)] =
-        sink.counters.reallocEvents;
-    values[obsv::slotIndex(obsv::Slot::EventsEmitted)] =
-        sink.counters.eventsEmitted;
-    sink.segment.publishPrefix(values, kOpPublishSlots);
+    ++sink.counters[LocalCounter::SegmentPublishes];
+    refreshGaugesLocked(sink);
+    sink.segment.publishPrefix(sink.counters.slots.data(),
+                               kOpPublishSlots);
 }
 
 /**
- * Full scan-time publish: every counter plus the degree-metric
+ * Full scan-time publish: every slot, with the degree-metric
  * percentages from a fresh census.  The census allocates only when
  * the table has outgrown its counters (the caller holds the
  * reentrancy guard, so those allocations pass through unrecorded);
- * the publish itself is one seqlock write of the staged slot array.
+ * the publish itself is one seqlock write of the counters' slots.
  */
 void
 publishScanLocked(Sink &sink)
@@ -660,50 +661,20 @@ publishScanLocked(Sink &sink)
     if (!sink.segment.valid())
         return;
     sink.ops_since_publish = 0; // a full publish just refreshed all
-    ++sink.counters.segmentPublishes;
-    auto &s = sink.slots;
-    s[obsv::slotIndex(obsv::Slot::LiveObjects)] =
-        sink.table.objectCount();
-    s[obsv::slotIndex(obsv::Slot::LiveBytes)] =
-        sink.table.liveBytes();
-    s[obsv::slotIndex(obsv::Slot::LiveEdges)] =
-        sink.table.edgeCount();
-    s[obsv::slotIndex(obsv::Slot::PeakLiveObjects)] =
-        sink.counters.peakLiveObjects;
-    s[obsv::slotIndex(obsv::Slot::AllocEvents)] =
-        sink.counters.allocEvents;
-    s[obsv::slotIndex(obsv::Slot::FreeEvents)] =
-        sink.counters.freeEvents;
-    s[obsv::slotIndex(obsv::Slot::ReallocEvents)] =
-        sink.counters.reallocEvents;
-    s[obsv::slotIndex(obsv::Slot::EventsEmitted)] =
-        sink.counters.eventsEmitted;
-    s[obsv::slotIndex(obsv::Slot::ScanPasses)] =
-        sink.counters.scanPasses;
-    s[obsv::slotIndex(obsv::Slot::ScanWords)] =
-        sink.counters.scanWords;
-    s[obsv::slotIndex(obsv::Slot::ScanEdgeWrites)] =
-        sink.counters.scanEdgeWrites;
-    s[obsv::slotIndex(obsv::Slot::ScanEdgeClears)] =
-        sink.counters.scanEdgeClears;
-    s[obsv::slotIndex(obsv::Slot::ScanReclaimedDead)] =
-        sink.counters.scanReclaimedDead;
-    s[obsv::slotIndex(obsv::Slot::DroppedReentrant)] =
+    ++sink.counters[LocalCounter::SegmentPublishes];
+    refreshGaugesLocked(sink);
+    sink.counters[Slot::DroppedReentrant] =
         g_dropped.load(std::memory_order_relaxed);
-    s[obsv::slotIndex(obsv::Slot::Flushes)] =
-        sink.counters.flushes;
-    s[obsv::slotIndex(obsv::Slot::ScanNanos)] =
-        sink.counters.scanNanos;
-    s[obsv::slotIndex(obsv::Slot::MetricPoints)] =
-        sink.counters.scanPasses;
+    sink.counters[Slot::MetricPoints] = sink.counters[Slot::ScanPasses];
     const heapmd::capture::DegreeCensus census =
         sink.table.degreeCensus();
     for (const heapmd::MetricId id : heapmd::kAllMetrics)
-        s[obsv::metricSlotIndex(id)] = static_cast<std::uint64_t>(
-            census.percent[heapmd::metricIndex(id)] *
-                static_cast<double>(obsv::kMetricScale) +
-            0.5);
-    sink.segment.publish(s);
+        sink.counters.slots[obsv::metricSlotIndex(id)] =
+            static_cast<std::uint64_t>(
+                census.percent[heapmd::metricIndex(id)] *
+                    static_cast<double>(obsv::kMetricScale) +
+                0.5);
+    sink.segment.publish(sink.counters.slots);
 }
 
 /**
@@ -726,8 +697,8 @@ reclaimUnmappedLocked(Sink &sink)
 {
     for (const std::uintptr_t addr : sink.table.unmappedExtents()) {
         writeEvent(sink, Event::free(addr));
-        ++sink.counters.freeEvents;
-        ++sink.counters.scanReclaimedDead;
+        ++sink.counters[Slot::FreeEvents];
+        ++sink.counters[Slot::ScanReclaimedDead];
         sink.table.erase(addr);
     }
 }
@@ -742,10 +713,10 @@ scanLocked(Sink &sink)
         [&sink](std::uintptr_t slot, std::uintptr_t value) {
             writeEvent(sink, Event::write(slot, value));
         });
-    ++sink.counters.scanPasses;
-    sink.counters.scanWords += stats.wordsScanned;
-    sink.counters.scanEdgeWrites += stats.writesEmitted;
-    sink.counters.scanEdgeClears += stats.clearsEmitted;
+    ++sink.counters[Slot::ScanPasses];
+    sink.counters[Slot::ScanWords] += stats.wordsScanned;
+    sink.counters[Slot::ScanEdgeWrites] += stats.writesEmitted;
+    sink.counters[Slot::ScanEdgeClears] += stats.clearsEmitted;
 
     // The marker pair makes the replayed Process take one metric
     // sample here (FnEnter is the sampling trigger), after the edge
@@ -753,7 +724,7 @@ scanLocked(Sink &sink)
     writeEvent(sink, Event::fnEnter(sink.scan_fn));
     writeEvent(sink, Event::fnExit(sink.scan_fn));
     sink.file->writer.flush(); // + fsync via the sync hook
-    sink.counters.scanNanos += nowNanos() - scan_start;
+    sink.counters[Slot::ScanNanos] += nowNanos() - scan_start;
     publishScanLocked(sink); // counters + fresh degree metrics
 }
 
@@ -778,7 +749,7 @@ reclaimOverlapLocked(Sink &sink, std::uintptr_t addr,
     for (const std::uintptr_t start :
          sink.table.overlapping(addr, size, exclude)) {
         writeEvent(sink, Event::free(start));
-        ++sink.counters.freeEvents;
+        ++sink.counters[Slot::FreeEvents];
         sink.table.erase(start);
     }
 }
@@ -791,23 +762,16 @@ finalizeLocked(Sink &sink)
     sink.finalized = true;
 
     scanLocked(sink); // final edge refresh + end-state sample point
-    sink.counters.droppedReentrant =
-        g_dropped.load(std::memory_order_relaxed);
-    sink.counters.bootstrapBytes = g_arena.bytesUsed();
-    sink.counters.bootstrapAllocs = g_arena.allocationCount();
     sink.file->writer.finalize();
     sink.file->buf->closeFd();
     sink.raw_bytes_done += sink.file->rawBytes();
     sink.compressed_bytes_done += sink.file->buf->bytesWritten();
-    sink.counters.rawTraceBytes = sink.raw_bytes_done;
-    sink.counters.compressedTraceBytes = sink.compressed_bytes_done;
+    // Before the file is freed: the guard drops those frees, and
+    // dropped_reentrant counts only what recording missed.
+    writeSidecarLocked(sink);
     delete sink.file;
     sink.file = nullptr;
     writeManifestLocked(sink, true); // closed: readers stop waiting
-
-    std::ofstream stats(sink.stats_path, std::ios::trunc);
-    if (stats)
-        heapmd::capture::writeStatsSidecar(stats, sink.counters);
 
     // Retire the live stats segment with the process.  Only this
     // normal-finalize path unlinks: a forked child goes dark through
@@ -821,11 +785,11 @@ finalizeLocked(Sink &sink)
         shimLog("[heapmd-capture] finalized: %llu events, "
                 "%llu scan passes, %llu dropped reentrant\n",
                 static_cast<unsigned long long>(
-                    sink.counters.eventsEmitted),
+                    sink.counters[Slot::EventsEmitted]),
                 static_cast<unsigned long long>(
-                    sink.counters.scanPasses),
+                    sink.counters[Slot::ScanPasses]),
                 static_cast<unsigned long long>(
-                    sink.counters.droppedReentrant));
+                    sink.counters[Slot::DroppedReentrant]));
 }
 
 /** True when the calling thread should try to record this op. */
@@ -855,11 +819,11 @@ recordAlloc(void *ptr, std::size_t size)
         reclaimOverlapLocked(*sink, addr, recorded, 0);
         sink->table.insert(addr, recorded);
         if (sink->table.objectCount() >
-            sink->counters.peakLiveObjects)
-            sink->counters.peakLiveObjects =
+            sink->counters[Slot::PeakLiveObjects])
+            sink->counters[Slot::PeakLiveObjects] =
                 sink->table.objectCount();
         writeEvent(*sink, Event::alloc(addr, recorded));
-        ++sink->counters.allocEvents;
+        ++sink->counters[Slot::AllocEvents];
         maybeScanLocked(*sink);
         maybeRotateLocked(*sink);
         publishOpLocked(*sink);
@@ -887,7 +851,7 @@ recordFree(void *ptr)
         // trace.free-before-alloc.
         if (sink->table.erase(addr) != 0) {
             writeEvent(*sink, Event::free(addr));
-            ++sink->counters.freeEvents;
+            ++sink->counters[Slot::FreeEvents];
             maybeRotateLocked(*sink);
             publishOpLocked(*sink);
         }
@@ -1015,7 +979,7 @@ realloc(void *ptr, std::size_t size)
                 reclaimOverlapLocked(*sink, new_addr, recorded, 0);
                 sink->table.insert(new_addr, recorded);
                 writeEvent(*sink, Event::alloc(new_addr, recorded));
-                ++sink->counters.allocEvents;
+                ++sink->counters[Slot::AllocEvents];
                 maybeScanLocked(*sink);
             }
         } else if (size == 0) {
@@ -1023,7 +987,7 @@ realloc(void *ptr, std::size_t size)
             if (old_tracked) {
                 sink->table.erase(old_addr);
                 writeEvent(*sink, Event::free(old_addr));
-                ++sink->counters.freeEvents;
+                ++sink->counters[Slot::FreeEvents];
             }
         } else if (fresh != nullptr) {
             if (!old_tracked) {
@@ -1032,7 +996,7 @@ realloc(void *ptr, std::size_t size)
                 reclaimOverlapLocked(*sink, new_addr, recorded, 0);
                 sink->table.insert(new_addr, recorded);
                 writeEvent(*sink, Event::alloc(new_addr, recorded));
-                ++sink->counters.allocEvents;
+                ++sink->counters[Slot::AllocEvents];
             } else {
                 // Moved or not, the table keeps the out-edges replay
                 // keeps, so a copied slot overwritten before the next
@@ -1042,13 +1006,13 @@ realloc(void *ptr, std::size_t size)
                 sink->table.reallocate(old_addr, new_addr, recorded);
                 writeEvent(*sink, Event::realloc(old_addr, new_addr,
                                                  recorded));
-                ++sink->counters.reallocEvents;
+                ++sink->counters[Slot::ReallocEvents];
             }
             maybeScanLocked(*sink);
         }
         if (sink->table.objectCount() >
-            sink->counters.peakLiveObjects)
-            sink->counters.peakLiveObjects =
+            sink->counters[Slot::PeakLiveObjects])
+            sink->counters[Slot::PeakLiveObjects] =
                 sink->table.objectCount();
         maybeRotateLocked(*sink);
         publishOpLocked(*sink);

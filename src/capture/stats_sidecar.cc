@@ -1,6 +1,6 @@
 #include "capture/stats_sidecar.hh"
 
-#include <fstream>
+#include <charconv>
 #include <ostream>
 #include <sstream>
 
@@ -10,38 +10,27 @@ namespace heapmd
 namespace capture
 {
 
-void
-writeStatsSidecar(std::ostream &os, const CaptureCounters &counters)
+namespace
 {
-    os << "capture.events_emitted " << counters.eventsEmitted << "\n"
-       << "capture.alloc_events " << counters.allocEvents << "\n"
-       << "capture.free_events " << counters.freeEvents << "\n"
-       << "capture.realloc_events " << counters.reallocEvents << "\n"
-       << "capture.scan_passes " << counters.scanPasses << "\n"
-       << "capture.scan_words " << counters.scanWords << "\n"
-       << "capture.scan_edge_writes " << counters.scanEdgeWrites
-       << "\n"
-       << "capture.scan_edge_clears " << counters.scanEdgeClears
-       << "\n"
-       << "capture.scan_reclaimed_dead "
-       << counters.scanReclaimedDead << "\n"
-       << "capture.scan_ns " << counters.scanNanos << "\n"
-       << "capture.dropped_reentrant " << counters.droppedReentrant
-       << "\n"
-       << "capture.bootstrap_bytes " << counters.bootstrapBytes << "\n"
-       << "capture.bootstrap_allocs " << counters.bootstrapAllocs
-       << "\n"
-       << "capture.flushes " << counters.flushes << "\n"
-       << "capture.peak_live_objects " << counters.peakLiveObjects
-       << "\n"
-       << "capture.segment_publishes "
-       << counters.segmentPublishes << "\n"
-       << "capture.segments_rotated "
-       << counters.segmentsRotated << "\n"
-       << "capture.trace_raw_bytes " << counters.rawTraceBytes
-       << "\n"
-       << "capture.trace_compressed_bytes "
-       << counters.compressedTraceBytes << "\n";
+
+/** True when @p name is a catalog row's sidecar name. */
+bool
+knownName(const std::string &name)
+{
+    for (const obsv::CounterRow &row : obsv::kCounterCatalog)
+        if (row.sidecar != nullptr && name == row.sidecar)
+            return true;
+    return false;
+}
+
+} // namespace
+
+void
+writeStatsSidecar(std::ostream &os, const CounterValues &values)
+{
+    for (const obsv::CounterRow &row : obsv::kCounterCatalog)
+        if (row.sidecar != nullptr)
+            os << row.sidecar << ' ' << values[row] << '\n';
 }
 
 std::map<std::string, std::uint64_t>
@@ -51,21 +40,17 @@ readStatsSidecar(std::istream &is)
     std::string line;
     while (std::getline(is, line)) {
         std::istringstream fields(line);
-        std::string name;
+        std::string name, text, extra;
+        if (!(fields >> name >> text) || (fields >> extra) ||
+            !knownName(name))
+            continue;
         std::uint64_t value = 0;
-        if ((fields >> name >> value) && !name.empty())
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+        if (ec == std::errc() && ptr == end)
             values[name] = value;
     }
     return values;
-}
-
-std::map<std::string, std::uint64_t>
-readStatsSidecarFile(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return {};
-    return readStatsSidecar(in);
 }
 
 } // namespace capture

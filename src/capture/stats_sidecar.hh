@@ -7,20 +7,25 @@
  * the host CLI's telemetry registry directly, so the shim serializes
  * them to a tiny text sidecar ("<trace>.stats") at finalize and the
  * host parses it back, merging the values into its own registry for
- * `heapmd stats` and the run manifest.
+ * `heapmd stats` and the run manifest.  The names and the counters
+ * behind them are the rows of the shim's counter catalog
+ * (obsv/shm_layout.hh).
  *
  * Format: one "<name> <value>\n" pair per line, names already carrying
- * the "capture." prefix.  Unknown lines are ignored on read so the
- * format can grow.
+ * the "capture." prefix, in catalog order.  Readers look names up, so
+ * the order is not part of the format.
  */
 
 #ifndef HEAPMD_CAPTURE_STATS_SIDECAR_HH
 #define HEAPMD_CAPTURE_STATS_SIDECAR_HH
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <string>
+
+#include "obsv/shm_layout.hh"
 
 namespace heapmd
 {
@@ -28,44 +33,45 @@ namespace heapmd
 namespace capture
 {
 
-/** Counters the shim accumulates over one captured run. */
-struct CaptureCounters
+/**
+ * Every counter the shim keeps over one captured run.  A counter
+ * with a stats-segment slot lives at its slot index in `slots`, the
+ * array the shim publishes as is; the sidecar-only counters live in
+ * `local`.
+ */
+struct CounterValues
 {
-    std::uint64_t eventsEmitted = 0;    //!< trace events written
-    std::uint64_t allocEvents = 0;      //!< Alloc events
-    std::uint64_t freeEvents = 0;       //!< Free events
-    std::uint64_t reallocEvents = 0;    //!< Realloc events
-    std::uint64_t scanPasses = 0;       //!< conservative scan passes
-    std::uint64_t scanWords = 0;        //!< words inspected by scans
-    std::uint64_t scanEdgeWrites = 0;   //!< edge writes emitted
-    std::uint64_t scanEdgeClears = 0;   //!< edge clears emitted
-    std::uint64_t scanReclaimedDead = 0; //!< unmapped extents reclaimed
-    std::uint64_t scanNanos = 0;        //!< wall nanos inside scan passes
-    std::uint64_t droppedReentrant = 0; //!< ops unrecorded (reentrancy)
-    std::uint64_t bootstrapBytes = 0;   //!< bootstrap-arena bytes used
-    std::uint64_t bootstrapAllocs = 0;  //!< pre-init allocations served
-    std::uint64_t flushes = 0;          //!< explicit flush/fsync points
-    std::uint64_t peakLiveObjects = 0;  //!< live-table high-water mark
-    std::uint64_t segmentPublishes = 0; //!< stats-segment seqlock writes
-    std::uint64_t segmentsRotated = 0;  //!< finished trace segments
-    std::uint64_t rawTraceBytes = 0;    //!< trace bytes before gzip
-    std::uint64_t compressedTraceBytes = 0; //!< bytes on disk
+    std::array<std::uint64_t, obsv::kSlotCount> slots{};
+    std::array<std::uint64_t, obsv::kLocalCounterCount> local{};
+
+    std::uint64_t &operator[](obsv::Slot s)
+    {
+        return slots[obsv::slotIndex(s)];
+    }
+
+    std::uint64_t &operator[](obsv::LocalCounter c)
+    {
+        return local[static_cast<std::size_t>(c)];
+    }
+
+    /** The value behind catalog row @p row. */
+    std::uint64_t operator[](const obsv::CounterRow &row) const
+    {
+        return row.inSlot ? slots[row.index] : local[row.index];
+    }
 };
 
-/** Serialize @p counters as "capture.* value" lines. */
-void writeStatsSidecar(std::ostream &os,
-                       const CaptureCounters &counters);
+/** Serialize every catalog counter with a sidecar name. */
+void writeStatsSidecar(std::ostream &os, const CounterValues &values);
 
 /**
- * Parse a sidecar stream into name -> value.  Malformed lines are
- * skipped; an empty map simply means nothing usable was found.
+ * Parse a sidecar stream into name -> value.  A line counts only when
+ * it is exactly two fields, a name the catalog declares and a whole
+ * unsigned decimal value; every other line is skipped.  An empty map
+ * simply means nothing usable was found.
  */
 std::map<std::string, std::uint64_t>
 readStatsSidecar(std::istream &is);
-
-/** Convenience: parse the sidecar file at @p path (empty if absent). */
-std::map<std::string, std::uint64_t>
-readStatsSidecarFile(const std::string &path);
 
 } // namespace capture
 

@@ -28,52 +28,25 @@ labelsFor(const SegmentSnapshot &snap)
            escapeLabelValue(snap.program) + "\"}";
 }
 
-struct SlotFamily
-{
-    Slot slot;
-    const char *name; //!< full family name, incl. _total for counters
-    const char *type; //!< "gauge" or "counter"
-    const char *help;
-};
-
 /**
- * Fixed emission order.  Counter families carry the conventional
- * _total suffix; everything here is a plain u64 passthrough.
+ * Append one catalog slot family: HELP/TYPE, then one sample per
+ * snapshot.  Counter families carry the conventional _total suffix.
  */
-constexpr SlotFamily kSlotFamilies[] = {
-    {Slot::LiveObjects, "heapmd_live_objects", "gauge",
-     "Live heap objects tracked by the capture shim."},
-    {Slot::LiveBytes, "heapmd_live_bytes", "gauge",
-     "Bytes in live tracked heap objects."},
-    {Slot::LiveEdges, "heapmd_live_edges", "gauge",
-     "Pointer edges tracked by the conservative scan."},
-    {Slot::PeakLiveObjects, "heapmd_peak_live_objects", "gauge",
-     "High-water mark of live tracked heap objects."},
-    {Slot::AllocEvents, "heapmd_alloc_events_total", "counter",
-     "Allocation events recorded by the shim."},
-    {Slot::FreeEvents, "heapmd_free_events_total", "counter",
-     "Free events recorded by the shim."},
-    {Slot::ReallocEvents, "heapmd_realloc_events_total", "counter",
-     "Realloc events recorded by the shim."},
-    {Slot::EventsEmitted, "heapmd_trace_events_total", "counter",
-     "Trace events written to the capture stream."},
-    {Slot::ScanPasses, "heapmd_scan_passes_total", "counter",
-     "Conservative pointer-scan passes completed."},
-    {Slot::ScanWords, "heapmd_scan_words_total", "counter",
-     "Words visited by pointer scans."},
-    {Slot::ScanEdgeWrites, "heapmd_scan_edge_writes_total",
-     "counter", "Edge-write deltas emitted by pointer scans."},
-    {Slot::ScanEdgeClears, "heapmd_scan_edge_clears_total",
-     "counter", "Edge-clear deltas emitted by pointer scans."},
-    {Slot::ScanReclaimedDead, "heapmd_scan_reclaimed_dead_total",
-     "counter", "Stale live-table extents reclaimed at scan time."},
-    {Slot::DroppedReentrant, "heapmd_dropped_reentrant_total",
-     "counter", "Allocator events dropped by the reentrancy guard."},
-    {Slot::Flushes, "heapmd_flushes_total", "counter",
-     "Capture-stream flush+fsync durability points."},
-    {Slot::MetricPoints, "heapmd_metric_points_total", "counter",
-     "Degree-metric samples published by the shim."},
-};
+void
+appendSlotFamily(std::string &out, const CounterRow &row,
+                 const std::vector<SegmentSnapshot> &snapshots,
+                 const std::vector<std::string> &labels)
+{
+    appendHeader(out, row.family, row.type, row.help);
+    for (std::size_t i = 0; i < snapshots.size(); ++i) {
+        const std::uint64_t raw = snapshots[i].values[row.index];
+        if (row.rendering == Rendering::NanosAsSeconds)
+            appendF64(out, row.family, labels[i],
+                      static_cast<double>(raw) / 1e9);
+        else
+            appendU64(out, row.family, labels[i], raw);
+    }
+}
 
 } // namespace
 
@@ -86,20 +59,13 @@ renderPrometheus(const std::vector<SegmentSnapshot> &snapshots)
     for (const SegmentSnapshot &snap : snapshots)
         labels.push_back(labelsFor(snap));
 
-    for (const SlotFamily &family : kSlotFamilies) {
-        appendHeader(out, family.name, family.type, family.help);
-        for (std::size_t i = 0; i < snapshots.size(); ++i)
-            appendU64(out, family.name, labels[i],
-                            snapshots[i].value(family.slot));
-    }
-
-    appendHeader(out, "heapmd_scan_seconds_total", "counter",
-                 "Wall-clock seconds spent inside pointer scans.");
-    for (std::size_t i = 0; i < snapshots.size(); ++i)
-        appendF64(
-            out, "heapmd_scan_seconds_total", labels[i],
-            static_cast<double>(snapshots[i].value(Slot::ScanNanos)) /
-                1e9);
+    // The catalog's slot families in slot order, integer families
+    // first and the ones converted to seconds after them.
+    for (const Rendering rendering :
+         {Rendering::Integer, Rendering::NanosAsSeconds})
+        for (const CounterRow &row : kCounterCatalog)
+            if (row.inSlot && row.rendering == rendering)
+                appendSlotFamily(out, row, snapshots, labels);
 
     appendHeader(out, "heapmd_metric_percent", "gauge",
                  "Degree-metric percentage from the latest scan "

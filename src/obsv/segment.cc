@@ -61,9 +61,9 @@ segmentName(std::uint32_t pid, char *out, std::size_t out_len)
 
 SegmentWriter::~SegmentWriter()
 {
-    // Deliberately no unlink here: lifecycle is explicit.  The shim
-    // owns the decision between unlinkAndClose (normal exit) and
-    // abandon (forked child); a plain destructor just unmaps.
+    // Deliberately no unlink here: only the shim's normal finalize
+    // calls unlinkAndClose.  A forked child inherits the parent's
+    // mapping and never tears it down; a plain destructor unmaps.
     if (header_ != nullptr)
         ::munmap(header_, kSegmentBytes);
 }
@@ -136,15 +136,6 @@ SegmentWriter::publishPrefix(const std::uint64_t *values,
 }
 
 void
-SegmentWriter::heartbeat()
-{
-    if (header_ == nullptr)
-        return;
-    header_->heartbeatMonoMs.store(monotonicMs(),
-                                   std::memory_order_relaxed);
-}
-
-void
 SegmentWriter::unlinkAndClose()
 {
     if (header_ == nullptr)
@@ -152,15 +143,6 @@ SegmentWriter::unlinkAndClose()
     ::munmap(header_, kSegmentBytes);
     header_ = nullptr;
     ::shm_unlink(name_);
-}
-
-void
-SegmentWriter::abandon()
-{
-    if (header_ == nullptr)
-        return;
-    ::munmap(header_, kSegmentBytes);
-    header_ = nullptr;
 }
 
 SegmentReader::~SegmentReader() { close(); }

@@ -74,18 +74,8 @@ class SegmentWriter
      */
     void publishPrefix(const std::uint64_t *values, std::size_t count);
 
-    /** Stamp the heartbeat without touching any value slot. */
-    void heartbeat();
-
     /** Unmap and shm_unlink: the normal finalize/atexit path. */
     void unlinkAndClose();
-
-    /**
-     * Unmap without unlinking: the forked-child path, where the
-     * mapping is a copy of the *parent's* live segment and must not
-     * be torn down under it.
-     */
-    void abandon();
 
   private:
     SegmentHeader *header_ = nullptr;

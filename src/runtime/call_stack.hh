@@ -39,6 +39,9 @@ class FunctionRegistry
     /** Number of interned functions. */
     std::size_t size() const { return names_.size(); }
 
+    /** Every interned name, indexed by FnId. */
+    const std::vector<std::string> &names() const { return names_; }
+
   private:
     std::vector<std::string> names_;
     std::unordered_map<std::string, FnId> ids_;

@@ -93,8 +93,9 @@ TraceWriter::finish()
     reserve(1 + trace::kMaxVarintBytes);
     *cur_++ = static_cast<char>(trace::kFooterMarker);
     cur_ = trace::encodeVarint(cur_, registry_.size());
-    for (std::size_t id = 0; id < registry_.size(); ++id) {
-        const std::string name = registry_.name(static_cast<FnId>(id));
+    // By reference: a copy allocates, and inside the capture shim
+    // that would count as an allocator op its guard dropped.
+    for (const std::string &name : registry_.names()) {
         reserve(trace::kMaxVarintBytes);
         cur_ = trace::encodeVarint(cur_, name.size());
         putBytes(name.data(), name.size());

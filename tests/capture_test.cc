@@ -19,6 +19,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,7 +29,9 @@
 #include "analysis/report.hh"
 #include "analysis/trace_lint.hh"
 #include "capture/bootstrap_arena.hh"
+#include "capture/capture_env.hh"
 #include "capture/capture_session.hh"
+#include "capture/stats_sidecar.hh"
 #include "metrics/metric.hh"
 #include "obsv/segment.hh"
 #include "runtime/process.hh"
@@ -103,6 +106,59 @@ TEST(BootstrapArenaTest, BytesBeyondBoundsCopiesOutOfBlocks)
     EXPECT_EQ(arena.bytesBeyond(buffer + sizeof(buffer)), 0u);
     int off_arena = 0;
     EXPECT_EQ(arena.bytesBeyond(&off_arena), 0u);
+}
+
+// ---------------------------------------------------------------
+// Counter sidecar.
+// ---------------------------------------------------------------
+
+TEST(StatsSidecarTest, RoundTripsEveryCatalogRow)
+{
+    // A distinct value per row, in both stores, so a row that wrote
+    // or read another row's counter shows.
+    capture::CounterValues values;
+    std::uint64_t next = 1000;
+    for (std::uint64_t &v : values.slots)
+        v = next++;
+    for (std::uint64_t &v : values.local)
+        v = next++;
+    values[obsv::LocalCounter::TraceRawBytes] = ~0ull; // full width
+
+    std::stringstream text;
+    capture::writeStatsSidecar(text, values);
+    const std::map<std::string, std::uint64_t> read =
+        capture::readStatsSidecar(text);
+
+    std::size_t named = 0;
+    for (const obsv::CounterRow &row : obsv::kCounterCatalog) {
+        if (row.sidecar == nullptr)
+            continue;
+        ++named;
+        ASSERT_EQ(read.count(row.sidecar), 1u) << row.sidecar;
+        EXPECT_EQ(read.at(row.sidecar), values[row]) << row.sidecar;
+    }
+    EXPECT_EQ(named, 19u);
+    EXPECT_EQ(read.size(), named); // names are distinct
+    EXPECT_EQ(read.at("capture.trace_raw_bytes"), ~0ull);
+}
+
+TEST(StatsSidecarTest, SkipsMalformedAndUnknownLines)
+{
+    std::istringstream text("capture.alloc_events -1\n"
+                            "capture.free_events 12abc\n"
+                            "capture.realloc_events 7 8\n"
+                            "capture.scan_words +4\n"
+                            "capture.flushes 18446744073709551616\n"
+                            "capture.no_such_counter 5\n"
+                            "capture.events_emitted\n"
+                            "\n"
+                            "capture.scan_passes 3\n"
+                            "  capture.scan_ns\t42  \n");
+    const std::map<std::string, std::uint64_t> read =
+        capture::readStatsSidecar(text);
+    const std::map<std::string, std::uint64_t> expected = {
+        {"capture.scan_passes", 3}, {"capture.scan_ns", 42}};
+    EXPECT_EQ(read, expected);
 }
 
 // ---------------------------------------------------------------
@@ -319,9 +375,120 @@ class PreloadCaptureTest : public ::testing::Test
         return lines;
     }
 
+    /** Events of each kind in the recorded trace or segment set. */
+    struct DecodedCounts
+    {
+        std::uint64_t total = 0;
+        std::uint64_t allocs = 0;
+        std::uint64_t frees = 0;
+        std::uint64_t reallocs = 0;
+        std::uint64_t writes = 0;
+        std::uint64_t scanMarkers = 0; //!< FnEnter of the scan marker
+    };
+
+    /** Decode the whole capture and count its events by kind. */
+    DecodedCounts
+    decodeCounts(bool rotating)
+    {
+        DecodedCounts counts;
+        const auto tally = [&counts](const Event &event) {
+            ++counts.total;
+            switch (event.kind) {
+              case EventKind::Alloc: ++counts.allocs; break;
+              case EventKind::Free: ++counts.frees; break;
+              case EventKind::Realloc: ++counts.reallocs; break;
+              case EventKind::Write: ++counts.writes; break;
+              case EventKind::FnEnter:
+                // The shim interns its scan marker first.
+                counts.scanMarkers += event.fn == 0 ? 1 : 0;
+                break;
+              default: break;
+            }
+        };
+        std::vector<std::string> names;
+        Event event;
+        if (rotating) {
+            trace::SegmentChain chain(trace_path_, {});
+            while (chain.next(event))
+                tally(event);
+            EXPECT_FALSE(chain.failed()) << chain.error();
+            names = chain.functionNames();
+        } else {
+            std::ifstream in(trace_path_, std::ios::binary);
+            TraceReader reader(in);
+            while (reader.next(event))
+                tally(event);
+            EXPECT_FALSE(reader.malformed()) << reader.error();
+            names = reader.functionNames();
+        }
+        EXPECT_EQ(names.empty() ? std::string() : names[0],
+                  capture::kScanFunctionName);
+        return counts;
+    }
+
+    /**
+     * Differential oracle of the shim's counters: every sidecar
+     * counter that has a trace event behind it must equal the count
+     * of those events in the decoded capture.
+     */
+    void
+    expectSidecarMatchesTrace(const capture::SessionResult &result,
+                              bool rotating)
+    {
+        const std::map<std::string, std::uint64_t> &c = result.counters;
+        const DecodedCounts decoded = decodeCounts(rotating);
+        EXPECT_GT(decoded.total, 0u);
+        EXPECT_EQ(decoded.allocs, c.at("capture.alloc_events"));
+        EXPECT_EQ(decoded.frees, c.at("capture.free_events"));
+        EXPECT_EQ(decoded.reallocs, c.at("capture.realloc_events"));
+        EXPECT_EQ(decoded.writes, c.at("capture.scan_edge_writes") +
+                                      c.at("capture.scan_edge_clears"));
+        EXPECT_EQ(decoded.scanMarkers, c.at("capture.scan_passes"));
+        EXPECT_EQ(decoded.total, c.at("capture.events_emitted"));
+        const std::uint64_t segments =
+            rotating ? trace::listSegmentIndices(trace_path_).size() : 1;
+        EXPECT_EQ(segments, c.at("capture.segments_rotated") + 1);
+    }
+
     std::string trace_path_;
     std::vector<std::string> scratch_;
 };
+
+TEST_F(PreloadCaptureTest, SidecarCountersMatchDecodedTrace)
+{
+    // basic covers calloc, the aligned allocators and a realloc.
+    const capture::SessionResult result = captureChild("basic",
+                                                       /*frq=*/50);
+    ASSERT_TRUE(result.exited);
+    EXPECT_EQ(result.exitCode, 0);
+    EXPECT_GT(result.counters.at("capture.realloc_events"), 0u);
+    expectSidecarMatchesTrace(result, /*rotating=*/false);
+}
+
+TEST_F(PreloadCaptureTest, RotatedSidecarCountersMatchDecodedSet)
+{
+    const capture::SessionResult result =
+        captureChild("storm", /*frq=*/500, /*rotate_bytes=*/65536);
+    ASSERT_TRUE(result.exited);
+    EXPECT_EQ(result.exitCode, 0);
+    EXPECT_GE(result.counters.at("capture.segments_rotated"), 1u);
+    expectSidecarMatchesTrace(result, /*rotating=*/true);
+}
+
+TEST_F(PreloadCaptureTest, CompressedSidecarCountersMatchDecodedSet)
+{
+    if (!trace::gzipSupported())
+        GTEST_SKIP() << "built without zlib";
+    const capture::SessionResult result =
+        captureChild("storm", /*frq=*/500, /*rotate_bytes=*/65536,
+                     /*compress=*/true);
+    ASSERT_TRUE(result.exited);
+    EXPECT_EQ(result.exitCode, 0);
+    EXPECT_GE(result.counters.at("capture.segments_rotated"), 1u);
+    EXPECT_LT(result.counters.at("capture.trace_compressed_bytes"),
+              result.counters.at("capture.trace_raw_bytes"));
+    expectSidecarMatchesTrace(result, /*rotating=*/true);
+}
 
 TEST_F(PreloadCaptureTest, BasicRunAuditsCleanAndReplays)
 {

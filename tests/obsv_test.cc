@@ -13,6 +13,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -303,6 +305,85 @@ TEST(ObsvPrometheusTest, RendersDeterministicExposition)
         << first;
 }
 
+/**
+ * The whole exposition of sampleSnapshot(), recorded before the
+ * Prometheus slot families were generated from the counter catalog:
+ * every HELP/TYPE line, the family order and the sample formats are
+ * a scraper-facing contract.
+ */
+constexpr const char *kSampleExposition = R"prom(# HELP heapmd_live_objects Live heap objects tracked by the capture shim.
+# TYPE heapmd_live_objects gauge
+heapmd_live_objects{pid="4242",program="sample"} 10
+# HELP heapmd_live_bytes Bytes in live tracked heap objects.
+# TYPE heapmd_live_bytes gauge
+heapmd_live_bytes{pid="4242",program="sample"} 20
+# HELP heapmd_live_edges Pointer edges tracked by the conservative scan.
+# TYPE heapmd_live_edges gauge
+heapmd_live_edges{pid="4242",program="sample"} 30
+# HELP heapmd_peak_live_objects High-water mark of live tracked heap objects.
+# TYPE heapmd_peak_live_objects gauge
+heapmd_peak_live_objects{pid="4242",program="sample"} 40
+# HELP heapmd_alloc_events_total Allocation events recorded by the shim.
+# TYPE heapmd_alloc_events_total counter
+heapmd_alloc_events_total{pid="4242",program="sample"} 50
+# HELP heapmd_free_events_total Free events recorded by the shim.
+# TYPE heapmd_free_events_total counter
+heapmd_free_events_total{pid="4242",program="sample"} 60
+# HELP heapmd_realloc_events_total Realloc events recorded by the shim.
+# TYPE heapmd_realloc_events_total counter
+heapmd_realloc_events_total{pid="4242",program="sample"} 70
+# HELP heapmd_trace_events_total Trace events written to the capture stream.
+# TYPE heapmd_trace_events_total counter
+heapmd_trace_events_total{pid="4242",program="sample"} 80
+# HELP heapmd_scan_passes_total Conservative pointer-scan passes completed.
+# TYPE heapmd_scan_passes_total counter
+heapmd_scan_passes_total{pid="4242",program="sample"} 90
+# HELP heapmd_scan_words_total Words visited by pointer scans.
+# TYPE heapmd_scan_words_total counter
+heapmd_scan_words_total{pid="4242",program="sample"} 100
+# HELP heapmd_scan_edge_writes_total Edge-write deltas emitted by pointer scans.
+# TYPE heapmd_scan_edge_writes_total counter
+heapmd_scan_edge_writes_total{pid="4242",program="sample"} 110
+# HELP heapmd_scan_edge_clears_total Edge-clear deltas emitted by pointer scans.
+# TYPE heapmd_scan_edge_clears_total counter
+heapmd_scan_edge_clears_total{pid="4242",program="sample"} 120
+# HELP heapmd_scan_reclaimed_dead_total Stale live-table extents reclaimed at scan time.
+# TYPE heapmd_scan_reclaimed_dead_total counter
+heapmd_scan_reclaimed_dead_total{pid="4242",program="sample"} 130
+# HELP heapmd_dropped_reentrant_total Allocator events dropped by the reentrancy guard.
+# TYPE heapmd_dropped_reentrant_total counter
+heapmd_dropped_reentrant_total{pid="4242",program="sample"} 140
+# HELP heapmd_flushes_total Capture-stream flush+fsync durability points.
+# TYPE heapmd_flushes_total counter
+heapmd_flushes_total{pid="4242",program="sample"} 150
+# HELP heapmd_metric_points_total Degree-metric samples published by the shim.
+# TYPE heapmd_metric_points_total counter
+heapmd_metric_points_total{pid="4242",program="sample"} 170
+# HELP heapmd_scan_seconds_total Wall-clock seconds spent inside pointer scans.
+# TYPE heapmd_scan_seconds_total counter
+heapmd_scan_seconds_total{pid="4242",program="sample"} 0.000000
+# HELP heapmd_metric_percent Degree-metric percentage from the latest scan (absent until the first scan).
+# TYPE heapmd_metric_percent gauge
+heapmd_metric_percent{pid="4242",program="sample",metric="Root"} 12.340000
+heapmd_metric_percent{pid="4242",program="sample",metric="Indeg=1"} 0.019000
+heapmd_metric_percent{pid="4242",program="sample",metric="Indeg=2"} 0.020000
+heapmd_metric_percent{pid="4242",program="sample",metric="Leaves"} 0.021000
+heapmd_metric_percent{pid="4242",program="sample",metric="Outdeg=1"} 0.022000
+heapmd_metric_percent{pid="4242",program="sample",metric="Outdeg=2"} 0.023000
+heapmd_metric_percent{pid="4242",program="sample",metric="In=Out"} 0.024000
+# HELP heapmd_start_monotonic_ms Writer CLOCK_MONOTONIC at segment creation.
+# TYPE heapmd_start_monotonic_ms gauge
+heapmd_start_monotonic_ms{pid="4242",program="sample"} 1000
+# HELP heapmd_heartbeat_monotonic_ms Writer CLOCK_MONOTONIC at the last publish.
+# TYPE heapmd_heartbeat_monotonic_ms gauge
+heapmd_heartbeat_monotonic_ms{pid="4242",program="sample"} 2500
+)prom";
+
+TEST(ObsvPrometheusTest, ExpositionMatchesGolden)
+{
+    EXPECT_EQ(renderPrometheus({sampleSnapshot()}), kSampleExposition);
+}
+
 TEST(ObsvPrometheusTest, EscapesProgramLabel)
 {
     SegmentSnapshot snapshot = sampleSnapshot();
@@ -350,5 +431,30 @@ TEST(ObsvTopViewTest, DriftColumnComparesAgainstModel)
     // Metrics without a model entry render as unstable.
     EXPECT_NE(view.find("unstable"), std::string::npos) << view;
 }
+
+#if defined(HEAPMD_DESIGN_MD)
+/**
+ * DESIGN.md lists every row of the shim's counter catalog: each
+ * sidecar name (section 8) and each Prometheus slot family
+ * (section 13).  A row added without its docs fails here.
+ */
+TEST(ObsvCatalogTest, DesignDocListsEveryCatalogName)
+{
+    std::ifstream in(HEAPMD_DESIGN_MD);
+    ASSERT_TRUE(in.is_open()) << HEAPMD_DESIGN_MD;
+    const std::string design(std::istreambuf_iterator<char>(in), {});
+    std::size_t checked = 0;
+    for (const CounterRow &row : kCounterCatalog)
+        for (const char *name : {row.sidecar, row.family}) {
+            if (name == nullptr)
+                continue;
+            ++checked;
+            EXPECT_NE(design.find(std::string("`") + name + "`"),
+                      std::string::npos)
+                << name << " is missing from DESIGN.md";
+        }
+    EXPECT_EQ(checked, 19u + 17u);
+}
+#endif
 
 } // namespace

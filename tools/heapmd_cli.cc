@@ -844,12 +844,13 @@ cmdCapture(const Args &args)
         HEAPMD_FATAL("capture failed: ", error);
 
     const bool child_ok = session.exited && session.exitCode == 0;
+    const auto events = static_cast<unsigned long long>(
+        session.counters["capture.events_emitted"]);
     if (session.exited)
         std::printf("captured '%s' (exit status %d): %llu events, "
                     "%llu scan passes -> %s\n",
                     g_capture_argv.front().c_str(), session.exitCode,
-                    static_cast<unsigned long long>(
-                        session.counters["capture.events_emitted"]),
+                    events,
                     static_cast<unsigned long long>(
                         session.counters["capture.scan_passes"]),
                     session.tracePath.c_str());
@@ -857,9 +858,7 @@ cmdCapture(const Args &args)
         std::printf("captured '%s' (killed by signal %d): %llu "
                     "events -> %s\n",
                     g_capture_argv.front().c_str(),
-                    session.termSignal,
-                    static_cast<unsigned long long>(
-                        session.counters["capture.events_emitted"]),
+                    session.termSignal, events,
                     session.tracePath.c_str());
 
     // The conservative scan ran inside the *child*; surface it as a
