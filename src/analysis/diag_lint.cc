@@ -1,17 +1,15 @@
 #include "analysis/diag_lint.hh"
 
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <map>
-#include <sstream>
 
 #include "detector/bug_report.hh"
 #include "detector/classification.hh"
 #include "metrics/metric.hh"
 #include "support/hash.hh"
 #include "support/types.hh"
-#include "telemetry/trace_json.hh"
+#include "telemetry/json_document.hh"
 
 namespace heapmd
 {
@@ -19,134 +17,48 @@ namespace heapmd
 namespace analysis
 {
 
+bool
+lintDocumentHeader(const telemetry::DocumentHeader &header,
+                   const char *family, Report &report)
+{
+    using telemetry::HeaderFault;
+    const std::string rule = family;
+    switch (header.fault) {
+      case HeaderFault::None:
+        return true;
+      case HeaderFault::Syntax:
+        report.error(rule + ".parse", header.detail);
+        return false;
+      case HeaderFault::NotObject:
+        report.error(rule + ".parse", "document root is not an object");
+        return false;
+      case HeaderFault::NoKind:
+        report.error(rule + ".kind", "document has no string 'kind' tag");
+        return false;
+      case HeaderFault::WrongKind:
+        report.error(rule + ".kind", header.detail);
+        return false;
+      case HeaderFault::NoVersion:
+        report.error(rule + ".version",
+                     "document has no numeric schemaVersion");
+        return true;
+      case HeaderFault::VersionNotWhole:
+      case HeaderFault::VersionUnsupported:
+        break;
+    }
+    report.error(rule + ".version",
+                 "unsupported schemaVersion " +
+                     std::to_string(header.rawVersion));
+    return true;
+}
+
 namespace
 {
 
 using telemetry::JsonValue;
 
-/**
- * Member access that files a diag.missing-field finding instead of
- * returning an error string: the lint keeps walking after a miss so
- * one pass reports every defect.
- */
-class Checker
-{
-  public:
-    explicit Checker(Report &report) : report_(report) {}
-
-    const JsonValue *
-    member(const JsonValue &object, const std::string &where,
-           const char *key, JsonValue::Kind kind, const char *type)
-    {
-        const JsonValue *found = object.find(key);
-        if (found == nullptr) {
-            report_.error("diag.missing-field",
-                          where + " is missing member '" + key + "'");
-            return nullptr;
-        }
-        if (found->kind != kind) {
-            report_.error("diag.missing-field",
-                          where + " member '" + key + "' is not " +
-                              type);
-            return nullptr;
-        }
-        return found;
-    }
-
-    /** String member; "" stands in after a filed finding. */
-    std::string
-    str(const JsonValue &object, const std::string &where,
-        const char *key)
-    {
-        const JsonValue *found = member(object, where, key,
-                                        JsonValue::Kind::String,
-                                        "a string");
-        return found != nullptr ? found->string : std::string();
-    }
-
-    /** Numeric member; NaN stands in after a filed finding. */
-    double
-    num(const JsonValue &object, const std::string &where,
-        const char *key)
-    {
-        const JsonValue *found = member(object, where, key,
-                                        JsonValue::Kind::Number,
-                                        "a number");
-        return found != nullptr ? found->number
-                                : std::numeric_limits<double>::quiet_NaN();
-    }
-
-    const JsonValue *
-    array(const JsonValue &object, const std::string &where,
-          const char *key)
-    {
-        return member(object, where, key, JsonValue::Kind::Array,
-                      "an array");
-    }
-
-    const JsonValue *
-    object(const JsonValue &value, const std::string &where,
-           const char *key)
-    {
-        return member(value, where, key, JsonValue::Kind::Object,
-                      "an object");
-    }
-
-  private:
-    Report &report_;
-};
-
-/**
- * Shared preamble: parse, check kind tag and schema version.
- * Versions 1..@p supported_version pass; the document's version is
- * written to @p version_out (0 if missing/mistyped) so callers can
- * lint version-gated sections.
- */
-const char *
-parsePreamble(const std::string &text, const char *expected_kind,
-              std::uint64_t supported_version, JsonValue &root,
-              Report &report, std::uint64_t *version_out = nullptr)
-{
-    if (version_out != nullptr)
-        *version_out = 0;
-    std::string error;
-    if (!telemetry::parseJson(text, root, &error)) {
-        report.error("diag.parse", error);
-        return nullptr;
-    }
-    if (!root.isObject()) {
-        report.error("diag.parse", "document root is not an object");
-        return nullptr;
-    }
-    const JsonValue *kind = root.find("kind");
-    if (kind == nullptr || !kind->isString()) {
-        report.error("diag.kind",
-                     "document has no string 'kind' tag");
-        return nullptr;
-    }
-    if (kind->string != expected_kind) {
-        report.error("diag.kind", "kind '" + kind->string +
-                                      "' is not '" + expected_kind +
-                                      "'");
-        return nullptr;
-    }
-    const JsonValue *version = root.find("schemaVersion");
-    if (version == nullptr || !version->isNumber()) {
-        report.error("diag.version",
-                     "document has no numeric schemaVersion");
-    } else if (version->number < 1 ||
-               version->number > supported_version) {
-        report.error("diag.version",
-                     "unsupported schemaVersion " +
-                         std::to_string(version->number));
-    } else if (version_out != nullptr) {
-        *version_out = static_cast<std::uint64_t>(version->number);
-    }
-    return expected_kind;
-}
-
 void
-lintBundleSuspects(const JsonValue &root, Checker &check,
+lintBundleSuspects(const JsonValue &root, FieldChecker &check,
                    Report &report, BundleLintStats &stats)
 {
     const JsonValue *suspects = check.array(root, "bundle", "suspects");
@@ -160,14 +72,13 @@ lintBundleSuspects(const JsonValue &root, Checker &check,
         double prev_point = -1.0;
         for (const JsonValue &entry : log->array) {
             if (!entry.isObject()) {
-                report.error("diag.missing-field",
-                             "contextLog entry is not an object");
+                check.entry("contextLog entry is not an object");
                 continue;
             }
             ++stats.contextEntries;
             const double point =
-                check.num(entry, "contextLog entry", "pointIndex");
-            check.num(entry, "contextLog entry", "tick");
+                check.whole(entry, "contextLog entry", "pointIndex");
+            check.whole(entry, "contextLog entry", "tick");
             check.num(entry, "contextLog entry", "metricValue");
             if (!std::isnan(point)) {
                 if (point < prev_point) {
@@ -185,12 +96,11 @@ lintBundleSuspects(const JsonValue &root, Checker &check,
             bool first = true;
             for (const JsonValue &frame : frames->array) {
                 if (!frame.isObject()) {
-                    report.error("diag.missing-field",
-                                 "frame is not an object");
+                    check.entry("frame is not an object");
                     continue;
                 }
                 ++stats.frames;
-                const double id = check.num(frame, "frame", "fnId");
+                const double id = check.whole(frame, "frame", "fnId");
                 check.str(frame, "frame", "name");
                 if (first && !std::isnan(id)) {
                     ++innermost[static_cast<std::uint64_t>(id)];
@@ -208,14 +118,13 @@ lintBundleSuspects(const JsonValue &root, Checker &check,
         return;
     for (const JsonValue &suspect : suspects->array) {
         if (!suspect.isObject()) {
-            report.error("diag.missing-field",
-                         "suspects entry is not an object");
+            check.entry("suspects entry is not an object");
             continue;
         }
         ++stats.suspects;
-        check.num(suspect, "suspect", "fnId");
+        check.whole(suspect, "suspect", "fnId");
         check.str(suspect, "suspect", "name");
-        check.num(suspect, "suspect", "snapshots");
+        check.whole(suspect, "suspect", "snapshots");
     }
     if (!suspects->array.empty() && !innermost.empty()) {
         std::uint64_t best_fn = 0;
@@ -230,6 +139,8 @@ lintBundleSuspects(const JsonValue &root, Checker &check,
         const JsonValue *top_id =
             top.isObject() ? top.find("fnId") : nullptr;
         if (top_id != nullptr && top_id->isNumber() &&
+            telemetry::wholeNumberFault(top_id->number, false) ==
+                nullptr &&
             static_cast<std::uint64_t>(top_id->number) != best_fn) {
             report.warning(
                 "diag.suspect-mismatch",
@@ -244,7 +155,7 @@ lintBundleSuspects(const JsonValue &root, Checker &check,
 
 void
 lintBundleWindow(const JsonValue &root, const std::string &metric,
-                 double crossing_point, Checker &check, Report &report,
+                 double crossing_point, FieldChecker &check, Report &report,
                  BundleLintStats &stats)
 {
     const JsonValue *window = check.object(root, "bundle", "window");
@@ -259,7 +170,7 @@ lintBundleWindow(const JsonValue &root, const std::string &metric,
                          "' does not match the incident metric '" +
                          metric + "'");
     }
-    check.num(*window, "window", "radius");
+    check.whole(*window, "window", "radius");
     const JsonValue *points = check.array(*window, "window", "points");
     if (points == nullptr)
         return;
@@ -267,14 +178,13 @@ lintBundleWindow(const JsonValue &root, const std::string &metric,
     bool covers_crossing = false;
     for (const JsonValue &point : points->array) {
         if (!point.isObject()) {
-            report.error("diag.missing-field",
-                         "window point is not an object");
+            check.entry("window point is not an object");
             continue;
         }
         ++stats.windowPoints;
         const double index =
-            check.num(point, "window point", "pointIndex");
-        check.num(point, "window point", "tick");
+            check.whole(point, "window point", "pointIndex");
+        check.whole(point, "window point", "tick");
         check.num(point, "window point", "value");
         if (std::isnan(index))
             continue;
@@ -298,7 +208,8 @@ lintBundleWindow(const JsonValue &root, const std::string &metric,
 
 void
 lintNameValueArray(const JsonValue &root, const char *key,
-                   Checker &check, Report &report, std::size_t &count)
+                   bool is_signed, FieldChecker &check, Report &report,
+                   std::size_t &count)
 {
     const JsonValue *array = check.array(root, "manifest", key);
     if (array == nullptr)
@@ -306,14 +217,12 @@ lintNameValueArray(const JsonValue &root, const char *key,
     std::string prev;
     for (const JsonValue &entry : array->array) {
         if (!entry.isObject()) {
-            report.error("diag.missing-field",
-                         std::string(key) +
-                             " entry is not an object");
+            check.entry(std::string(key) + " entry is not an object");
             continue;
         }
         ++count;
         const std::string name = check.str(entry, key, "name");
-        check.num(entry, key, "value");
+        check.whole(entry, key, "value", is_signed);
         if (!name.empty() && !prev.empty() && name <= prev) {
             report.warning("diag.counter-order",
                            std::string(key) + " entry '" + name +
@@ -334,24 +243,24 @@ constexpr const char *kFlowRules[] = {
 };
 
 void
-lintFlowSite(const JsonValue &root, const char *key, Checker &check)
+lintFlowSite(const JsonValue &root, const char *key, FieldChecker &check)
 {
     const JsonValue *site = check.object(root, "flow incident", key);
     if (site == nullptr)
         return;
     check.member(*site, key, "known", JsonValue::Kind::Bool,
                  "a boolean");
-    check.num(*site, key, "fnId");
+    check.whole(*site, key, "fnId");
     check.str(*site, key, "name");
-    check.num(*site, key, "eventIndex");
-    check.num(*site, key, "byteOffset");
+    check.whole(*site, key, "eventIndex");
+    check.whole(*site, key, "byteOffset");
 }
 
 /** Lint a "heapmd.flow" document (one audit --deep finding). */
 void
 lintFlowDocument(const JsonValue &root, Report &report)
 {
-    Checker check(report);
+    FieldChecker check(report, "diag");
     check.str(root, "flow incident", "program");
 
     const std::string rule = check.str(root, "flow incident", "rule");
@@ -375,14 +284,14 @@ lintFlowDocument(const JsonValue &root, Report &report)
     }
 
     check.str(root, "flow incident", "message");
-    const double addr = check.num(root, "flow incident", "addr");
-    const double base = check.num(root, "flow incident", "base");
-    const double size = check.num(root, "flow incident", "size");
-    check.num(root, "flow incident", "byteOffset");
-    check.num(root, "flow incident", "eventIndex");
-    check.num(root, "flow incident", "lifetimeEvents");
-    check.num(root, "flow incident", "objects");
-    check.num(root, "flow incident", "bytes");
+    const double addr = check.whole(root, "flow incident", "addr");
+    const double base = check.whole(root, "flow incident", "base");
+    const double size = check.whole(root, "flow incident", "size");
+    check.whole(root, "flow incident", "byteOffset");
+    check.whole(root, "flow incident", "eventIndex");
+    check.whole(root, "flow incident", "lifetimeEvents");
+    check.whole(root, "flow incident", "objects");
+    check.whole(root, "flow incident", "bytes");
 
     // For the rules whose address is an access into the named object,
     // the address must land inside its extent.
@@ -409,38 +318,20 @@ BundleLintStats
 lintBundleText(const std::string &text, Report &report)
 {
     BundleLintStats stats;
-    JsonValue root;
-    // Sniff the kind first: `audit --bundle` accepts both incident
-    // bundles and the flow incidents that audit --deep exports.
-    {
-        std::string error;
-        if (!telemetry::parseJson(text, root, &error)) {
-            report.error("diag.parse", error);
-            return stats;
-        }
-    }
-    if (root.isObject()) {
-        const JsonValue *kind = root.find("kind");
-        if (kind != nullptr && kind->isString() &&
-            kind->string == "heapmd.flow") {
-            const JsonValue *version = root.find("schemaVersion");
-            if (version == nullptr || !version->isNumber()) {
-                report.error("diag.version",
-                             "document has no numeric schemaVersion");
-            } else if (version->number != 1) {
-                report.error("diag.version",
-                             "unsupported schemaVersion " +
-                                 std::to_string(version->number));
-            }
-            lintFlowDocument(root, report);
-            return stats;
-        }
-    }
-    if (parsePreamble(text, "heapmd.incident", 1, root, report) ==
-        nullptr) {
+    // `audit --bundle` accepts both incident bundles and the flow
+    // incidents that audit --deep exports: try the flow kind first.
+    telemetry::DocumentHeader header;
+    telemetry::readDocumentHeader(text, "heapmd.flow", 1, header);
+    if (header.kindMatched()) {
+        lintDocumentHeader(header, "diag", report);
+        lintFlowDocument(header.root, report);
         return stats;
     }
-    Checker check(report);
+    telemetry::checkDocumentHeader(header, "heapmd.incident", 1);
+    if (!lintDocumentHeader(header, "diag", report))
+        return stats;
+    const JsonValue &root = header.root;
+    FieldChecker check(report, "diag");
 
     check.str(root, "bundle", "program");
     const std::string klass = check.str(root, "bundle", "bugClass");
@@ -464,8 +355,8 @@ lintBundleText(const std::string &text, Report &report)
         check.num(root, "bundle", "observedValue");
     const double min = check.num(root, "bundle", "calibratedMin");
     const double max = check.num(root, "bundle", "calibratedMax");
-    check.num(root, "bundle", "tick");
-    const double crossing = check.num(root, "bundle", "pointIndex");
+    check.whole(root, "bundle", "tick");
+    const double crossing = check.whole(root, "bundle", "pointIndex");
 
     if (!std::isnan(min) && !std::isnan(max) && min > max) {
         report.error("diag.range-inverted",
@@ -491,27 +382,24 @@ lintBundleText(const std::string &text, Report &report)
 BundleLintStats
 lintBundleFile(const std::string &path, Report &report)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        report.error("diag.io", "cannot open '" + path + "'");
-        return {};
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return lintBundleText(buffer.str(), report);
+    std::string text, error;
+    if (telemetry::readFileText(path, text, &error))
+        return lintBundleText(text, report);
+    report.error("diag.io", error);
+    return {};
 }
 
 ManifestLintStats
 lintManifestText(const std::string &text, Report &report)
 {
     ManifestLintStats stats;
-    JsonValue root;
-    std::uint64_t schema = 0;
-    if (parsePreamble(text, "heapmd.manifest", 4, root, report,
-                      &schema) == nullptr) {
+    telemetry::DocumentHeader header;
+    telemetry::readDocumentHeader(text, "heapmd.manifest", 4, header);
+    if (!lintDocumentHeader(header, "diag", report))
         return stats;
-    }
-    Checker check(report);
+    const JsonValue &root = header.root;
+    const std::uint64_t schema = header.ok() ? header.version : 0;
+    FieldChecker check(report, "diag");
 
     check.str(root, "manifest", "command");
     check.str(root, "manifest", "commandLine");
@@ -519,18 +407,18 @@ lintManifestText(const std::string &text, Report &report)
 
     const JsonValue *config = check.object(root, "manifest", "config");
     if (config != nullptr) {
-        check.num(*config, "config", "metricFrequency");
+        check.whole(*config, "config", "metricFrequency");
         check.member(*config, "config", "includeLocallyStable",
                      JsonValue::Kind::Bool, "a boolean");
-        check.num(*config, "config", "seed");
-        check.num(*config, "config", "version");
+        check.whole(*config, "config", "seed");
+        check.whole(*config, "config", "version");
         check.num(*config, "config", "scale");
         check.str(*config, "config", "fault");
         check.num(*config, "config", "faultRate");
         // rotateBytes arrived with schema v4 (capture rotation
         // provenance pooled by fleet-merge).
         if (schema >= 4)
-            check.num(*config, "config", "rotateBytes");
+            check.whole(*config, "config", "rotateBytes");
     }
 
     // env arrived with schema v2; absence there is a defect, absence
@@ -539,11 +427,11 @@ lintManifestText(const std::string &text, Report &report)
     if (schema >= 2) {
         const JsonValue *env = check.object(root, "manifest", "env");
         if (env != nullptr) {
-            check.num(*env, "env", "hardwareConcurrency");
+            check.whole(*env, "env", "hardwareConcurrency");
             check.str(*env, "env", "sanitizer");
             if (schema >= 3) {
-                check.num(*env, "env", "peakRssBytes");
-                check.num(*env, "env", "durationNanos");
+                check.whole(*env, "env", "peakRssBytes");
+                check.whole(*env, "env", "durationNanos");
             }
         }
     }
@@ -552,14 +440,13 @@ lintManifestText(const std::string &text, Report &report)
     if (inputs != nullptr) {
         for (const JsonValue &input : inputs->array) {
             if (!input.isObject()) {
-                report.error("diag.missing-field",
-                             "inputs entry is not an object");
+                check.entry("inputs entry is not an object");
                 continue;
             }
             ++stats.inputs;
             check.str(input, "input", "role");
             check.str(input, "input", "path");
-            check.num(input, "input", "bytes");
+            check.whole(input, "input", "bytes");
             const std::string fingerprint =
                 check.str(input, "input", "fingerprint");
             if (!fingerprint.empty() &&
@@ -581,19 +468,18 @@ lintManifestText(const std::string &text, Report &report)
         if (phases != nullptr) {
             for (const JsonValue &phase : phases->array) {
                 if (!phase.isObject()) {
-                    report.error("diag.missing-field",
-                                 "phases entry is not an object");
+                    check.entry("phases entry is not an object");
                     continue;
                 }
                 const std::string name =
                     check.str(phase, "phase", "name");
                 const double count =
-                    check.num(phase, "phase", "count");
+                    check.whole(phase, "phase", "count");
                 const double wall =
-                    check.num(phase, "phase", "wallNanos");
+                    check.whole(phase, "phase", "wallNanos");
                 const double cpu =
-                    check.num(phase, "phase", "cpuNanos");
-                check.num(phase, "phase", "bytes");
+                    check.whole(phase, "phase", "cpuNanos");
+                check.whole(phase, "phase", "bytes");
                 if (!std::isnan(count) && count < 1.0) {
                     report.error("diag.phase-count",
                                  "phase '" + name +
@@ -614,13 +500,13 @@ lintManifestText(const std::string &text, Report &report)
     double samples = std::numeric_limits<double>::quiet_NaN();
     const JsonValue *run = check.object(root, "manifest", "run");
     if (run != nullptr) {
-        events = check.num(*run, "run", "events");
-        samples = check.num(*run, "run", "samples");
-        check.num(*run, "run", "allocs");
-        check.num(*run, "run", "frees");
-        check.num(*run, "run", "liveBlocksAtExit");
-        check.num(*run, "run", "wallNanos");
-        check.num(*run, "run", "cpuNanos");
+        events = check.whole(*run, "run", "events");
+        samples = check.whole(*run, "run", "samples");
+        check.whole(*run, "run", "allocs");
+        check.whole(*run, "run", "frees");
+        check.whole(*run, "run", "liveBlocksAtExit");
+        check.whole(*run, "run", "wallNanos");
+        check.whole(*run, "run", "cpuNanos");
     }
     if (!std::isnan(events) && !std::isnan(samples) && events > 0.0 &&
         samples > events) {
@@ -634,13 +520,13 @@ lintManifestText(const std::string &text, Report &report)
     const JsonValue *reports = check.object(root, "manifest",
                                             "reports");
     if (reports != nullptr) {
-        const double total = check.num(*reports, "reports", "total");
+        const double total = check.whole(*reports, "reports", "total");
         const double anomalies =
-            check.num(*reports, "reports", "heapAnomalies");
+            check.whole(*reports, "reports", "heapAnomalies");
         const double disguised =
-            check.num(*reports, "reports", "poorlyDisguised");
+            check.whole(*reports, "reports", "poorlyDisguised");
         const double pathological =
-            check.num(*reports, "reports", "pathological");
+            check.whole(*reports, "reports", "pathological");
         if (!std::isnan(total) && !std::isnan(anomalies) &&
             !std::isnan(disguised) && !std::isnan(pathological) &&
             total != anomalies + disguised + pathological) {
@@ -655,8 +541,7 @@ lintManifestText(const std::string &text, Report &report)
         if (bundles != nullptr) {
             for (const JsonValue &bundle : bundles->array) {
                 if (!bundle.isString()) {
-                    report.error("diag.missing-field",
-                                 "bundles entry is not a string");
+                    check.entry("bundles entry is not a string");
                 }
             }
         }
@@ -667,8 +552,7 @@ lintManifestText(const std::string &text, Report &report)
     if (metrics != nullptr) {
         for (const JsonValue &metric : metrics->array) {
             if (!metric.isObject()) {
-                report.error("diag.missing-field",
-                             "metrics entry is not an object");
+                check.entry("metrics entry is not an object");
                 continue;
             }
             ++stats.metrics;
@@ -678,7 +562,7 @@ lintManifestText(const std::string &text, Report &report)
                 report.error("diag.bad-metric",
                              "unknown metric '" + name + "'");
             }
-            check.num(metric, "metric summary", "count");
+            check.whole(metric, "metric summary", "count");
             const double lo =
                 check.num(metric, "metric summary", "min");
             const double hi =
@@ -693,23 +577,21 @@ lintManifestText(const std::string &text, Report &report)
         }
     }
 
-    lintNameValueArray(root, "counters", check, report,
+    lintNameValueArray(root, "counters", false, check, report,
                        stats.counters);
-    lintNameValueArray(root, "gauges", check, report, stats.gauges);
+    lintNameValueArray(root, "gauges", true, check, report,
+                       stats.gauges);
     return stats;
 }
 
 ManifestLintStats
 lintManifestFile(const std::string &path, Report &report)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        report.error("diag.io", "cannot open '" + path + "'");
-        return {};
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return lintManifestText(buffer.str(), report);
+    std::string text, error;
+    if (telemetry::readFileText(path, text, &error))
+        return lintManifestText(text, report);
+    report.error("diag.io", error);
+    return {};
 }
 
 } // namespace analysis

@@ -1,20 +1,24 @@
 /**
  * @file
  * Static linter for diagnostics artifacts: incident bundles and run
- * manifests (the src/diag JSON documents).
+ * manifests (the src/diag JSON documents), plus the field checker and
+ * header lint it shares with fleet_lint.
  *
  * Works on the raw JSON, not the diag loader structs, so a document
- * the loader would reject can still be audited field by field and so
- * the analysis layer stays independent of src/diag.  Whole-document
- * findings carry no location (the canonical writer fixes layout, so
- * line numbers add nothing).
+ * the loader would reject can still be audited field by field.  The
+ * header (parse, kind, schemaVersion) is read by the same
+ * telemetry::readDocumentHeader the loaders use, which lives below
+ * both layers: analysis still does not depend on src/diag.
+ * Whole-document findings carry no location (the canonical writer
+ * fixes layout, so line numbers add nothing).
  *
  * Rule catalog (see DESIGN.md §9):
  *   diag.io                unreadable input file
  *   diag.parse             not valid JSON
  *   diag.kind              missing/wrong "kind" tag
  *   diag.version           missing or unsupported schemaVersion
- *   diag.missing-field     required member absent or mistyped
+ *   diag.missing-field     required member absent or mistyped (a
+ *                          count or id that is not a whole number)
  *   diag.bad-metric        metric name not in the paper's seven
  *   diag.bad-class         unknown bug classification
  *   diag.bad-direction     direction not above-max/below-min
@@ -41,15 +45,131 @@
 #ifndef HEAPMD_ANALYSIS_DIAG_LINT_HH
 #define HEAPMD_ANALYSIS_DIAG_LINT_HH
 
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include "analysis/report.hh"
+#include "telemetry/json_document.hh"
 
 namespace heapmd
 {
 
 namespace analysis
 {
+
+/**
+ * Member access for the document linters that files a
+ * `<family>.missing-field` finding instead of stopping, so one pass
+ * reports every defect.  One checker serves both rule families
+ * ("diag", "fleet").
+ */
+class FieldChecker
+{
+  public:
+    using JsonValue = telemetry::JsonValue;
+
+    FieldChecker(Report &report, const char *family)
+        : report_(report), rule_(std::string(family) + ".missing-field")
+    {
+    }
+
+    /** @p key of @p kind (named @p type), or nullptr after a finding. */
+    const JsonValue *
+    member(const JsonValue &object, const std::string &where,
+           const char *key, JsonValue::Kind kind, const char *type)
+    {
+        const JsonValue *found = object.find(key);
+        if (found == nullptr)
+            entry(where + " is missing member '" + key + "'");
+        else if (found->kind != kind)
+            entry(where + " member '" + key + "' is not " + type);
+        else
+            return found;
+        return nullptr;
+    }
+
+    /** String member; "" stands in after a filed finding. */
+    std::string
+    str(const JsonValue &object, const std::string &where,
+        const char *key)
+    {
+        const JsonValue *found = member(object, where, key,
+                                        JsonValue::Kind::String,
+                                        "a string");
+        return found != nullptr ? found->string : std::string();
+    }
+
+    /** Numeric member; NaN stands in after a filed finding. */
+    double
+    num(const JsonValue &object, const std::string &where,
+        const char *key)
+    {
+        const JsonValue *found = member(object, where, key,
+                                        JsonValue::Kind::Number,
+                                        "a number");
+        return found != nullptr ? found->number : kNaN;
+    }
+
+    /**
+     * A member the loader reads as a 64-bit integer (a count, id or
+     * size): num() that also files a number outside that type
+     * (telemetry::wholeNumberFault), and then stands in NaN.
+     */
+    double
+    whole(const JsonValue &object, const std::string &where,
+          const char *key, bool is_signed = false)
+    {
+        const double value = num(object, where, key);
+        const char *why =
+            std::isnan(value)
+                ? nullptr
+                : telemetry::wholeNumberFault(value, is_signed);
+        if (why == nullptr)
+            return value;
+        entry(where + " member '" + key + "' " + why);
+        return kNaN;
+    }
+
+    const JsonValue *
+    array(const JsonValue &object, const std::string &where,
+          const char *key)
+    {
+        return member(object, where, key, JsonValue::Kind::Array,
+                      "an array");
+    }
+
+    const JsonValue *
+    object(const JsonValue &value, const std::string &where,
+           const char *key)
+    {
+        return member(value, where, key, JsonValue::Kind::Object,
+                      "an object");
+    }
+
+    /** A mistyped member or array entry: files @p message. */
+    void entry(const std::string &message)
+    {
+        report_.error(rule_, message);
+    }
+
+  private:
+    static constexpr double kNaN =
+        std::numeric_limits<double>::quiet_NaN();
+
+    Report &report_;
+    std::string rule_;
+};
+
+/**
+ * File @p header's fault under `<family>.parse`, `.kind` or
+ * `.version`.
+ * @return false when the lint cannot go on (not JSON, not an object,
+ *         another kind); a version fault is filed and the lint goes
+ *         on.
+ */
+bool lintDocumentHeader(const telemetry::DocumentHeader &header,
+                        const char *family, Report &report);
 
 /** Scan statistics of one bundle lint pass. */
 struct BundleLintStats

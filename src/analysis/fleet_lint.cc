@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "analysis/diag_lint.hh"
 #include "metrics/metric.hh"
-#include "telemetry/trace_json.hh"
 
 namespace heapmd
 {
@@ -18,134 +16,26 @@ namespace heapmd
 namespace analysis
 {
 
-namespace
-{
-
 using telemetry::JsonValue;
-
-/** Highest fleet schemaVersion this linter understands. */
-constexpr double kSupportedFleetVersion = 1;
-
-/**
- * Member access that files a fleet.missing-field finding instead of
- * stopping: one pass reports every defect (diag_lint's Checker,
- * fleet flavored).
- */
-class FleetChecker
-{
-  public:
-    explicit FleetChecker(Report &report) : report_(report) {}
-
-    const JsonValue *
-    member(const JsonValue &object, const std::string &where,
-           const char *key, JsonValue::Kind kind, const char *type)
-    {
-        const JsonValue *found = object.find(key);
-        if (found == nullptr) {
-            report_.error("fleet.missing-field",
-                          where + " is missing member '" + key +
-                              "'");
-            return nullptr;
-        }
-        if (found->kind != kind) {
-            report_.error("fleet.missing-field",
-                          where + " member '" + key + "' is not " +
-                              type);
-            return nullptr;
-        }
-        return found;
-    }
-
-    std::string
-    str(const JsonValue &object, const std::string &where,
-        const char *key)
-    {
-        const JsonValue *found = member(object, where, key,
-                                        JsonValue::Kind::String,
-                                        "a string");
-        return found != nullptr ? found->string : std::string();
-    }
-
-    double
-    num(const JsonValue &object, const std::string &where,
-        const char *key)
-    {
-        const JsonValue *found = member(object, where, key,
-                                        JsonValue::Kind::Number,
-                                        "a number");
-        return found != nullptr
-                   ? found->number
-                   : std::numeric_limits<double>::quiet_NaN();
-    }
-
-    const JsonValue *
-    array(const JsonValue &object, const std::string &where,
-          const char *key)
-    {
-        return member(object, where, key, JsonValue::Kind::Array,
-                      "an array");
-    }
-
-    const JsonValue *
-    object(const JsonValue &value, const std::string &where,
-           const char *key)
-    {
-        return member(value, where, key, JsonValue::Kind::Object,
-                      "an object");
-    }
-
-  private:
-    Report &report_;
-};
-
-} // namespace
 
 FleetLintStats
 lintFleetText(const std::string &text, Report &report)
 {
     FleetLintStats stats;
-    JsonValue root;
-    {
-        std::string error;
-        if (!telemetry::parseJson(text, root, &error)) {
-            report.error("fleet.parse", error);
-            return stats;
-        }
-    }
-    if (!root.isObject()) {
-        report.error("fleet.parse", "document root is not an object");
+    telemetry::DocumentHeader header;
+    telemetry::readDocumentHeader(text, "heapmd.fleet", 1, header);
+    if (!lintDocumentHeader(header, "fleet", report))
         return stats;
-    }
-    const JsonValue *kind = root.find("kind");
-    if (kind == nullptr || !kind->isString()) {
-        report.error("fleet.kind",
-                     "document has no string 'kind' tag");
-        return stats;
-    }
-    if (kind->string != "heapmd.fleet") {
-        report.error("fleet.kind", "kind '" + kind->string +
-                                       "' is not 'heapmd.fleet'");
-        return stats;
-    }
-    const JsonValue *version = root.find("schemaVersion");
-    if (version == nullptr || !version->isNumber()) {
-        report.error("fleet.version",
-                     "document has no numeric schemaVersion");
-    } else if (version->number < 1 ||
-               version->number > kSupportedFleetVersion) {
-        report.error("fleet.version",
-                     "unsupported schemaVersion " +
-                         std::to_string(version->number));
-    }
+    const JsonValue &root = header.root;
 
-    FleetChecker check(report);
-    const double processes = check.num(root, "fleet", "processes");
+    FieldChecker check(report, "fleet");
+    const double processes = check.whole(root, "fleet", "processes");
 
     const JsonValue *provenance =
         check.object(root, "fleet", "provenance");
     if (provenance != nullptr) {
-        check.num(*provenance, "provenance", "metricFrequency");
-        check.num(*provenance, "provenance", "rotateBytes");
+        check.whole(*provenance, "provenance", "metricFrequency");
+        check.whole(*provenance, "provenance", "rotateBytes");
         check.member(*provenance, "provenance", "mixed",
                      JsonValue::Kind::Bool, "a boolean");
     }
@@ -156,8 +46,7 @@ lintFleetText(const std::string &text, Report &report)
         std::string previous;
         for (const JsonValue &entry : members->array) {
             if (!entry.isObject()) {
-                report.error("fleet.missing-field",
-                             "members entry is not an object");
+                check.entry("members entry is not an object");
                 continue;
             }
             ++stats.members;
@@ -165,12 +54,12 @@ lintFleetText(const std::string &text, Report &report)
                 check.str(entry, "member", "path");
             check.str(entry, "member", "program");
             check.str(entry, "member", "command");
-            check.num(entry, "member", "schemaVersion");
-            check.num(entry, "member", "events");
-            check.num(entry, "member", "samples");
-            check.num(entry, "member", "reports");
-            check.num(entry, "member", "metricFrequency");
-            check.num(entry, "member", "rotateBytes");
+            check.whole(entry, "member", "schemaVersion");
+            check.whole(entry, "member", "events");
+            check.whole(entry, "member", "samples");
+            check.whole(entry, "member", "reports");
+            check.whole(entry, "member", "metricFrequency");
+            check.whole(entry, "member", "rotateBytes");
             if (!path.empty()) {
                 if (!previous.empty() && path <= previous) {
                     report.error(
@@ -190,7 +79,7 @@ lintFleetText(const std::string &text, Report &report)
                 "fleet.count-mismatch",
                 "processes claims " +
                     std::to_string(
-                        static_cast<long long>(processes)) +
+                        static_cast<unsigned long long>(processes)) +
                     " but " +
                     std::to_string(members->array.size()) +
                     " member(s) are listed");
@@ -201,8 +90,7 @@ lintFleetText(const std::string &text, Report &report)
     if (metrics != nullptr) {
         for (const JsonValue &entry : metrics->array) {
             if (!entry.isObject()) {
-                report.error("fleet.missing-field",
-                             "metrics entry is not an object");
+                check.entry("metrics entry is not an object");
                 continue;
             }
             ++stats.metrics;
@@ -212,8 +100,8 @@ lintFleetText(const std::string &text, Report &report)
                 report.error("fleet.bad-metric",
                              "unknown metric '" + metric + "'");
             }
-            check.num(entry, "metric range", "members");
-            check.num(entry, "metric range", "samples");
+            check.whole(entry, "metric range", "members");
+            check.whole(entry, "metric range", "samples");
             const double min =
                 check.num(entry, "metric range", "min");
             const double max =
@@ -233,8 +121,7 @@ lintFleetText(const std::string &text, Report &report)
     if (outliers != nullptr) {
         for (const JsonValue &entry : outliers->array) {
             if (!entry.isObject()) {
-                report.error("fleet.missing-field",
-                             "outliers entry is not an object");
+                check.entry("outliers entry is not an object");
                 continue;
             }
             ++stats.outliers;
@@ -267,15 +154,14 @@ lintFleetText(const std::string &text, Report &report)
         std::string previous_signature;
         for (const JsonValue &entry : incidents->array) {
             if (!entry.isObject()) {
-                report.error("fleet.missing-field",
-                             "incidents entry is not an object");
+                check.entry("incidents entry is not an object");
                 continue;
             }
             ++stats.incidents;
             const std::string signature =
                 check.str(entry, "incident", "signature");
             const double count =
-                check.num(entry, "incident", "count");
+                check.whole(entry, "incident", "count");
             const JsonValue *cluster_members =
                 check.array(entry, "incident", "members");
             if (!std::isnan(count)) {
@@ -297,12 +183,19 @@ lintFleetText(const std::string &text, Report &report)
                         "fleet.incident-count",
                         "incident '" + signature + "' counts " +
                             std::to_string(
-                                static_cast<long long>(count)) +
+                                static_cast<unsigned long long>(
+                                    count)) +
                             " bundle(s) but lists " +
                             std::to_string(
                                 cluster_members->array.size()) +
                             " member(s)");
                 }
+            }
+            if (cluster_members == nullptr)
+                continue;
+            for (const JsonValue &path : cluster_members->array) {
+                if (!path.isString())
+                    check.entry("incident members entry is not a string");
             }
         }
     }
@@ -313,14 +206,11 @@ lintFleetText(const std::string &text, Report &report)
 FleetLintStats
 lintFleetFile(const std::string &path, Report &report)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        report.error("fleet.io", "cannot open '" + path + "'");
-        return {};
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return lintFleetText(buffer.str(), report);
+    std::string text, error;
+    if (telemetry::readFileText(path, text, &error))
+        return lintFleetText(text, report);
+    report.error("fleet.io", error);
+    return {};
 }
 
 } // namespace analysis

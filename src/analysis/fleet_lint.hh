@@ -5,15 +5,17 @@
  *
  * Works on the raw JSON, not the fleet loader structs, so a document
  * the loader would reject can still be audited field by field and so
- * the analysis layer stays independent of src/fleet (mirroring how
- * diag_lint stays independent of src/diag).
+ * the analysis layer stays independent of src/fleet.  The header
+ * lint and the field checker are diag_lint's, run under the fleet.
+ * rule family.
  *
  * Rule catalog (see DESIGN.md §15):
  *   fleet.io               unreadable input file
  *   fleet.parse            not valid JSON
  *   fleet.kind             missing/wrong "kind" tag
  *   fleet.version          missing or unsupported schemaVersion
- *   fleet.missing-field    required member absent or mistyped
+ *   fleet.missing-field    required member absent or mistyped (a
+ *                          count that is not a whole number)
  *   fleet.count-mismatch   processes != members array length
  *   fleet.member-order     members not strictly sorted by path
  *   fleet.bad-metric       metric name not in the paper's seven

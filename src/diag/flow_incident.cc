@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "diag/json.hh"
+#include "telemetry/json_document.hh"
 #include "telemetry/telemetry.hh"
 
 namespace heapmd
@@ -38,14 +39,6 @@ saveSite(JsonWriter &w, const char *key, const FlowSiteRecord &site)
     w.field("eventIndex", site.eventIndex);
     w.field("byteOffset", site.byteOffset);
     w.endObject();
-}
-
-bool
-fail(std::string *error, const std::string &what)
-{
-    if (error != nullptr)
-        *error = "flow incident: " + what;
-    return false;
 }
 
 bool
@@ -130,28 +123,22 @@ bool
 loadFlowIncident(const std::string &json, FlowIncident &out,
                  std::string *error)
 {
-    telemetry::JsonValue root;
-    std::string parse_error;
-    if (!telemetry::parseJson(json, root, &parse_error))
-        return fail(error, parse_error);
-    if (!root.isObject())
-        return fail(error, "root is not an object");
+    telemetry::DocumentHeader header;
+    telemetry::readDocumentHeader(json, kFlowKind, kFlowSchemaVersion,
+                                  header);
+    return loadFlowIncident(header, out, error);
+}
 
-    std::string kind;
-    if (!jsonString(root, "kind", kind, error))
-        return false;
-    if (kind != kFlowKind)
-        return fail(error,
-                    "kind '" + kind + "' is not '" + kFlowKind + "'");
-
+bool
+loadFlowIncident(telemetry::DocumentHeader &header, FlowIncident &out,
+                 std::string *error)
+{
+    if (!telemetry::checkDocumentHeader(header, kFlowKind,
+                                        kFlowSchemaVersion))
+        return telemetry::LoadError{error, "flow incident"}(header);
+    const telemetry::JsonValue &root = header.root;
     FlowIncident incident;
-    if (!jsonU64(root, "schemaVersion", incident.schemaVersion,
-                 error))
-        return false;
-    if (incident.schemaVersion != kFlowSchemaVersion)
-        return fail(error,
-                    "unsupported schemaVersion " +
-                        std::to_string(incident.schemaVersion));
+    incident.schemaVersion = header.version;
 
     if (!jsonString(root, "program", incident.program, error) ||
         !jsonString(root, "rule", incident.rule, error) ||
@@ -173,16 +160,6 @@ loadFlowIncident(const std::string &json, FlowIncident &out,
 
     out = std::move(incident);
     return true;
-}
-
-bool
-loadFlowIncidentFile(const std::string &path, FlowIncident &out,
-                     std::string *error)
-{
-    std::string text;
-    if (!readFileText(path, text, error))
-        return false;
-    return loadFlowIncident(text, out, error);
 }
 
 } // namespace diag

@@ -27,6 +27,7 @@
 
 #include "analysis/flow_lint.hh"
 #include "support/types.hh"
+#include "telemetry/json_document.hh"
 
 namespace heapmd
 {
@@ -90,9 +91,9 @@ std::string flowIncidentToJson(const FlowIncident &incident);
 bool loadFlowIncident(const std::string &json, FlowIncident &out,
                       std::string *error);
 
-/** loadFlowIncident over a file's contents. */
-bool loadFlowIncidentFile(const std::string &path, FlowIncident &out,
-                          std::string *error);
+/** loadFlowIncident over a parsed document (its header re-checked). */
+bool loadFlowIncident(telemetry::DocumentHeader &header,
+                      FlowIncident &out, std::string *error);
 
 } // namespace diag
 } // namespace heapmd

@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "diag/json.hh"
+#include "telemetry/json_document.hh"
 #include "telemetry/telemetry.hh"
 
 namespace heapmd
@@ -120,28 +121,21 @@ namespace
 {
 
 bool
-fail(std::string *error, const std::string &what)
-{
-    if (error != nullptr)
-        *error = "incident bundle: " + what;
-    return false;
-}
-
-bool
 loadFrames(const telemetry::JsonValue &entry,
-           std::vector<BundleFrame> &out, std::string *error)
+           std::vector<BundleFrame> &out,
+           const telemetry::LoadError &fail)
 {
     const telemetry::JsonValue *frames =
-        jsonArray(entry, "frames", error);
+        jsonArray(entry, "frames", fail.out);
     if (frames == nullptr)
         return false;
     for (const telemetry::JsonValue &frame : frames->array) {
         if (!frame.isObject())
-            return fail(error, "frame is not an object");
+            return fail("frame is not an object");
         BundleFrame parsed;
         std::uint64_t id = 0;
-        if (!jsonU64(frame, "fnId", id, error) ||
-            !jsonString(frame, "name", parsed.name, error)) {
+        if (!jsonU64(frame, "fnId", id, fail.out) ||
+            !jsonString(frame, "name", parsed.name, fail.out)) {
             return false;
         }
         parsed.fnId = static_cast<FnId>(id);
@@ -156,27 +150,23 @@ bool
 loadIncidentBundle(const std::string &json, IncidentBundle &out,
                    std::string *error)
 {
-    telemetry::JsonValue root;
-    std::string parse_error;
-    if (!telemetry::parseJson(json, root, &parse_error))
-        return fail(error, parse_error);
-    if (!root.isObject())
-        return fail(error, "root is not an object");
+    telemetry::DocumentHeader header;
+    telemetry::readDocumentHeader(json, kBundleKind,
+                                  kBundleSchemaVersion, header);
+    return loadIncidentBundle(header, out, error);
+}
 
-    std::string kind;
-    if (!jsonString(root, "kind", kind, error))
-        return false;
-    if (kind != kBundleKind)
-        return fail(error, "kind '" + kind + "' is not '" +
-                               kBundleKind + "'");
-
+bool
+loadIncidentBundle(telemetry::DocumentHeader &header,
+                   IncidentBundle &out, std::string *error)
+{
+    const telemetry::LoadError fail{error, "incident bundle"};
+    if (!telemetry::checkDocumentHeader(header, kBundleKind,
+                                        kBundleSchemaVersion))
+        return fail(header);
+    const telemetry::JsonValue &root = header.root;
     IncidentBundle bundle;
-    if (!jsonU64(root, "schemaVersion", bundle.schemaVersion, error))
-        return false;
-    if (bundle.schemaVersion != kBundleSchemaVersion)
-        return fail(error,
-                    "unsupported schemaVersion " +
-                        std::to_string(bundle.schemaVersion));
+    bundle.schemaVersion = header.version;
 
     if (!jsonString(root, "program", bundle.program, error) ||
         !jsonString(root, "bugClass", bundle.bugClass, error) ||
@@ -199,7 +189,7 @@ loadIncidentBundle(const std::string &json, IncidentBundle &out,
         return false;
     for (const telemetry::JsonValue &suspect : suspects->array) {
         if (!suspect.isObject())
-            return fail(error, "suspects entry is not an object");
+            return fail("suspects entry is not an object");
         BundleSuspect parsed;
         std::uint64_t id = 0;
         if (!jsonU64(suspect, "fnId", id, error) ||
@@ -217,13 +207,13 @@ loadIncidentBundle(const std::string &json, IncidentBundle &out,
         return false;
     for (const telemetry::JsonValue &entry : log->array) {
         if (!entry.isObject())
-            return fail(error, "contextLog entry is not an object");
+            return fail("contextLog entry is not an object");
         BundleLogEntry parsed;
         if (!jsonU64(entry, "tick", parsed.tick, error) ||
             !jsonU64(entry, "pointIndex", parsed.pointIndex, error) ||
             !jsonNumber(entry, "metricValue", parsed.metricValue,
                         error) ||
-            !loadFrames(entry, parsed.frames, error)) {
+            !loadFrames(entry, parsed.frames, fail)) {
             return false;
         }
         bundle.contextLog.push_back(std::move(parsed));
@@ -239,7 +229,7 @@ loadIncidentBundle(const std::string &json, IncidentBundle &out,
         return false;
     }
     if (window_metric != bundle.metric)
-        return fail(error, "window metric '" + window_metric +
+        return fail("window metric '" + window_metric +
                                "' does not match '" + bundle.metric +
                                "'");
     const telemetry::JsonValue *points =
@@ -248,7 +238,7 @@ loadIncidentBundle(const std::string &json, IncidentBundle &out,
         return false;
     for (const telemetry::JsonValue &point : points->array) {
         if (!point.isObject())
-            return fail(error, "window point is not an object");
+            return fail("window point is not an object");
         SeriesPoint parsed;
         std::uint64_t tick = 0;
         if (!jsonU64(point, "pointIndex", parsed.pointIndex, error) ||
@@ -269,7 +259,7 @@ loadIncidentBundleFile(const std::string &path, IncidentBundle &out,
                        std::string *error)
 {
     std::string text;
-    if (!readFileText(path, text, error))
+    if (!telemetry::readFileText(path, text, error))
         return false;
     return loadIncidentBundle(text, out, error);
 }

@@ -29,6 +29,7 @@
 #include "detector/bug_report.hh"
 #include "metrics/series.hh"
 #include "runtime/call_stack.hh"
+#include "telemetry/json_document.hh"
 
 namespace heapmd
 {
@@ -118,6 +119,10 @@ std::string bundleToJson(const IncidentBundle &bundle);
  */
 bool loadIncidentBundle(const std::string &json, IncidentBundle &out,
                         std::string *error);
+
+/** loadIncidentBundle over a parsed document (its header re-checked). */
+bool loadIncidentBundle(telemetry::DocumentHeader &header,
+                        IncidentBundle &out, std::string *error);
 
 /** loadIncidentBundle over a file's contents. */
 bool loadIncidentBundleFile(const std::string &path,

@@ -3,8 +3,8 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
+
+#include "telemetry/json_document.hh"
 
 namespace heapmd
 {
@@ -202,8 +202,8 @@ jsonU64(const telemetry::JsonValue &object, const char *key,
     double value = 0.0;
     if (!jsonNumber(object, key, value, error))
         return false;
-    if (value < 0.0)
-        return missing(key, "is negative", error);
+    if (const char *why = telemetry::wholeNumberFault(value, false))
+        return missing(key, why, error);
     out = static_cast<std::uint64_t>(value);
     return true;
 }
@@ -215,6 +215,8 @@ jsonI64(const telemetry::JsonValue &object, const char *key,
     double value = 0.0;
     if (!jsonNumber(object, key, value, error))
         return false;
+    if (const char *why = telemetry::wholeNumberFault(value, true))
+        return missing(key, why, error);
     out = static_cast<std::int64_t>(value);
     return true;
 }
@@ -262,22 +264,6 @@ jsonObject(const telemetry::JsonValue &object, const char *key,
         return nullptr;
     }
     return member;
-}
-
-bool
-readFileText(const std::string &path, std::string &out,
-             std::string *error)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (error != nullptr)
-            *error = "cannot open '" + path + "'";
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    out = buffer.str();
-    return true;
 }
 
 } // namespace diag

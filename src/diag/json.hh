@@ -80,8 +80,10 @@ class JsonWriter
 
 /**
  * Typed member accessors over a parsed telemetry::JsonValue.  Each
- * returns false and appends "<where>: ..." to @p error when the member
- * is missing or has the wrong type.
+ * returns false and sets "member '<key>' ..." in @p error when the
+ * member is missing or has the wrong type; jsonU64/jsonI64 also
+ * reject a number that is not a whole number in their range
+ * (telemetry::wholeNumberFault).
  */
 bool jsonString(const telemetry::JsonValue &object, const char *key,
                 std::string &out, std::string *error);
@@ -99,10 +101,6 @@ jsonArray(const telemetry::JsonValue &object, const char *key,
 const telemetry::JsonValue *
 jsonObject(const telemetry::JsonValue &object, const char *key,
            std::string *error);
-
-/** Read a whole file; false (with message) when unreadable. */
-bool readFileText(const std::string &path, std::string &out,
-                  std::string *error);
 
 } // namespace diag
 } // namespace heapmd

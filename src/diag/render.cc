@@ -1,6 +1,7 @@
 #include "diag/render.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -76,10 +77,14 @@ asciiSparkline(const std::vector<double> &values)
     for (double v : values) {
         std::size_t level = kRampSize / 2;
         if (span > 0.0) {
-            level = static_cast<std::size_t>((v - lo) / span *
-                                             (kRampSize - 1) +
-                                             0.5);
-            level = std::min(level, kRampSize - 1);
+            // A non-finite value (a loaded 1e400) scales to NaN, which
+            // has no integer level: it renders at the top.
+            const double scaled =
+                (v - lo) / span * (kRampSize - 1) + 0.5;
+            level = std::isnan(scaled)
+                        ? kRampSize - 1
+                        : std::min(static_cast<std::size_t>(scaled),
+                                   kRampSize - 1);
         }
         out += kRamp[level];
     }

@@ -6,6 +6,7 @@
 #include "diag/json.hh"
 #include "support/build_env.hh"
 #include "support/hash.hh"
+#include "telemetry/json_document.hh"
 #include "telemetry/telemetry.hh"
 
 namespace heapmd
@@ -195,47 +196,18 @@ manifestToJson(const RunManifest &manifest)
     return os.str();
 }
 
-namespace
-{
-
-bool
-fail(std::string *error, const std::string &what)
-{
-    if (error != nullptr)
-        *error = "run manifest: " + what;
-    return false;
-}
-
-} // namespace
-
 bool
 loadRunManifest(const std::string &json, RunManifest &out,
                 std::string *error)
 {
-    telemetry::JsonValue root;
-    std::string parse_error;
-    if (!telemetry::parseJson(json, root, &parse_error))
-        return fail(error, parse_error);
-    if (!root.isObject())
-        return fail(error, "root is not an object");
-
-    std::string kind;
-    if (!jsonString(root, "kind", kind, error))
-        return false;
-    if (kind != kManifestKind)
-        return fail(error, "kind '" + kind + "' is not '" +
-                               kManifestKind + "'");
-
+    const telemetry::LoadError fail{error, "run manifest"};
+    telemetry::DocumentHeader header;
+    if (!telemetry::readDocumentHeader(json, kManifestKind,
+                                       kManifestSchemaVersion, header))
+        return fail(header);
+    const telemetry::JsonValue &root = header.root;
     RunManifest manifest;
-    if (!jsonU64(root, "schemaVersion", manifest.schemaVersion,
-                 error)) {
-        return false;
-    }
-    if (manifest.schemaVersion < 1 ||
-        manifest.schemaVersion > kManifestSchemaVersion)
-        return fail(error,
-                    "unsupported schemaVersion " +
-                        std::to_string(manifest.schemaVersion));
+    manifest.schemaVersion = header.version;
 
     if (!jsonString(root, "command", manifest.command, error) ||
         !jsonString(root, "commandLine", manifest.commandLine,
@@ -297,7 +269,7 @@ loadRunManifest(const std::string &json, RunManifest &out,
             return false;
         for (const telemetry::JsonValue &phase : phases->array) {
             if (!phase.isObject())
-                return fail(error, "phases entry is not an object");
+                return fail("phases entry is not an object");
             ManifestPhase parsed;
             if (!jsonString(phase, "name", parsed.name, error) ||
                 !jsonU64(phase, "count", parsed.count, error) ||
@@ -318,7 +290,7 @@ loadRunManifest(const std::string &json, RunManifest &out,
         return false;
     for (const telemetry::JsonValue &input : inputs->array) {
         if (!input.isObject())
-            return fail(error, "inputs entry is not an object");
+            return fail("inputs entry is not an object");
         ManifestInput parsed;
         if (!jsonString(input, "role", parsed.role, error) ||
             !jsonString(input, "path", parsed.path, error) ||
@@ -363,7 +335,7 @@ loadRunManifest(const std::string &json, RunManifest &out,
         return false;
     for (const telemetry::JsonValue &bundle : bundles->array) {
         if (!bundle.isString())
-            return fail(error, "bundles entry is not a string");
+            return fail("bundles entry is not a string");
         manifest.bundlePaths.push_back(bundle.string);
     }
 
@@ -373,7 +345,7 @@ loadRunManifest(const std::string &json, RunManifest &out,
         return false;
     for (const telemetry::JsonValue &metric : metrics->array) {
         if (!metric.isObject())
-            return fail(error, "metrics entry is not an object");
+            return fail("metrics entry is not an object");
         ManifestMetric parsed;
         std::uint64_t count = 0;
         if (!jsonString(metric, "metric", parsed.metric, error) ||
@@ -395,7 +367,7 @@ loadRunManifest(const std::string &json, RunManifest &out,
         return false;
     for (const telemetry::JsonValue &counter : counters->array) {
         if (!counter.isObject())
-            return fail(error, "counters entry is not an object");
+            return fail("counters entry is not an object");
         ManifestCounter parsed;
         if (!jsonString(counter, "name", parsed.name, error) ||
             !jsonU64(counter, "value", parsed.value, error)) {
@@ -410,7 +382,7 @@ loadRunManifest(const std::string &json, RunManifest &out,
         return false;
     for (const telemetry::JsonValue &gauge : gauges->array) {
         if (!gauge.isObject())
-            return fail(error, "gauges entry is not an object");
+            return fail("gauges entry is not an object");
         ManifestGauge parsed;
         if (!jsonString(gauge, "name", parsed.name, error) ||
             !jsonI64(gauge, "value", parsed.value, error)) {
@@ -428,39 +400,9 @@ loadRunManifestFile(const std::string &path, RunManifest &out,
                     std::string *error)
 {
     std::string text;
-    if (!readFileText(path, text, error))
+    if (!telemetry::readFileText(path, text, error))
         return false;
     return loadRunManifest(text, out, error);
-}
-
-bool
-peekManifestSchemaVersion(const std::string &json,
-                          std::uint64_t &version, std::string *error)
-{
-    telemetry::JsonValue root;
-    std::string parse_error;
-    if (!telemetry::parseJson(json, root, &parse_error))
-        return fail(error, parse_error);
-    if (!root.isObject())
-        return fail(error, "root is not an object");
-    std::string kind;
-    if (!jsonString(root, "kind", kind, error))
-        return false;
-    if (kind != kManifestKind)
-        return fail(error, "kind '" + kind + "' is not '" +
-                               kManifestKind + "'");
-    return jsonU64(root, "schemaVersion", version, error);
-}
-
-bool
-peekManifestSchemaVersionFile(const std::string &path,
-                              std::uint64_t &version,
-                              std::string *error)
-{
-    std::string text;
-    if (!readFileText(path, text, error))
-        return false;
-    return peekManifestSchemaVersion(text, version, error);
 }
 
 } // namespace diag

@@ -197,22 +197,6 @@ bool loadRunManifest(const std::string &json, RunManifest &out,
 bool loadRunManifestFile(const std::string &path, RunManifest &out,
                          std::string *error);
 
-/**
- * Cheap pre-flight: parse only kind + schemaVersion of the manifest
- * document in @p json.  Succeeds for any version number -- the point
- * is to let callers (trend, fleet-merge) reject unknown or mixed
- * versions as a *usage* error, with the offending version in hand,
- * before a full load turns it into a generic parse failure.
- */
-bool peekManifestSchemaVersion(const std::string &json,
-                               std::uint64_t &version,
-                               std::string *error);
-
-/** peekManifestSchemaVersion over a file's contents. */
-bool peekManifestSchemaVersionFile(const std::string &path,
-                                   std::uint64_t &version,
-                                   std::string *error);
-
 } // namespace diag
 } // namespace heapmd
 

@@ -12,8 +12,8 @@
 #include "diag/run_manifest.hh"
 #include "metrics/metric.hh"
 #include "support/parallel_for.hh"
+#include "telemetry/json_document.hh"
 #include "telemetry/telemetry.hh"
-#include "telemetry/trace_json.hh"
 
 namespace heapmd
 {
@@ -32,22 +32,29 @@ namespace fs = std::filesystem;
  */
 constexpr double kSigmaFloor = 1.0;
 
-/** The document "kind" of @p path, or "" when unreadable. */
-std::string
-probeKind(const std::string &path)
+/**
+ * File a discovered @p path under its kind tag alone (a bad version
+ * is the loader's to report).  Other kinds (models, flow incidents)
+ * are not fleet inputs; skipping them keeps mixed artifact
+ * directories usable as-is.
+ */
+void
+discover(const std::string &path, FleetInputs &out)
 {
     std::string text;
-    if (!diag::readFileText(path, text, nullptr))
-        return {};
-    telemetry::JsonValue root;
-    if (!telemetry::parseJson(text, root, nullptr) ||
-        !root.isObject()) {
-        return {};
+    if (!telemetry::readFileText(path, text, nullptr))
+        return;
+    telemetry::DocumentHeader header;
+    telemetry::readDocumentHeader(text, diag::kManifestKind,
+                                  diag::kManifestSchemaVersion, header);
+    if (header.kindMatched()) {
+        out.manifests.push_back(path);
+        return;
     }
-    const telemetry::JsonValue *kind = root.find("kind");
-    if (kind == nullptr || !kind->isString())
-        return {};
-    return kind->string;
+    telemetry::checkDocumentHeader(header, diag::kBundleKind,
+                                   diag::kBundleSchemaVersion);
+    if (header.kindMatched())
+        out.bundles.push_back(path);
 }
 
 /** One member's contribution to one metric. */
@@ -116,16 +123,8 @@ collectFleetInputs(const std::vector<std::string> &paths,
             }
             // readdir order is filesystem whim; discovery must not be.
             std::sort(found.begin(), found.end());
-            for (const std::string &file : found) {
-                const std::string kind = probeKind(file);
-                if (kind == diag::kManifestKind)
-                    out.manifests.push_back(file);
-                else if (kind == "heapmd.incident")
-                    out.bundles.push_back(file);
-                // Other kinds (models, flow incidents) are not fleet
-                // inputs; skipping them keeps mixed artifact
-                // directories usable as-is.
-            }
+            for (const std::string &file : found)
+                discover(file, out);
             continue;
         }
         if (!fs::exists(path, ec)) {
@@ -156,8 +155,8 @@ mergeFleet(const FleetInputs &inputs,
         inputs.manifests.size(), options.jobs, [&](std::size_t i) {
             loads[i].path = inputs.manifests[i];
             std::string text;
-            if (!diag::readFileText(loads[i].path, text,
-                                    &loads[i].error)) {
+            if (!telemetry::readFileText(loads[i].path, text,
+                                         &loads[i].error)) {
                 return;
             }
             loads[i].bytes = text.size();

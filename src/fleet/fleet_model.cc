@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "diag/json.hh"
+#include "telemetry/json_document.hh"
 #include "telemetry/prom_text.hh"
 #include "telemetry/trace_json.hh"
 
@@ -20,14 +21,6 @@ using telemetry::prom::appendF64;
 using telemetry::prom::appendHeader;
 using telemetry::prom::appendU64;
 using telemetry::prom::escapeLabelValue;
-
-bool
-fail(std::string *error, const std::string &what)
-{
-    if (error != nullptr)
-        *error = "fleet model: " + what;
-    return false;
-}
 
 } // namespace
 
@@ -124,28 +117,14 @@ loadFleetModel(const std::string &json, FleetModel &out,
     using diag::jsonString;
     using diag::jsonU64;
 
-    JsonValue root;
-    std::string parse_error;
-    if (!telemetry::parseJson(json, root, &parse_error))
-        return fail(error, parse_error);
-    if (!root.isObject())
-        return fail(error, "root is not an object");
-
-    std::string kind;
-    if (!jsonString(root, "kind", kind, error))
-        return false;
-    if (kind != kFleetKind)
-        return fail(error,
-                    "kind '" + kind + "' is not '" + kFleetKind + "'");
-
+    const telemetry::LoadError fail{error, "fleet model"};
+    telemetry::DocumentHeader header;
+    if (!telemetry::readDocumentHeader(json, kFleetKind,
+                                       kFleetSchemaVersion, header))
+        return fail(header);
+    const JsonValue &root = header.root;
     FleetModel model;
-    if (!jsonU64(root, "schemaVersion", model.schemaVersion, error))
-        return false;
-    if (model.schemaVersion < 1 ||
-        model.schemaVersion > kFleetSchemaVersion) {
-        return fail(error, "unsupported schemaVersion " +
-                               std::to_string(model.schemaVersion));
-    }
+    model.schemaVersion = header.version;
     if (!jsonU64(root, "processes", model.processes, error))
         return false;
 
@@ -167,7 +146,7 @@ loadFleetModel(const std::string &json, FleetModel &out,
         return false;
     for (const JsonValue &entry : members->array) {
         if (!entry.isObject())
-            return fail(error, "members entry is not an object");
+            return fail("members entry is not an object");
         FleetMember member;
         if (!jsonString(entry, "path", member.path, error) ||
             !jsonString(entry, "program", member.program, error) ||
@@ -191,7 +170,7 @@ loadFleetModel(const std::string &json, FleetModel &out,
         return false;
     for (const JsonValue &entry : metrics->array) {
         if (!entry.isObject())
-            return fail(error, "metrics entry is not an object");
+            return fail("metrics entry is not an object");
         FleetMetricRange range;
         if (!jsonString(entry, "metric", range.metric, error) ||
             !jsonU64(entry, "members", range.members, error) ||
@@ -210,7 +189,7 @@ loadFleetModel(const std::string &json, FleetModel &out,
         return false;
     for (const JsonValue &entry : outliers->array) {
         if (!entry.isObject())
-            return fail(error, "outliers entry is not an object");
+            return fail("outliers entry is not an object");
         FleetOutlier outlier;
         if (!jsonString(entry, "path", outlier.path, error) ||
             !jsonString(entry, "metric", outlier.metric, error) ||
@@ -229,7 +208,7 @@ loadFleetModel(const std::string &json, FleetModel &out,
         return false;
     for (const JsonValue &entry : incidents->array) {
         if (!entry.isObject())
-            return fail(error, "incidents entry is not an object");
+            return fail("incidents entry is not an object");
         FleetIncident incident;
         if (!jsonString(entry, "signature", incident.signature,
                         error) ||
@@ -241,8 +220,7 @@ loadFleetModel(const std::string &json, FleetModel &out,
             return false;
         for (const JsonValue &path : paths->array) {
             if (!path.isString()) {
-                return fail(error,
-                            "incident members entry is not a string");
+                return fail("incident members entry is not a string");
             }
             incident.members.push_back(path.string);
         }
@@ -258,38 +236,9 @@ loadFleetModelFile(const std::string &path, FleetModel &out,
                    std::string *error)
 {
     std::string text;
-    if (!diag::readFileText(path, text, error))
+    if (!telemetry::readFileText(path, text, error))
         return false;
     return loadFleetModel(text, out, error);
-}
-
-bool
-peekFleetSchemaVersion(const std::string &json,
-                       std::uint64_t &version, std::string *error)
-{
-    JsonValue root;
-    std::string parse_error;
-    if (!telemetry::parseJson(json, root, &parse_error))
-        return fail(error, parse_error);
-    if (!root.isObject())
-        return fail(error, "root is not an object");
-    std::string kind;
-    if (!diag::jsonString(root, "kind", kind, error))
-        return false;
-    if (kind != kFleetKind)
-        return fail(error,
-                    "kind '" + kind + "' is not '" + kFleetKind + "'");
-    return diag::jsonU64(root, "schemaVersion", version, error);
-}
-
-bool
-peekFleetSchemaVersionFile(const std::string &path,
-                           std::uint64_t &version, std::string *error)
-{
-    std::string text;
-    if (!diag::readFileText(path, text, error))
-        return false;
-    return peekFleetSchemaVersion(text, version, error);
 }
 
 std::string

@@ -125,19 +125,6 @@ bool loadFleetModelFile(const std::string &path, FleetModel &out,
                         std::string *error);
 
 /**
- * Cheap pre-flight: parse only kind + schemaVersion, any version
- * (see diag::peekManifestSchemaVersion for the rationale).
- */
-bool peekFleetSchemaVersion(const std::string &json,
-                            std::uint64_t &version,
-                            std::string *error);
-
-/** peekFleetSchemaVersion over a file's contents. */
-bool peekFleetSchemaVersionFile(const std::string &path,
-                                std::uint64_t &version,
-                                std::string *error);
-
-/**
  * Render the model as Prometheus text exposition: the
  * `heapmd_fleet_*` families (process count, per-metric pooled
  * ranges, outlier and incident-cluster tallies).  Deterministic for

@@ -3,8 +3,9 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
+
+#include "telemetry/json_document.hh"
 
 namespace heapmd
 {
@@ -461,17 +462,13 @@ bool
 validateTraceEventFile(const std::string &path, TraceJsonStats *stats,
                        std::string *error)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        if (error != nullptr)
-            *error = "cannot open '" + path + "'";
+    std::string text;
+    if (!readFileText(path, text, error)) {
         if (stats != nullptr)
             *stats = TraceJsonStats{};
         return false;
     }
-    std::ostringstream oss;
-    oss << in.rdbuf();
-    return validateTraceEventJson(oss.str(), stats, error);
+    return validateTraceEventJson(text, stats, error);
 }
 
 } // namespace telemetry

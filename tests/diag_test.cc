@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "analysis/diag_lint.hh"
 #include "diag/incident_bundle.hh"
@@ -179,6 +180,81 @@ TEST(JsonParseTest, NestingDepthIsBounded)
     // One level more fails.
     EXPECT_FALSE(telemetry::parseJson("[" + at_limit + "]", root,
                                       &error));
+}
+
+TEST(JsonAccessorTest, IntegersMustBeWholeNumbersInRange)
+{
+    // A cast of an out-of-range double is undefined; these used to
+    // load as 0 (or 1 for 1.5).
+    for (const char *value : {"1e30", "1e400", "18446744073709551616",
+                              "1.5", "-1"}) {
+        telemetry::JsonValue root;
+        ASSERT_TRUE(telemetry::parseJson(
+            std::string("{\"v\": ") + value + "}", root, nullptr));
+        std::uint64_t u = 7;
+        std::string error;
+        EXPECT_FALSE(diag::jsonU64(root, "v", u, &error)) << value;
+        EXPECT_NE(error.find("member 'v' is "), std::string::npos)
+            << error;
+    }
+    for (const char *value : {"9223372036854775808", "-1e400", "0.5"}) {
+        telemetry::JsonValue root;
+        ASSERT_TRUE(telemetry::parseJson(
+            std::string("{\"v\": ") + value + "}", root, nullptr));
+        std::int64_t i = 7;
+        std::string error;
+        EXPECT_FALSE(diag::jsonI64(root, "v", i, &error)) << value;
+    }
+    telemetry::JsonValue root;
+    ASSERT_TRUE(telemetry::parseJson(
+        "{\"u\": 9007199254740992, \"i\": -9223372036854775808}",
+        root, nullptr));
+    std::uint64_t u = 0;
+    std::int64_t i = 0;
+    EXPECT_TRUE(diag::jsonU64(root, "u", u, nullptr));
+    EXPECT_EQ(u, 9007199254740992u);
+    EXPECT_TRUE(diag::jsonI64(root, "i", i, nullptr));
+    EXPECT_EQ(i, std::numeric_limits<std::int64_t>::min());
+}
+
+TEST(DocumentHeaderTest, SchemaVersionMustBeAWholeNumber)
+{
+    std::string json = diag::manifestToJson(testManifest());
+    const auto pos = json.find("\"schemaVersion\": 4");
+    ASSERT_NE(pos, std::string::npos);
+    json.replace(pos + 17, 1, "1e30");
+
+    RunManifest loaded;
+    std::string error;
+    EXPECT_FALSE(diag::loadRunManifest(json, loaded, &error));
+    EXPECT_EQ(error, "member 'schemaVersion' is out of range");
+    analysis::Report report;
+    analysis::lintManifestText(json, report);
+    EXPECT_TRUE(report.has("diag.version"));
+}
+
+TEST(ReadFileTest, UnreadablePathIsAnIoFailure)
+{
+    // A directory opens but reads as EISDIR; it used to pass for an
+    // empty document ("unexpected end of input").
+    const std::string dir = ::testing::TempDir();
+    analysis::Report manifest_report;
+    analysis::lintManifestFile(dir, manifest_report);
+    EXPECT_TRUE(manifest_report.has("diag.io"));
+    EXPECT_FALSE(manifest_report.has("diag.parse"));
+    analysis::Report bundle_report;
+    analysis::lintBundleFile(dir, bundle_report);
+    EXPECT_TRUE(bundle_report.has("diag.io"));
+
+    RunManifest manifest;
+    std::string error;
+    EXPECT_FALSE(diag::loadRunManifestFile(dir, manifest, &error));
+    EXPECT_EQ(error.rfind("cannot read '" + dir + "'", 0), 0u)
+        << error;
+    IncidentBundle bundle;
+    EXPECT_FALSE(diag::loadIncidentBundleFile(dir, bundle, &error));
+    EXPECT_EQ(error.rfind("cannot read '" + dir + "'", 0), 0u)
+        << error;
 }
 
 TEST(IncidentBundleTest, BuildResolvesFramesAndSuspects)
@@ -397,6 +473,9 @@ TEST(RenderTest, SparklineScalesIntoRamp)
         diag::asciiSparkline({0.0, 0.5, 1.0});
     EXPECT_EQ(ramp.front(), '.');
     EXPECT_EQ(ramp.back(), '@');
+    // A loaded 1e400 is inf: its level is NaN, drawn at the top
+    // (no NaN-to-integer cast for the sanitizers to report).
+    EXPECT_EQ(diag::asciiSparkline({1.0, INFINITY, 2.0}), ".@.");
 }
 
 TEST(RenderTest, IncidentPageLeadsWithSuspect)

@@ -21,6 +21,7 @@
 #include "fleet/fleet_model.hh"
 #include "fleet/fleet_trend.hh"
 #include "metrics/metric.hh"
+#include "telemetry/json_document.hh"
 
 namespace heapmd
 {
@@ -298,6 +299,22 @@ TEST_F(FleetTest, DirectoryDiscoveryClassifiesKinds)
               missing_error.find("does not exist"));
 }
 
+TEST_F(FleetTest, UnreadableFleetPathIsAnIoFailure)
+{
+    // The fixture directory opens but reads as EISDIR; it used to be
+    // linted as an empty document (fleet.parse).
+    analysis::Report report;
+    analysis::lintFleetFile(dir_.string(), report);
+    EXPECT_TRUE(report.has("fleet.io"));
+    EXPECT_FALSE(report.has("fleet.parse"));
+
+    fleet::FleetModel model;
+    std::string error;
+    EXPECT_FALSE(fleet::loadFleetModelFile(dir_.string(), model, &error));
+    EXPECT_EQ(error.rfind("cannot read '" + dir_.string() + "'", 0), 0u)
+        << error;
+}
+
 TEST_F(FleetTest, IncidentClusteringDedupsBySignature)
 {
     diag::RunManifest a = testManifest("a", 40.0);
@@ -363,7 +380,7 @@ TEST_F(FleetTest, ModelRoundTripsByteForByte)
 
     std::uint64_t version = 0;
     EXPECT_TRUE(
-        fleet::peekFleetSchemaVersion(json, version, nullptr));
+        telemetry::peekSchemaVersion(json, fleet::kFleetKind, version));
     EXPECT_EQ(fleet::kFleetSchemaVersion, version);
 }
 

@@ -43,7 +43,6 @@
 #include "core/heapmd.hh"
 #include "diag/flow_incident.hh"
 #include "diag/incident_bundle.hh"
-#include "diag/json.hh"
 #include "diag/render.hh"
 #include "diag/run_manifest.hh"
 #include "diag/trend.hh"
@@ -55,6 +54,7 @@
 #include "support/build_env.hh"
 #include "support/parallel_for.hh"
 #include "support/table.hh"
+#include "telemetry/json_document.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/gzip_source.hh"
 #include "trace/trace_source.hh"
@@ -1212,18 +1212,23 @@ cmdReport(const Args &args)
 {
     const std::string path = args.str("bundle");
     std::string text, error;
-    if (!diag::readFileText(path, text, &error))
+    if (!telemetry::readFileText(path, text, &error))
         HEAPMD_FATAL("cannot read bundle '", path, "': ", error);
 
     // Two document kinds render here: detector incident bundles
     // (heapmd.incident) and audit --deep flow incidents (heapmd.flow).
+    // One parse; a document that is not a whole flow incident is
+    // reported as a bundle.
+    telemetry::DocumentHeader header;
+    telemetry::readDocumentHeader(text, diag::kFlowKind,
+                                  diag::kFlowSchemaVersion, header);
     diag::FlowIncident flow;
-    if (diag::loadFlowIncident(text, flow, nullptr)) {
+    if (diag::loadFlowIncident(header, flow, nullptr)) {
         std::printf("%s", diag::renderFlowIncident(flow).c_str());
         return 0;
     }
     diag::IncidentBundle bundle;
-    if (!diag::loadIncidentBundle(text, bundle, &error))
+    if (!diag::loadIncidentBundle(header, bundle, &error))
         HEAPMD_FATAL("cannot load bundle '", path, "': ", error);
     diag::RenderOptions options;
     options.stacksPerPhase =
@@ -1234,32 +1239,30 @@ cmdReport(const Args &args)
     return 0;
 }
 
-/** Reads a document's schemaVersion without loading it. */
-using SchemaPeek = bool (*)(const std::string &, std::uint64_t &,
-                            std::string *);
-
 /**
- * Schema pre-flight for @p command: every @p noun in @p paths must
- * carry a schemaVersion in 1..@p newest and, when @p mixed names the
- * documents, all the same one -- comparing a v1 document against a v4
- * one silently misreads the newer fields as "absent".  Either
- * violation is the user's mismatch (a stale binary or a future
- * capture), so it is a usage error (exit 2), not a finding; @p hint
- * ends the mixed-version message.  Files the peek cannot even parse
- * fall through to the loader's fatal-error path (exit 1).
+ * Schema pre-flight for @p command: every @p noun (a @p kind
+ * document) in @p paths must carry a schemaVersion in 1..@p newest
+ * and, when @p mixed names the documents, all the same one --
+ * comparing a v1 document against a v4 one silently misreads the
+ * newer fields as "absent".  Either violation is the user's mismatch
+ * (a stale binary or a future capture), so it is a usage error
+ * (exit 2), not a finding; @p hint ends the mixed-version message.
+ * Files the peek cannot even parse fall through to the loader's
+ * fatal-error path (exit 1).
  */
 void
 requireKnownSchema(const std::string &command, const std::string &noun,
                    const std::vector<std::string> &paths,
-                   SchemaPeek peek, std::uint64_t newest,
+                   const char *kind, std::uint64_t newest,
                    const char *mixed = nullptr, const char *hint = "")
 {
     std::string first_path;
     std::uint64_t first_version = 0;
     for (const std::string &path : paths) {
+        std::string text;
         std::uint64_t version = 0;
-        std::string error;
-        if (!peek(path, version, &error))
+        if (!telemetry::readFileText(path, text, nullptr) ||
+            !telemetry::peekSchemaVersion(text, kind, version))
             continue;
         if (version < 1 || version > newest)
             badInvocation(command + ": " + noun + " '" + path +
@@ -1290,8 +1293,8 @@ cmdTrend(const Args &args)
     documents.insert(documents.end(), candidates.begin(),
                      candidates.end());
     requireKnownSchema("trend", "manifest", documents,
-                       diag::peekManifestSchemaVersionFile,
-                       diag::kManifestSchemaVersion, "manifest",
+                       diag::kManifestKind, diag::kManifestSchemaVersion,
+                       "manifest",
                        "; re-run the older capture or compare like "
                        "with like");
 
@@ -1352,8 +1355,7 @@ cmdFleetMerge(const Args &args)
     // Members may mix manifest versions; each must be one this build
     // understands.
     requireKnownSchema("fleet-merge", "manifest", inputs.manifests,
-                       diag::peekManifestSchemaVersionFile,
-                       diag::kManifestSchemaVersion);
+                       diag::kManifestKind, diag::kManifestSchemaVersion);
 
     fleet::FleetMergeOptions options;
     options.jobs = g_jobs;
@@ -1395,8 +1397,7 @@ cmdFleetTrend(const Args &args)
 
     requireKnownSchema("fleet-trend", "fleet model",
                        {baseline_path, fleet_path},
-                       fleet::peekFleetSchemaVersionFile,
-                       fleet::kFleetSchemaVersion, "fleet");
+                       fleet::kFleetKind, fleet::kFleetSchemaVersion, "fleet");
 
     const fleet::FleetModel baseline = loadFleetModel(baseline_path);
     const fleet::FleetModel candidate = loadFleetModel(fleet_path);
