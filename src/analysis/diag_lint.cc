@@ -161,9 +161,15 @@ lintBundleWindow(const JsonValue &root, const std::string &metric,
     const JsonValue *window = check.object(root, "bundle", "window");
     if (window == nullptr)
         return;
+    const auto names_metric = [](const JsonValue &object) {
+        const JsonValue *found = object.find("metric");
+        return found != nullptr && found->isString();
+    };
     const std::string window_metric =
         check.str(*window, "window", "metric");
-    if (!window_metric.empty() && !metric.empty() &&
+    // The loader's rule: the window names the incident metric, "" as
+    // well.  A missing or mistyped member already has its finding.
+    if (names_metric(root) && names_metric(*window) &&
         window_metric != metric) {
         report.error("diag.bad-metric",
                      "window metric '" + window_metric +

@@ -1,6 +1,8 @@
 #include "detector/anomaly_detector.hh"
 
 #include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "support/logging.hh"
 #include "telemetry/telemetry.hh"
@@ -57,8 +59,10 @@ slackedRange(const HeapModel::Entry &entry)
     return {slack, entry.minValue - slack, entry.maxValue + slack};
 }
 
-AnomalyDetector::AnomalyDetector(const HeapModel &model)
-    : model_(model), states_(model.entries().size())
+AnomalyDetector::AnomalyDetector(const HeapModel &model,
+                                 Hysteresis hysteresis)
+    : model_(model), hysteresis_(hysteresis),
+      states_(model.entries().size())
 {
 }
 
@@ -76,30 +80,56 @@ void
 AnomalyDetector::onSample(const MetricSample &sample,
                           const Process &process)
 {
-    (void)process;
+    check(sample, [&process] {
+        return StackLogEntry{process.now(), process.series().size(), 0.0,
+                             process.callStack().capture(kCallStackDepth)};
+    });
+}
+
+void
+AnomalyDetector::observe(const MetricSample &sample,
+                         const std::vector<FnId> &frames)
+{
+    check(sample, [&sample, &frames] {
+        return StackLogEntry{sample.tick, sample.pointIndex, 0.0, frames};
+    });
+}
+
+/**
+ * One sample through every metric's cycle.  @p where makes the
+ * context-log snapshot, at most once per sample.
+ */
+template <typename Where>
+void
+AnomalyDetector::check(const MetricSample &sample, const Where &where)
+{
     ++samples_checked_;
     HEAPMD_COUNTER_INC("checker.samples_checked");
 
+    std::optional<StackLogEntry> here;
     const auto &entries = model_.entries();
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const HeapModel::Entry &e = entries[i];
         MetricState &state = states_[i];
 
         const double v = sample.value(e.id);
-        state.lastValue = v;
-        const double span = std::max(e.maxValue - e.minValue, kMinSpan);
-        const double margin = kApproachFraction * span;
+        const double slope = state.observed ? v - state.lastValue : 0.0;
         const SlackedRange range = slackedRange(e);
-        const double slope = state.hasPrev ? v - state.prev : 0.0;
         const bool violating = range.violatedBy(v);
+        state.observed = true;
+        state.lastValue = v;
+        state.lastDistance =
+            violating ? (v < range.lo ? range.lo - v : v - range.hi)
+                      : 0.0;
+        if (violating)
+            ++state.violatingSamples;
 
-        if (violating && !state.inViolation) {
+        if (advance(state, violating)) {
             // A new excursion: open a report, keep logging for the
-            // "after" context before finalizing.
+            // "after" context before closing it.
             HEAPMD_COUNTER_INC("checker.range_crossings");
             HEAPMD_TRACE_INSTANT("checker.range_crossing");
-            state.inViolation = true;
-            state.pendingReport = true;
+            state.open = true;
             state.afterLeft = kAfterSamples;
             state.pending = BugReport{};
             state.pending.klass = BugClass::HeapAnomaly;
@@ -112,45 +142,75 @@ AnomalyDetector::onSample(const MetricSample &sample,
             state.pending.calibratedMax = e.maxValue;
             state.pending.tick = sample.tick;
             state.pending.pointIndex = sample.pointIndex;
-        } else if (!violating) {
-            state.inViolation = false;
         }
 
+        const double span = std::max(e.maxValue - e.minValue, kMinSpan);
+        const double margin = kApproachFraction * span;
         const bool approaching_max =
             v >= range.hi - range.slack - margin && slope > 0.0;
         const bool approaching_min =
             v <= range.lo + range.slack + margin && slope < 0.0;
-        const bool want_armed = state.pendingReport || violating ||
-                                approaching_max || approaching_min;
-        if (want_armed != state.armed) {
-            state.armed = want_armed;
-            if (want_armed)
-                ++armed_count_;
-            else
-                --armed_count_;
-            if (!want_armed && !state.pendingReport)
-                state.log.clear(); // moved away: drop stale context
+        setLogging(state, state.open || violating || approaching_max ||
+                              approaching_min);
+        if (state.logging) {
+            if (!here)
+                here = where();
+            here->metricValue = v;
+            state.log.push(*here);
         }
-        if (state.armed)
-            logSnapshot(state, v);
 
-        if (state.pendingReport) {
+        if (state.open) {
             if (state.afterLeft == 0)
-                finalizeReport(state);
+                closeReport(state);
             else
                 --state.afterLeft;
         }
-
-        state.prev = v;
-        state.hasPrev = true;
     }
+}
+
+/**
+ * Step @p state's hysteresis phase by one sample.
+ * @return true when the debounce streak completes, opening a report.
+ */
+bool
+AnomalyDetector::advance(MetricState &state, bool violating) const
+{
+    switch (state.phase) {
+    case MetricPhase::Armed:
+    case MetricPhase::Suspect:
+        if (!violating) {
+            state.phase = MetricPhase::Armed;
+            state.streak = 0;
+        } else if (++state.streak < hysteresis_.debounce) {
+            state.phase = MetricPhase::Suspect;
+        } else {
+            state.phase = MetricPhase::Firing;
+            state.streak = 0;
+            return true;
+        }
+        break;
+    case MetricPhase::Firing:
+    case MetricPhase::Cooling:
+        if (violating) {
+            // Same excursion flaring back up: no new report.
+            state.phase = MetricPhase::Firing;
+            state.streak = 0;
+        } else if (++state.streak < hysteresis_.rearm) {
+            state.phase = MetricPhase::Cooling;
+        } else {
+            state.phase = MetricPhase::Armed;
+            state.streak = 0;
+        }
+        break;
+    }
+    return false;
 }
 
 void
 AnomalyDetector::onEvent(const Event &event, Tick tick)
 {
     (void)tick;
-    if (armed_count_ == 0)
+    if (logging_count_ == 0)
         return;
     // Only heap-mutating events are interesting culprit context.
     switch (event.kind) {
@@ -162,9 +222,13 @@ AnomalyDetector::onEvent(const Event &event, Tick tick)
       default:
         return;
     }
+    StackLogEntry here{process_->now(), process_->series().size(), 0.0,
+                       process_->callStack().capture(kCallStackDepth)};
     for (MetricState &state : states_) {
-        if (state.armed)
-            logSnapshot(state, state.lastValue);
+        if (state.logging) {
+            here.metricValue = state.lastValue;
+            state.log.push(here);
+        }
     }
 }
 
@@ -172,37 +236,49 @@ void
 AnomalyDetector::finish()
 {
     for (MetricState &state : states_) {
-        if (state.pendingReport)
-            finalizeReport(state);
+        if (state.open)
+            closeReport(state);
     }
 }
 
-void
-AnomalyDetector::logSnapshot(MetricState &state, double value)
+std::vector<MetricView>
+AnomalyDetector::views() const
 {
-    StackLogEntry entry;
-    if (process_ != nullptr) {
-        entry.tick = process_->now();
-        entry.pointIndex = process_->series().size();
-        entry.frames =
-            process_->callStack().capture(kCallStackDepth);
+    std::vector<MetricView> out;
+    out.reserve(states_.size());
+    for (std::size_t i = 0; i < states_.size(); ++i) {
+        const MetricState &state = states_[i];
+        out.push_back({model_.entries()[i].id, state.observed,
+                       state.lastValue, state.lastDistance, state.phase,
+                       state.violatingSamples});
     }
-    entry.metricValue = value;
-    state.log.push(std::move(entry));
+    return out;
 }
 
 void
-AnomalyDetector::finalizeReport(MetricState &state)
+AnomalyDetector::setLogging(MetricState &state, bool on)
+{
+    if (on != state.logging) {
+        state.logging = on;
+        if (on)
+            ++logging_count_;
+        else
+            --logging_count_;
+    }
+    if (!on)
+        state.log.clear(); // moved away: drop stale context
+}
+
+void
+AnomalyDetector::closeReport(MetricState &state)
 {
     HEAPMD_COUNTER_INC("checker.reports");
     state.pending.contextLog = state.log.snapshot();
-    reports_.push_back(state.pending);
-    state.pendingReport = false;
-    state.log.clear();
-    if (state.armed) {
-        state.armed = false;
-        --armed_count_;
-    }
+    reports_.push_back(std::move(state.pending));
+    state.open = false;
+    setLogging(state, false);
+    if (on_incident_)
+        on_incident_(reports_.back());
 }
 
 } // namespace heapmd

@@ -98,6 +98,10 @@ MonitorSession::run(std::string &error)
                 "pid";
     }
 
+    // A stop, a drained source or a failure closes the open reports.
+    if (detector_ != nullptr)
+        detector_->finish();
+
     phase.addBytes(bytes_consumed_);
     HEAPMD_COUNTER_ADD("monitor.events", stats_.events);
     HEAPMD_COUNTER_ADD("monitor.samples", stats_.samples);
@@ -170,7 +174,7 @@ MonitorSession::runSegments(std::string &error)
 
     ExecutionChecker checker(model_);
     if (options_.follow) {
-        detector_ = std::make_unique<OnlineDetector>(
+        detector_ = std::make_unique<AnomalyDetector>(
             model_, options_.detector);
         detector_->setIncidentCallback(
             [this](const BugReport &report) {
@@ -229,7 +233,7 @@ bool
 MonitorSession::runPid(std::string &error)
 {
     detector_ =
-        std::make_unique<OnlineDetector>(model_, options_.detector);
+        std::make_unique<AnomalyDetector>(model_, options_.detector);
     detector_->setIncidentCallback([this](const BugReport &report) {
         handleIncident(report);
     });

@@ -20,13 +20,15 @@
  *    context log carries only the scan marker (the shm channel has no
  *    stacks).
  *
- * In follow mode the OnlineDetector's hysteresis machine fires
- * incident bundles (diag schema, `incident-NNN.json`) the moment an
- * excursion survives its debounce, so a bundle exists while the
- * monitored workload is still alive.  In --once mode (follow = false)
- * the session replays the completed set under the same batch
- * ExecutionChecker that `heapmd check` uses, so its verdicts match a
- * check of the concatenated trace by construction.
+ * In follow mode the session's AnomalyDetector runs its hysteresis
+ * cycle at `--debounce`/`--rearm` and publishes an incident bundle
+ * (diag schema, `incident-NNN.json`) when a report closes,
+ * kAfterSamples samples after its excursion survived the debounce,
+ * so a bundle exists while the monitored workload is still alive; a
+ * stop or the end of the source closes the reports still open.  In
+ * --once mode (follow = false) the session replays the completed set
+ * under the same ExecutionChecker that `heapmd check` uses, so its
+ * verdicts match a check of the concatenated trace by construction.
  */
 
 #ifndef HEAPMD_MONITOR_MONITOR_HH
@@ -42,7 +44,6 @@
 #include "diag/incident_bundle.hh"
 #include "metrics/series.hh"
 #include "model/model.hh"
-#include "monitor/online_detector.hh"
 #include "runtime/process.hh"
 
 namespace heapmd
@@ -80,8 +81,12 @@ struct MonitorOptions
     /** +/- pointIndex radius of each bundle's metric window. */
     std::uint64_t windowRadius = diag::kDefaultWindowRadius;
 
-    /** Hysteresis tuning. */
-    OnlineDetectorConfig detector;
+    /**
+     * Hysteresis of the follow-mode detector.  Three violating
+     * samples open an incident, so one noisy metric point never pages
+     * anyone; eight in-range samples re-arm the metric.
+     */
+    Hysteresis detector{3, 8};
 
     /** Abort check, polled while waiting (wire to a signal flag). */
     std::function<bool()> stopped;
@@ -172,7 +177,7 @@ class MonitorSession
     MetricSeries own_series_;
     FunctionRegistry own_registry_;
 
-    std::unique_ptr<OnlineDetector> detector_;
+    std::unique_ptr<AnomalyDetector> detector_;
     std::uint64_t bytes_consumed_ = 0;
 };
 

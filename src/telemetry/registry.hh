@@ -16,9 +16,8 @@
  *  - snapshotAll() is the only operation that takes the registry
  *    mutex; it never blocks an increment.
  *
- * Instrument through the macros in telemetry/telemetry.hh, which
- * compile to no-ops under -DHEAPMD_TELEMETRY=OFF; this header's API
- * stays available in both modes (tests, the stats table).
+ * Instrument through the macros in telemetry/telemetry.hh; this
+ * header's API also serves the tests and the stats table.
  */
 
 #ifndef HEAPMD_TELEMETRY_REGISTRY_HH

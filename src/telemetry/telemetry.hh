@@ -2,13 +2,10 @@
  * @file
  * Instrumentation macros: the one header hot paths include.
  *
- * Every macro is a no-op when telemetry is compiled out
- * (cmake -DHEAPMD_TELEMETRY=OFF, which defines
- * HEAPMD_TELEMETRY_DISABLED), so instrumentation sites carry zero
- * cost in stripped builds.  A TU can also force the gate locally by
- * defining HEAPMD_TELEMETRY_ENABLED to 0 or 1 *before* including this
- * header (bench/telemetry_overhead compiles the same kernel both ways
- * to measure the difference).
+ * A TU compiles every macro to a no-op by defining
+ * HEAPMD_TELEMETRY_ENABLED to 0 *before* including this header
+ * (bench/telemetry_overhead compiles the same kernel both ways to
+ * measure the difference); everywhere else they are compiled in.
  *
  * With telemetry compiled in:
  *  - counter/gauge/histogram macros resolve the instrument once per
@@ -30,11 +27,7 @@
 #include "telemetry/trace_session.hh"
 
 #if !defined(HEAPMD_TELEMETRY_ENABLED)
-#if defined(HEAPMD_TELEMETRY_DISABLED)
-#define HEAPMD_TELEMETRY_ENABLED 0
-#else
 #define HEAPMD_TELEMETRY_ENABLED 1
-#endif
 #endif
 
 #define HEAPMD_TLM_CONCAT_(a, b) a##b

@@ -8,8 +8,8 @@
  * append events to an in-memory buffer while active() is true, and
  * stop() serializes everything to the output file.  The active() gate
  * is a single relaxed atomic load, so dormant instrumentation costs a
- * predictable branch; use the macros in telemetry/telemetry.hh to
- * compile even that out with -DHEAPMD_TELEMETRY=OFF.
+ * predictable branch.  Instrument through the macros in
+ * telemetry/telemetry.hh.
  */
 
 #ifndef HEAPMD_TELEMETRY_TRACE_SESSION_HH

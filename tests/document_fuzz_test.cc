@@ -2,9 +2,10 @@
  * @file
  * Mutation harness over heapmd's four JSON documents (run manifest,
  * incident bundle, flow incident, fleet model).  Each canonical saved
- * document is mutated -- every prefix, every single-byte flip, and
- * every number replaced by huge, negative, fractional, infinite and
- * off-by-one values -- and each input goes through its loader, the
+ * document is mutated -- every prefix, every single-byte flip, every
+ * single-byte deletion, every string emptied, and every number
+ * replaced by huge, negative, fractional, infinite and off-by-one
+ * values -- and each input goes through its loader, the
  * schema peek and its linter.  Oracles:
  *   - nothing crashes (the sanitizer jobs run this test);
  *   - a failed load leaves a non-empty error;
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <functional>
 #include <string>
@@ -211,6 +213,23 @@ numberTokens(const std::string &text)
     return out;
 }
 
+/** The contents of every string token of @p text, as (offset, length). */
+std::vector<std::pair<std::size_t, std::size_t>>
+stringTokens(const std::string &text)
+{
+    std::vector<std::pair<std::size_t, std::size_t>> out;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        if (text[i] != '"')
+            continue;
+        std::size_t end = i + 1;
+        while (end < text.size() && text[end] != '"')
+            end += text[end] == '\\' ? 2 : 1;
+        out.emplace_back(i + 1, std::min(end, text.size()) - i - 1);
+        i = end;
+    }
+    return out;
+}
+
 /** The mutated inputs of one canonical document. */
 std::vector<std::string>
 mutations(const std::string &canonical, std::uint64_t seed)
@@ -225,6 +244,12 @@ mutations(const std::string &canonical, std::uint64_t seed)
             flipped[i] ^ static_cast<char>(1 + rng.below(255)));
         out.push_back(std::move(flipped));
     }
+    // Deletions: each single byte, and each string's contents.
+    for (std::size_t i = 0; i < canonical.size(); ++i)
+        out.push_back(canonical.substr(0, i) + canonical.substr(i + 1));
+    for (const auto &[offset, length] : stringTokens(canonical))
+        out.push_back(canonical.substr(0, offset) +
+                      canonical.substr(offset + length));
     static const char *const kNumbers[] = {
         "0",      "-1",   "1.5",  "0.5",
         "1e30",   "1e400", "-1e400", "18446744073709551616",

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests of the continuous-monitoring subsystem: the OnlineDetector
- * hysteresis machine on synthetic sample streams, and MonitorSession
- * end to end over synthetic traces (batch parity in --once mode,
- * incident bundles and Prometheus rendering in follow mode).
+ * Tests of the continuous-monitoring subsystem: the anomaly detector
+ * at the monitor's hysteresis settings on synthetic sample streams,
+ * and MonitorSession end to end over synthetic traces (batch parity
+ * in --once mode, incident bundles and Prometheus rendering in follow
+ * mode).
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +21,6 @@
 #include "analysis/report.hh"
 #include "detector/execution_checker.hh"
 #include "monitor/monitor.hh"
-#include "monitor/online_detector.hh"
 #include "runtime/process.hh"
 #include "trace/trace_reader.hh"
 #include "trace/trace_writer.hh"
@@ -31,14 +31,11 @@ namespace heapmd
 namespace
 {
 
-using monitor::MetricPhase;
-using monitor::MetricView;
 using monitor::MonitorOptions;
 using monitor::MonitorSession;
-using monitor::OnlineDetector;
 
 // ---------------------------------------------------------------
-// OnlineDetector: the hysteresis machine on synthetic samples.
+// The detector at the monitor's debounce 3, rearm 8.
 // ---------------------------------------------------------------
 
 HeapModel
@@ -68,13 +65,13 @@ sampleAt(MetricId id, double value, std::uint64_t point)
     return s;
 }
 
-/** Feed a value sequence into a fresh streaming detector. */
+/** Feed a value sequence into a detector at the monitor's settings. */
 class OnlineHarness
 {
   public:
     OnlineHarness(MetricId id, double min, double max)
         : id_(id), model_(singleMetricModel(id, min, max)),
-          detector_(model_)
+          detector_(model_, MonitorOptions{}.detector)
     {
     }
 
@@ -85,7 +82,7 @@ class OnlineHarness
             detector_.observe(sampleAt(id_, v, point_++), frames_);
     }
 
-    OnlineDetector &detector() { return detector_; }
+    AnomalyDetector &detector() { return detector_; }
 
     const MetricView &
     view() const
@@ -97,20 +94,21 @@ class OnlineHarness
   private:
     MetricId id_;
     HeapModel model_;
-    OnlineDetector detector_;
+    AnomalyDetector detector_;
     std::vector<FnId> frames_{0};
     std::uint64_t point_ = 0;
     mutable std::vector<MetricView> views_;
 };
 
 // Default slack for range [10, 20]: max(0.25 * 10, 1.0) = 2.5, so
-// the effective detection bounds are [7.5, 22.5] -- identical to the
-// batch detector's, which is the whole point.
+// the effective detection bounds are [7.5, 22.5].  A report opens on
+// the third violating sample and closes kAfterSamples samples later.
 
 TEST(OnlineDetectorTest, InRangeStreamNeverFires)
 {
     OnlineHarness h(MetricId::Leaves, 10.0, 20.0);
     h.feed({12, 14, 22.4, 7.6, 18, 12, 12, 12, 12, 12});
+    h.detector().finish();
     EXPECT_FALSE(h.detector().anomalous());
     EXPECT_EQ(h.detector().samplesChecked(), 10u);
     EXPECT_EQ(h.view().phase, MetricPhase::Armed);
@@ -123,6 +121,7 @@ TEST(OnlineDetectorTest, DebounceSuppressesShortBlips)
     // debounce of three, so nobody gets paged.
     OnlineHarness h(MetricId::Leaves, 10.0, 20.0);
     h.feed({12, 30, 30, 12});
+    h.detector().finish();
     EXPECT_TRUE(h.detector().reports().empty());
     EXPECT_EQ(h.view().phase, MetricPhase::Armed);
     EXPECT_EQ(h.view().violatingSamples, 2u);
@@ -132,8 +131,11 @@ TEST(OnlineDetectorTest, FiresOnceTheStreakCompletes)
 {
     OnlineHarness h(MetricId::Leaves, 10.0, 20.0);
     h.feed({12, 30, 31, 32});
-    ASSERT_EQ(h.detector().reports().size(), 1u);
     EXPECT_EQ(h.view().phase, MetricPhase::Firing);
+    // Open, not yet published: the after context is still to come.
+    EXPECT_TRUE(h.detector().reports().empty());
+    h.feed({33, 34, 35});
+    ASSERT_EQ(h.detector().reports().size(), 1u);
 
     // The report pins the firing sample, not the first violating one.
     const BugReport &report = h.detector().reports().front();
@@ -146,7 +148,8 @@ TEST(OnlineDetectorTest, FiresOnceTheStreakCompletes)
     EXPECT_DOUBLE_EQ(report.calibratedMax, 20.0);
 
     // A sustained excursion keeps violating but never re-fires.
-    h.feed({33, 34, 35, 36, 37});
+    h.feed({36, 37, 38, 39, 40});
+    h.detector().finish();
     EXPECT_EQ(h.detector().reports().size(), 1u);
 }
 
@@ -154,6 +157,7 @@ TEST(OnlineDetectorTest, BelowMinReportsDirection)
 {
     OnlineHarness h(MetricId::Roots, 10.0, 20.0);
     h.feed({12, 2, 2, 2});
+    h.detector().finish();
     ASSERT_EQ(h.detector().reports().size(), 1u);
     EXPECT_EQ(h.detector().reports().front().direction,
               AnomalyDirection::BelowMin);
@@ -163,7 +167,7 @@ TEST(OnlineDetectorTest, CoolingReflareDoesNotRefire)
 {
     OnlineHarness h(MetricId::Leaves, 10.0, 20.0);
     h.feed({12, 30, 30, 30}); // fire
-    ASSERT_EQ(h.detector().reports().size(), 1u);
+    EXPECT_EQ(h.view().phase, MetricPhase::Firing);
 
     // The metric dips back in range, then flares again: that is the
     // same excursion oscillating around the bound, not a new one.
@@ -176,16 +180,16 @@ TEST(OnlineDetectorTest, RearmStreakEnablesTheNextIncident)
 {
     OnlineHarness h(MetricId::Leaves, 10.0, 20.0);
     h.feed({12, 30, 30, 30}); // incident 1
-    ASSERT_EQ(h.detector().reports().size(), 1u);
 
     // A full re-arm streak of in-range samples (default 8)...
     h.feed({12, 12, 12, 12, 12, 12, 12, 12});
     EXPECT_EQ(h.view().phase, MetricPhase::Armed);
+    EXPECT_EQ(h.detector().reports().size(), 1u);
 
     // ...makes the next excursion a fresh incident.
     h.feed({30, 30, 30});
+    h.detector().finish();
     EXPECT_EQ(h.detector().reports().size(), 2u);
-    EXPECT_EQ(h.view().incidents, 2u);
 }
 
 TEST(OnlineDetectorTest, IncidentCallbackSeesTheFiringReport)
@@ -196,36 +200,47 @@ TEST(OnlineDetectorTest, IncidentCallbackSeesTheFiringReport)
         [&seen](const BugReport &report) {
             seen.push_back(report.observedValue);
         });
-    h.feed({12, 30, 31, 32, 33});
+    h.feed({12, 30, 31, 32, 33, 34});
+    EXPECT_TRUE(seen.empty());
+    // The report closes kAfterSamples samples after it opened.
+    h.feed({35});
     ASSERT_EQ(seen.size(), 1u);
     EXPECT_DOUBLE_EQ(seen.front(), 32.0);
 }
 
 TEST(OnlineDetectorTest, ContextRingCarriesRecentSamples)
 {
-    using monitor::kContextCapacity;
     OnlineHarness h(MetricId::Leaves, 10.0, 20.0);
-    // More in-range samples than the ring holds, then an excursion
-    // that fires on its third violating sample (the default
-    // debounce).
-    std::vector<double> values;
-    for (std::size_t i = 0; i < kContextCapacity + 10; ++i)
-        values.push_back(12.0 + static_cast<double>(i % 8));
-    values.insert(values.end(), 3, 30.0);
+    // Flat in-range samples are not logged.  Then a climb toward the
+    // max, every sample of which arms the log, longer than the ring,
+    // and an excursion: three samples to open the report and three
+    // more to close it.
+    std::vector<double> values(5, 12.0);
+    for (std::size_t i = 0; i < kLogCapacity + 10; ++i)
+        values.push_back(19.0 + 0.01 * static_cast<double>(i));
+    values.insert(values.end(), 3 + kAfterSamples, 30.0);
     h.feed(values);
     ASSERT_EQ(h.detector().reports().size(), 1u);
 
-    // The ring kept the kContextCapacity newest snapshots, oldest
-    // first, ending at the firing sample.
+    // The ring kept the kLogCapacity newest snapshots, oldest first,
+    // ending at the closing sample.
     const std::vector<StackLogEntry> &log =
         h.detector().reports().front().contextLog;
-    ASSERT_EQ(log.size(), kContextCapacity);
-    EXPECT_EQ(log.front().pointIndex, values.size() - kContextCapacity);
+    ASSERT_EQ(log.size(), kLogCapacity);
+    EXPECT_EQ(log.front().pointIndex, values.size() - kLogCapacity);
     EXPECT_DOUBLE_EQ(log.front().metricValue,
-                     values[values.size() - kContextCapacity]);
+                     values[values.size() - kLogCapacity]);
     EXPECT_EQ(log.back().pointIndex, values.size() - 1);
     EXPECT_DOUBLE_EQ(log.back().metricValue, 30.0);
     EXPECT_EQ(log.back().frames, std::vector<FnId>{0});
+
+    // Away from the bounds the log empties: a short approach is all
+    // the next report carries.
+    h.feed(std::vector<double>(8, 12.0));
+    h.feed({19.5, 19.8, 30, 30, 30});
+    h.detector().finish();
+    ASSERT_EQ(h.detector().reports().size(), 2u);
+    EXPECT_EQ(h.detector().reports().back().contextLog.size(), 5u);
 }
 
 // ---------------------------------------------------------------

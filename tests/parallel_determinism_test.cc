@@ -484,6 +484,20 @@ TEST_F(CliDeterminismTest, MalformedNumericFlagsAreUsageErrors)
     EXPECT_NE(slurp("version.log").find("invalid --version value"),
               std::string::npos)
         << slurp("version.log");
+    // A zero streak used to be clamped to 1 without a word.
+    EXPECT_EQ(run("1", "monitor --segments none --model none "
+                       "--debounce 0",
+                  "debounce.log"),
+              2);
+    EXPECT_EQ(run("1", "monitor --segments none --model none "
+                       "--rearm 0",
+                  "rearm.log"),
+              2);
+    for (const char *log : {"debounce.log", "rearm.log"})
+        EXPECT_NE(slurp(log).find("--debounce and --rearm must be at "
+                                  "least 1"),
+                  std::string::npos)
+            << slurp(log);
 }
 
 TEST_F(CliDeterminismTest, GiantExtentTraceRunsInBoundedTime)

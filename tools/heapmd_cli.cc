@@ -1698,16 +1698,17 @@ cmdMonitor(const Args &args)
         badInvocation("monitor needs --segments BASE or --pid P");
     if (!options.segmentsBase.empty() && options.pid != 0)
         badInvocation("monitor takes --segments or --pid, not both");
+    options.detector.debounce =
+        args.num("debounce", options.detector.debounce);
+    options.detector.rearm = args.num("rearm", options.detector.rearm);
+    if (options.detector.debounce == 0 || options.detector.rearm == 0)
+        badInvocation("monitor --debounce and --rearm must be at least 1");
 
     const HeapModel model = loadModel(args.str("model"));
     options.follow = args.num("once", 0) == 0;
     options.pollMs = args.num("poll-ms", 50);
     options.windowRadius =
         args.num("window", diag::kDefaultWindowRadius);
-    options.detector.debounceSamples =
-        static_cast<std::size_t>(args.num("debounce", 3));
-    options.detector.rearmSamples =
-        static_cast<std::size_t>(args.num("rearm", 8));
     if (args.has("bundle-dir"))
         options.bundleDir = args.str("bundle-dir");
 
@@ -1960,8 +1961,8 @@ commandTable()
          "(online detector daemon: tail a rotating capture\n"
          " segment set -- or, with --pid, a live process's\n"
          " shm stats -- against a trained model and write\n"
-         " incident bundles the moment an excursion survives\n"
-         " its debounce, while the workload still runs;\n"
+         " an incident bundle 3 samples after an excursion\n"
+         " survives its debounce, while the workload runs;\n"
          " --once consumes a completed set with the same\n"
          " verdicts as `check`; --listen serves the\n"
          " heapmd_monitor_* Prometheus families)"},
