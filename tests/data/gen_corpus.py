@@ -127,6 +127,33 @@ CORPUS = {
     + footer(),
     # trace.zero-alloc
     "zero_alloc.trace": header() + event(ALLOC, 0x1000, 0) + footer(),
+    # The ordering rules keep no extent for a zero-size allocation (the
+    # flow pass keeps a 1-byte one), so the free and the write after
+    # it are free-before-alloc and silent there.
+    "zero_alloc_then_free.trace": header()
+    + event(ALLOC, 0x1000, 0)
+    + event(WRITE, 0x1000, 0)
+    + event(FREE, 0x1000)
+    + event(FREE, 0x1000)
+    + footer(),
+    # The ordering rules reject an allocation over a live extent and
+    # keep the old one (the flow pass sweeps it and keeps the new
+    # one), so of the two frees only the second is free-before-alloc.
+    "overlap_then_free.trace": header()
+    + event(ALLOC, 0x1000, 64)
+    + event(ALLOC, 0x1010, 16)
+    + event(FREE, 0x1000)
+    + event(FREE, 0x1010)
+    + footer(),
+    # An in-place realloc to size 0 frees the extent for the ordering
+    # rules (the flow pass keeps 1 byte live), so the free after it is
+    # free-before-alloc and the write a write-after-free.
+    "realloc_zero_then_free.trace": header()
+    + event(ALLOC, 0x1000, 32)
+    + event(REALLOC, 0x1000, 0x1000, 0)
+    + event(WRITE, 0x1000, 0)
+    + event(FREE, 0x1000)
+    + footer(),
     # trace.trailing-bytes (warning, not error)
     "trailing_bytes.trace": header() + footer() + b"junk",
     # --- flow.* corpus (audit --deep; flow_lint_test.cc) ------------

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <initializer_list>
 #include <sstream>
 #include <string>
@@ -387,19 +388,14 @@ lintRendering(const std::string &data)
 }
 
 /**
- * Both linters over every prefix and every single-byte corruption of
- * five corpus seeds, over ~256 prefixes of a recorded app trace, and
- * over whole recordings with and without seeded faults.
- * None may crash, and every report is folded into one FNV-1a digest:
- * the linters' output on damaged input is pinned byte for byte, so a
- * rewrite of their shadow heaps cannot change a single finding.
+ * FlowFuzz's inputs, each handed to @p visit: every prefix and every
+ * single-byte corruption of five corpus seeds, ~256 prefixes of a
+ * recorded app trace, and whole recordings with and without seeded
+ * faults.
  */
-TEST(FlowFuzz, TruncationAndCorruptionNeverCrash)
+void
+forEachFuzzInput(const std::function<void(const std::string &)> &visit)
 {
-    std::string digests;
-    const auto fold = [&](const std::string &data) {
-        digests += hashFingerprint(fnv1a64(lintRendering(data)));
-    };
     const char *kSeeds[] = {
         "clean.trace",          "flow_dangling_reuse.trace",
         "capture_addr_reuse.trace", "write_after_free.trace",
@@ -410,12 +406,12 @@ TEST(FlowFuzz, TruncationAndCorruptionNeverCrash)
         ASSERT_FALSE(data.empty()) << name;
         // Every prefix, as a kill mid-write would leave it.
         for (std::size_t len = 0; len <= data.size(); ++len)
-            fold(data.substr(0, len));
+            visit(data.substr(0, len));
         // Every single-byte corruption.
         for (std::size_t i = 0; i < data.size(); ++i) {
             std::string bent = data;
             bent[i] = static_cast<char>(bent[i] ^ 0xFF);
-            fold(bent);
+            visit(bent);
         }
     }
 
@@ -424,14 +420,180 @@ TEST(FlowFuzz, TruncationAndCorruptionNeverCrash)
     ASSERT_GT(recorded.size(), 512u);
     const std::size_t stride = recorded.size() / 256 + 1;
     for (std::size_t len = 0; len < recorded.size(); len += stride)
-        fold(recorded.substr(0, len));
+        visit(recorded.substr(0, len));
     // Whole recordings, clean and with seeded leaks and double frees:
     // leak ranking and sweeps over many live objects.
-    fold(recorded);
-    fold(recordApp("gzip", "small-leak"));
-    fold(recordApp("Multimedia", "shared-state-free"));
+    visit(recorded);
+    visit(recordApp("gzip", "small-leak"));
+    visit(recordApp("Multimedia", "shared-state-free"));
+}
 
+/**
+ * Both linters over every FlowFuzz input.  None may crash, and every
+ * report is folded into one FNV-1a digest: the linters' output on
+ * damaged input is pinned byte for byte, so a rewrite of their shadow
+ * heaps cannot change a single finding.
+ */
+TEST(FlowFuzz, TruncationAndCorruptionNeverCrash)
+{
+    std::string digests;
+    forEachFuzzInput([&](const std::string &data) {
+        digests += hashFingerprint(fnv1a64(lintRendering(data)));
+    });
     EXPECT_EQ(hashFingerprint(fnv1a64(digests)), kFuzzDigest);
+}
+
+// --- The ordering rules with and without a flow pass ----------------
+
+/**
+ * The trace.* findings and the stats of one lint pass over @p data,
+ * as text: a lint-only pass, or a deep one (a flow pass beside it).
+ */
+std::string
+orderingRendering(const std::string &data, bool deep)
+{
+    Report report;
+    FlowAnalysis flow;
+    const analysis::TraceLintStats ts =
+        analysis::lintTrace(data, report, {}, deep ? &flow : nullptr);
+    std::ostringstream out;
+    for (const analysis::Finding &f : report.findings()) {
+        if (f.rule.rfind("trace.", 0) == 0)
+            out << f.describe() << '\n';
+    }
+    out << ts.bytes << ' ' << ts.events << ' ' << ts.functions << ' '
+        << ts.segments << ' ' << ts.captureProvenance << ' '
+        << ts.malformed << '\n';
+    return out.str();
+}
+
+/** Version-2 header with the live-capture provenance flag. */
+std::string
+captureHeader()
+{
+    return std::string("HMDT") + std::string("\x02\x00\x00\x00", 4) +
+           std::string("\x01\x00\x00\x00", 4);
+}
+
+/**
+ * Events at which the ordering rules' extent model and the flow
+ * pass's shadow heap update differently (and two that come close),
+ * each with the addresses it leaves in question.
+ */
+struct Divergence
+{
+    const char *name;
+    std::string events;
+    std::vector<Addr> addrs;
+};
+
+std::vector<Divergence>
+divergences()
+{
+    constexpr std::uint64_t kNegative = std::uint64_t{1} << 63;
+    const std::string a32 = ev(EventKind::Alloc, {0x1000, 32});
+    const std::string b32 = ev(EventKind::Alloc, {0x2000, 32});
+    return {
+        {"zero-size alloc", ev(EventKind::Alloc, {0x1000, 0}), {0x1000}},
+        {"zero-size alloc over a freed extent",
+         a32 + ev(EventKind::Free, {0x1000}) +
+             ev(EventKind::Alloc, {0x1008, 0}),
+         {0x1000, 0x1008}},
+        {"negative-size alloc over a live extent",
+         a32 + ev(EventKind::Alloc, {0x800, kNegative}), {0x800, 0x1000}},
+        {"negative-size alloc over a freed extent",
+         a32 + ev(EventKind::Free, {0x1000}) +
+             ev(EventKind::Alloc, {0x800, kNegative}),
+         {0x800, 0x1000}},
+        {"alloc over a live extent",
+         ev(EventKind::Alloc, {0x1000, 64}) +
+             ev(EventKind::Alloc, {0x1010, 16}),
+         {0x1000, 0x1010}},
+        {"alloc over a live and a freed extent",
+         a32 + b32 + ev(EventKind::Free, {0x2000}) +
+             ev(EventKind::Alloc, {0x1010, 0x1000}),
+         {0x1000, 0x1010, 0x2000}},
+        {"in-place realloc growing over a live extent",
+         a32 + ev(EventKind::Alloc, {0x1020, 32}) +
+             ev(EventKind::Realloc, {0x1000, 0x1000, 64}),
+         {0x1000, 0x1020}},
+        {"in-place realloc growing past the top of the address space",
+         ev(EventKind::Alloc, {0, 16}) + ev(EventKind::Free, {0}) +
+             ev(EventKind::Alloc, {~std::uint64_t{15}, 16}) +
+             ev(EventKind::Realloc,
+                {~std::uint64_t{15}, ~std::uint64_t{15}, 32}),
+         {0, ~std::uint64_t{15}}},
+        {"in-place realloc to size 0",
+         a32 + ev(EventKind::Realloc, {0x1000, 0x1000, 0}), {0x1000}},
+        {"in-place realloc of an interior pointer over its object",
+         ev(EventKind::Alloc, {0x1000, 64}) +
+             ev(EventKind::Realloc, {0x1010, 0x1010, 8}),
+         {0x1000, 0x1010}},
+        {"realloc to a null target",
+         a32 + ev(EventKind::Realloc, {0x1000, 0, 16}), {0x1000, 0}},
+        {"realloc to a negative size",
+         a32 + b32 + ev(EventKind::Realloc, {0x1000, 0x3000, kNegative}),
+         {0x1000, 0x2000, 0x3000}},
+        {"realloc moving over a live extent",
+         a32 + b32 + ev(EventKind::Realloc, {0x1000, 0x2008, 16}),
+         {0x1000, 0x2000, 0x2008}},
+        {"realloc moving into its own extent",
+         ev(EventKind::Alloc, {0x1000, 64}) +
+             ev(EventKind::Realloc, {0x1000, 0x1008, 128}),
+         {0x1000, 0x1008}},
+        {"realloc from null with a live extent at 0",
+         ev(EventKind::Alloc, {0, 16}) +
+             ev(EventKind::Realloc, {0, 0x2000, 16}),
+         {0, 0x2000}},
+        {"realloc from null to null",
+         ev(EventKind::Realloc, {0, 0, 16}), {0}},
+    };
+}
+
+/**
+ * The trace.* findings and stats of a deep pass equal those of a
+ * lint-only pass: over every FlowFuzz input, and over each event at
+ * which the two extent models update differently, followed by a
+ * Free, a Write and a Realloc of each address it leaves in question,
+ * in offline and in capture provenance.
+ */
+TEST(FlowOrdering, DeepPassReportsWhatTheLintAloneReports)
+{
+    std::size_t inputs = 0;
+    const auto same = [&](const std::string &data) {
+        ++inputs;
+        EXPECT_EQ(orderingRendering(data, true),
+                  orderingRendering(data, false))
+            << "input #" << inputs;
+    };
+    forEachFuzzInput(same);
+
+    for (const Divergence &d : divergences()) {
+        SCOPED_TRACE(d.name);
+        std::vector<std::string> epilogues;
+        std::string free_all;
+        for (Addr addr : d.addrs) {
+            epilogues.push_back(ev(EventKind::Free, {addr}));
+            epilogues.push_back(ev(EventKind::Write, {addr, 0x1000}));
+            epilogues.push_back(ev(EventKind::Write, {addr + 8, 0}));
+            epilogues.push_back(ev(EventKind::Realloc, {addr, addr, 8}));
+            epilogues.push_back(
+                ev(EventKind::Realloc, {addr, 0x9000, 8}));
+            epilogues.push_back(ev(EventKind::Alloc, {addr, 8}));
+            free_all += ev(EventKind::Free, {addr});
+        }
+        epilogues.push_back(free_all);
+        epilogues.push_back(free_all + free_all);
+        for (const std::string &header : {traceHeader(), captureHeader()}) {
+            same(header + d.events + traceFooter());
+            for (const std::string &epilogue : epilogues) {
+                same(header + d.events + epilogue + traceFooter());
+                // A second divergence past the first.
+                same(header + d.events + epilogue + d.events +
+                     epilogue + traceFooter());
+            }
+        }
+    }
 }
 
 TEST(FlowShadowHeap, OverlapSweepReportsVictimsInAddressOrder)

@@ -377,7 +377,7 @@ TEST_F(CliDeterminismTest, DefaultJobsDeepAuditMatchesSerialOnTheCorpus)
             traces.push_back(entry.path().string());
     }
     std::sort(traces.begin(), traces.end());
-    ASSERT_EQ(traces.size(), 26u);
+    ASSERT_EQ(traces.size(), 29u);
     std::string audit = "audit --deep 1";
     for (const std::string &trace : traces)
         audit += " --trace " + trace;
@@ -612,7 +612,7 @@ TEST_F(CliDeterminismTest, PreflightVerdictMatchesAuditOnTheCorpus)
         }
         ++(errors ? rejected : accepted);
     }
-    EXPECT_EQ(rejected, 18u);
+    EXPECT_EQ(rejected, 21u);
     EXPECT_EQ(accepted, 8u);
 }
 
