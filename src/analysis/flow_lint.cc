@@ -120,11 +120,22 @@ class ShadowPass final : public FlowPass
     }
 
     void onEvent(const Event &event, std::uint64_t offset) override;
+    bool answer(const Event &event, std::uint64_t offset,
+                Ordering &ordering) override;
+    void forEachExtent(
+        const std::function<void(Addr, std::uint64_t, bool)> &f)
+        const override;
     void finish(const TraceReader &reader) override;
 
   private:
     FlowAnalysis &result_;
     bool capture_ = false;
+    /**
+     * Set while answer() applies an event: the handlers fill it in,
+     * and refuse an allocation the ordering rules' extent model keeps
+     * differently -- before they change anything.
+     */
+    Ordering *ordering_ = nullptr;
     std::uint64_t event_index_ = 0;
     std::vector<FnId> fn_stack_;
     /**
@@ -165,7 +176,7 @@ class ShadowPass final : public FlowPass
                                          : Severity::Note;
     }
 
-    FlowFinding &emit(const char *rule, Severity severity,
+    FlowFinding *emit(const char *rule, Severity severity,
                       std::uint64_t offset);
 
     void setSlot(std::uint32_t source, Addr slot_addr, Addr value);
@@ -174,12 +185,12 @@ class ShadowPass final : public FlowPass
     void eraseObject(std::uint32_t obj);
     void clearStaleRange(Addr base, std::uint64_t size);
 
-    /** Sink for findings emitted past the retention cap. */
-    FlowFinding overflow_;
-
-    void sweep(Addr addr, std::uint64_t span, std::uint64_t offset);
-    void handleAlloc(Addr addr, std::uint64_t size,
+    bool apply(const Event &event, std::uint64_t offset);
+    bool sweep(Addr addr, std::uint64_t span, std::uint64_t offset);
+    bool handleAlloc(Addr addr, std::uint64_t size,
                      std::uint64_t offset);
+    bool reallocDiverges(Addr old_addr, Addr new_addr,
+                         std::uint64_t size);
     void handleFree(Addr addr, std::uint64_t offset, bool realloc);
     void handleRealloc(Addr old_addr, Addr new_addr,
                        std::uint64_t size, std::uint64_t offset);
@@ -190,21 +201,20 @@ class ShadowPass final : public FlowPass
     void reportLeaks(std::uint64_t footer_offset);
 };
 
-FlowFinding &
+/** A new finding, or nullptr past the retention cap: a dropped
+ *  finding is never rendered. */
+FlowFinding *
 ShadowPass::emit(const char *rule, Severity severity,
                  std::uint64_t offset)
 {
-    if (result_.findings.size() >= kMaxFlowFindings) {
-        overflow_ = FlowFinding();
-        return overflow_;
-    }
-    FlowFinding f;
+    if (result_.findings.size() >= kMaxFlowFindings)
+        return nullptr;
+    FlowFinding &f = result_.findings.emplace_back();
     f.rule = rule;
     f.severity = severity;
     f.byteOffset = offset;
     f.eventIndex = event_index_;
-    result_.findings.push_back(std::move(f));
-    return result_.findings.back();
+    return &f;
 }
 
 void
@@ -285,15 +295,20 @@ ShadowPass::clearStaleRange(Addr base, std::uint64_t size)
  * Live objects: a structural bug on replay traces
  * (flow.overlap_alloc); on capture traces the shim's missed-free
  * address reuse, so the overlapped objects are implicitly freed
- * instead.
+ * instead.  The ordering rules keep them and reject the allocation,
+ * so while answering, a sweep that finds one refuses it.
+ *
+ * @return false when the sweep was refused, having changed nothing.
  */
-void
+bool
 ShadowPass::sweep(Addr addr, std::uint64_t span, std::uint64_t offset)
 {
     objects_.overlapping(addr, span, hits_);
     const auto live = std::stable_partition(
         hits_.begin(), hits_.end(),
         [&](std::uint32_t obj) { return objects_[obj].is_freed; });
+    if (ordering_ != nullptr && live != hits_.end())
+        return false;
 
     for (auto it = hits_.begin(); it != live; ++it) {
         const ShadowObject &victim = objects_[*it];
@@ -313,43 +328,55 @@ ShadowPass::sweep(Addr addr, std::uint64_t span, std::uint64_t offset)
 
     for (auto it = live; it != hits_.end(); ++it) {
         const ShadowObject &victim = objects_[*it];
-        if (!capture_) {
-            FlowFinding &f = emit("flow.overlap_alloc",
-                                  Severity::Error, offset);
-            f.addr = addr;
-            f.base = victim.base;
-            f.size = victim.size;
-            f.allocSite = victim.alloc;
-            f.message = "allocation " + extent(addr, span) +
-                        " overlaps live object " +
-                        extent(victim.base, victim.size);
+        FlowFinding *f = capture_ ? nullptr
+                                  : emit("flow.overlap_alloc",
+                                         Severity::Error, offset);
+        if (f != nullptr) {
+            f->addr = addr;
+            f->base = victim.base;
+            f->size = victim.size;
+            f->allocSite = victim.alloc;
+            f->message = "allocation " + extent(addr, span) +
+                         " overlaps live object " +
+                         extent(victim.base, victim.size);
         }
         eraseObject(*it);
     }
+    return true;
 }
 
-void
+/**
+ * @return false when answering and the ordering rules keep a
+ * different extent: none for size 0, the whole range for a negative
+ * size, the live one for an overlap.  Nothing has changed then.
+ */
+bool
 ShadowPass::handleAlloc(Addr addr, std::uint64_t size,
                         std::uint64_t offset)
 {
+    if (ordering_ != nullptr && (size == 0 || size >> 63))
+        return false;
     if (size >> 63) {
-        FlowFinding &f =
-            emit("flow.negative_size", Severity::Error, offset);
-        f.addr = addr;
-        f.size = size;
-        f.message = "allocation of " + hex(size) +
-                    " bytes at " + hex(addr) +
-                    " (negative when interpreted as ssize_t)";
-        return;
+        if (FlowFinding *f =
+                emit("flow.negative_size", Severity::Error, offset)) {
+            f->addr = addr;
+            f->size = size;
+            f->message = "allocation of " + hex(size) + " bytes at " +
+                         hex(addr) +
+                         " (negative when interpreted as ssize_t)";
+        }
+        return true;
     }
     const std::uint64_t span = size == 0 ? 1 : size;
-    sweep(addr, span, offset);
+    if (!sweep(addr, span, offset))
+        return false;
 
     ShadowObject obj;
     obj.base = addr;
     obj.size = span;
     obj.alloc = here(offset);
     objects_.insert(std::move(obj));
+    return true;
 }
 
 void
@@ -360,51 +387,59 @@ ShadowPass::handleFree(Addr addr, std::uint64_t offset, bool realloc)
     if (owner != kNoObject && !objects_[owner].is_freed) {
         ShadowObject &obj = objects_[owner];
         if (addr == obj.base) {
+            if (ordering_ != nullptr)
+                ordering_->liveStart = true;
             dropOutgoing(owner, 0);
             obj.is_freed = true;
             obj.freed = here(offset);
             clearStaleRange(obj.base, obj.size);
             return;
         }
-        FlowFinding &f =
+        FlowFinding *f =
             emit("flow.size_mismatch", Severity::Error, offset);
-        f.addr = addr;
-        f.base = obj.base;
-        f.size = obj.size;
-        f.allocSite = obj.alloc;
-        f.message = std::string(verb) + " of interior pointer " +
-                    hex(addr) + ": offset " +
-                    std::to_string(addr - obj.base) +
-                    " into live object " + extent(obj.base, obj.size);
+        if (f == nullptr)
+            return;
+        f->addr = addr;
+        f->base = obj.base;
+        f->size = obj.size;
+        f->allocSite = obj.alloc;
+        f->message = std::string(verb) + " of interior pointer " +
+                     hex(addr) + ": offset " +
+                     std::to_string(addr - obj.base) +
+                     " into live object " + extent(obj.base, obj.size);
         return;
     }
 
     if (owner != kNoObject) {
         const ShadowObject &obj = objects_[owner];
-        FlowFinding &f =
+        FlowFinding *f =
             emit("flow.double_free", Severity::Error, offset);
-        f.addr = addr;
-        f.base = obj.base;
-        f.size = obj.size;
-        f.allocSite = obj.alloc;
-        f.freeSite = obj.freed;
-        f.lifetimeEvents =
+        if (f == nullptr)
+            return;
+        f->addr = addr;
+        f->base = obj.base;
+        f->size = obj.size;
+        f->allocSite = obj.alloc;
+        f->freeSite = obj.freed;
+        f->lifetimeEvents =
             obj.freed.eventIndex - obj.alloc.eventIndex;
-        f.message = "double " + std::string(verb) + " of " +
-                    hex(addr) + ": object " +
-                    extent(obj.base, obj.size) + " lived " +
-                    std::to_string(f.lifetimeEvents) + " event(s)";
+        f->message = "double " + std::string(verb) + " of " +
+                     hex(addr) + ": object " +
+                     extent(obj.base, obj.size) + " lived " +
+                     std::to_string(f->lifetimeEvents) + " event(s)";
         if (addr != obj.base)
-            f.message += " (interior pointer, offset " +
-                         std::to_string(addr - obj.base) + ")";
+            f->message += " (interior pointer, offset " +
+                          std::to_string(addr - obj.base) + ")";
         return;
     }
 
-    FlowFinding &f =
+    FlowFinding *f =
         emit("flow.free_unallocated", Severity::Error, offset);
-    f.addr = addr;
-    f.message = std::string(verb) + " of " + hex(addr) +
-                " which no live or freed heap extent covers";
+    if (f == nullptr)
+        return;
+    f->addr = addr;
+    f->message = std::string(verb) + " of " + hex(addr) +
+                 " which no live or freed heap extent covers";
 }
 
 void
@@ -412,12 +447,14 @@ ShadowPass::handleRealloc(Addr old_addr, Addr new_addr,
                           std::uint64_t size, std::uint64_t offset)
 {
     if (size >> 63) {
-        FlowFinding &f =
-            emit("flow.negative_size", Severity::Error, offset);
-        f.addr = new_addr;
-        f.size = size;
-        f.message = "realloc to " + hex(size) +
-                    " bytes (negative when interpreted as ssize_t)";
+        if (FlowFinding *f =
+                emit("flow.negative_size", Severity::Error, offset)) {
+            f->addr = new_addr;
+            f->size = size;
+            f->message =
+                "realloc to " + hex(size) +
+                " bytes (negative when interpreted as ssize_t)";
+        }
         if (old_addr != kNullAddr)
             handleFree(old_addr, offset, true);
         return;
@@ -427,6 +464,8 @@ ShadowPass::handleRealloc(Addr old_addr, Addr new_addr,
         // site, adjust the span, drop slots beyond the new end.
         const std::uint32_t obj = objects_.startAt(old_addr);
         if (obj != kNoObject && !objects_[obj].is_freed) {
+            if (ordering_ != nullptr)
+                ordering_->liveStart = true;
             const std::uint64_t span = size == 0 ? 1 : size;
             const std::uint64_t old_span = objects_[obj].size;
             if (span < old_span) {
@@ -453,6 +492,43 @@ ShadowPass::handleRealloc(Addr old_addr, Addr new_addr,
         handleAlloc(new_addr, size, offset);
 }
 
+/**
+ * Whether the ordering rules' extent model updates differently from
+ * the shadow heap at a Realloc.  The rules free @p old_addr, null
+ * included, then for a nonzero size allocate the new extent, null and
+ * negative sizes included, keeping any live extent it overlaps.  The
+ * shadow heap skips a null address and a negative size, sweeps live
+ * extents, and resizes in place, keeping one byte at size 0.  Only
+ * Realloc needs this look ahead: its handlers free before they sweep,
+ * too late for a sweep to refuse, and once it passes none does.
+ */
+bool
+ShadowPass::reallocDiverges(Addr old_addr, Addr new_addr,
+                            std::uint64_t size)
+{
+    std::uint32_t old_obj = objects_.startAt(old_addr);
+    if (old_obj != kNoObject && objects_[old_obj].is_freed)
+        old_obj = kNoObject;
+    if (size >> 63 || (old_addr == kNullAddr && old_obj != kNoObject))
+        return true;
+    const bool in_place = old_addr != kNullAddr &&
+                          old_addr == new_addr && old_obj != kNoObject;
+    if (size == 0)
+        return in_place;
+    if (new_addr == kNullAddr)
+        return true;
+    // An in-place grow sweeps from the old end, which wraps to 0 for
+    // an extent that reaches the top of the address space.
+    if (in_place && old_addr + objects_[old_obj].size < old_addr)
+        return true;
+    objects_.overlapping(new_addr, size, hits_);
+    return std::any_of(hits_.begin(), hits_.end(),
+                       [&](std::uint32_t obj) {
+                           return obj != old_obj &&
+                                  !objects_[obj].is_freed;
+                       });
+}
+
 void
 ShadowPass::handleWrite(Addr addr, Addr value, std::uint64_t offset)
 {
@@ -465,30 +541,36 @@ ShadowPass::handleWrite(Addr addr, Addr value, std::uint64_t offset)
     }
 
     if (owner != kNoObject) {
+        if (ordering_ != nullptr)
+            ordering_->insideFreed = true;
         const ShadowObject &obj = objects_[owner];
-        FlowFinding &f = emit("flow.write_freed",
+        FlowFinding *f = emit("flow.write_freed",
                               relaxed(Severity::Error), offset);
-        f.addr = addr;
-        f.base = obj.base;
-        f.size = obj.size;
-        f.allocSite = obj.alloc;
-        f.freeSite = obj.freed;
-        f.lifetimeEvents =
+        if (f == nullptr)
+            return;
+        f->addr = addr;
+        f->base = obj.base;
+        f->size = obj.size;
+        f->allocSite = obj.alloc;
+        f->freeSite = obj.freed;
+        f->lifetimeEvents =
             obj.freed.eventIndex - obj.alloc.eventIndex;
-        f.message = "pointer write at " + hex(addr) + " lands " +
-                    std::to_string(addr - obj.base) +
-                    " byte(s) into freed object " +
-                    extent(obj.base, obj.size) +
-                    " (use-after-free write; object lived " +
-                    std::to_string(f.lifetimeEvents) + " event(s))";
+        f->message = "pointer write at " + hex(addr) + " lands " +
+                     std::to_string(addr - obj.base) +
+                     " byte(s) into freed object " +
+                     extent(obj.base, obj.size) +
+                     " (use-after-free write; object lived " +
+                     std::to_string(f->lifetimeEvents) + " event(s))";
         return;
     }
 
-    FlowFinding &f = emit("flow.write_unmapped",
+    FlowFinding *f = emit("flow.write_unmapped",
                           relaxed(Severity::Error), offset);
-    f.addr = addr;
-    f.message = "pointer write at " + hex(addr) +
-                " which no heap extent ever covered";
+    if (f == nullptr)
+        return;
+    f->addr = addr;
+    f->message = "pointer write at " + hex(addr) +
+                 " which no heap extent ever covered";
 }
 
 /**
@@ -513,15 +595,17 @@ ShadowPass::checkPendingDeref(Addr addr, std::uint64_t offset,
         return;
     stale_.erase(pending.slot_addr);
 
-    FlowFinding &f =
+    FlowFinding *f =
         emit("flow.dangling_edge", relaxed(Severity::Error), offset);
-    f.addr = addr;
-    f.base = taint.victim_base;
-    f.size = taint.victim_size;
-    f.allocSite = taint.victim_alloc;
-    f.freeSite = taint.victim_freed;
-    f.objects = 1;
-    f.message =
+    if (f == nullptr)
+        return;
+    f->addr = addr;
+    f->base = taint.victim_base;
+    f->size = taint.victim_size;
+    f->allocSite = taint.victim_alloc;
+    f->freeSite = taint.victim_freed;
+    f->objects = 1;
+    f->message =
         "write at " + hex(addr) + " through stale pointer loaded "
         "from slot " + hex(pending.slot_addr) + " at event " +
         std::to_string(pending.load_event) + ": target object " +
@@ -582,30 +666,34 @@ ShadowPass::reportLeaks(std::uint64_t footer_offset)
                          return a.second.bytes > b.second.bytes;
                      });
     for (const auto &[fn, leak] : ranked) {
-        FlowFinding &f =
+        FlowFinding *f =
             emit("flow.leak_at_exit",
                  capture_ ? Severity::Note : Severity::Error,
                  footer_offset);
-        f.addr = leak.first_base;
-        f.base = leak.first_base;
-        f.allocSite = leak.first;
-        f.objects = leak.objects;
-        f.bytes = leak.bytes;
-        f.message = std::to_string(leak.objects) +
-                    " object(s) totalling " +
-                    std::to_string(leak.bytes) +
-                    " byte(s) still live at exit, first at " +
-                    hex(leak.first_base);
+        if (f == nullptr)
+            break;
+        f->addr = leak.first_base;
+        f->base = leak.first_base;
+        f->allocSite = leak.first;
+        f->objects = leak.objects;
+        f->bytes = leak.bytes;
+        f->message = std::to_string(leak.objects) +
+                     " object(s) totalling " +
+                     std::to_string(leak.bytes) +
+                     " byte(s) still live at exit, first at " +
+                     hex(leak.first_base);
     }
 }
 
-void
-ShadowPass::onEvent(const Event &event, std::uint64_t offset)
+/** Apply @p event, unless answer() refuses it (@return false). */
+bool
+ShadowPass::apply(const Event &event, std::uint64_t offset)
 {
     switch (event.kind) {
       case EventKind::Alloc:
         pending_.armed = false; // allocator call, not a deref
-        handleAlloc(event.addr, event.size, offset);
+        if (!handleAlloc(event.addr, event.size, offset))
+            return false;
         break;
       case EventKind::Free:
         pending_.armed = false;
@@ -613,6 +701,9 @@ ShadowPass::onEvent(const Event &event, std::uint64_t offset)
         break;
       case EventKind::Realloc:
         pending_.armed = false;
+        if (ordering_ != nullptr &&
+            reallocDiverges(event.addr, event.value, event.size))
+            return false;
         handleRealloc(event.addr, event.value, event.size, offset);
         break;
       case EventKind::Write:
@@ -631,6 +722,32 @@ ShadowPass::onEvent(const Event &event, std::uint64_t offset)
     }
     ++event_index_;
     ++result_.stats.events;
+    return true;
+}
+
+void
+ShadowPass::onEvent(const Event &event, std::uint64_t offset)
+{
+    apply(event, offset);
+}
+
+bool
+ShadowPass::answer(const Event &event, std::uint64_t offset,
+                   Ordering &ordering)
+{
+    ordering_ = &ordering;
+    const bool applied = apply(event, offset);
+    ordering_ = nullptr;
+    return applied;
+}
+
+void
+ShadowPass::forEachExtent(
+    const std::function<void(Addr, std::uint64_t, bool)> &f) const
+{
+    objects_.forEach([&](std::uint32_t, const ShadowObject &obj) {
+        f(obj.base, obj.size, obj.is_freed);
+    });
 }
 
 void

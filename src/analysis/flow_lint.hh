@@ -56,7 +56,7 @@
  * leak analysis -- liveness at the cut point proves nothing.
  *
  * Framing: the pass does not decode.  The trace linter's loop
- * (trace_lint.hh) hands it each event after the lint rules, so
+ * (trace_lint.hh) hands it each event before the lint rules, so
  * `audit --deep` decodes a trace once and the linter owns every decode
  * finding.  An overlong event varint still yields a value, so the pass
  * sees the events past it; any other fault, and the first fault in the
@@ -67,6 +67,7 @@
 #define HEAPMD_ANALYSIS_FLOW_LINT_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -139,11 +140,25 @@ struct FlowAnalysis
 
 /**
  * The shadow-heap pass, fed each event by the trace linter's decode
- * loop (lintTrace with a flow result).
+ * loop (lintTrace with a flow result).  Until the first event at which
+ * the trace linter's ordering rules would update their extents
+ * differently, the pass also answers those rules (DESIGN.md section 7).
  */
 class FlowPass
 {
   public:
+    /**
+     * What the trace.* ordering rules ask of one event, taken from the
+     * lookups the shadow heap makes before it changes.
+     */
+    struct Ordering
+    {
+        /** Free, Realloc: the old address starts a live extent. */
+        bool liveStart = false;
+        /** Write: the address lies inside a freed extent. */
+        bool insideFreed = false;
+    };
+
     /** A pass into @p out over the @p bytes -byte trace @p reader
      *  has opened. */
     static std::unique_ptr<FlowPass> start(const TraceReader &reader,
@@ -152,6 +167,23 @@ class FlowPass
     virtual ~FlowPass() = default;
 
     virtual void onEvent(const Event &event, std::uint64_t offset) = 0;
+
+    /**
+     * onEvent, answering @p ordering for @p event.  An event the
+     * ordering rules' extent model updates differently -- an empty,
+     * negative-size or null-target allocation, one over a live
+     * extent, an in-place realloc to size 0 -- is refused: it returns
+     * false and leaves the event unapplied, so that the caller can
+     * take the extents as they stand (forEachExtent), then onEvent it.
+     * An answered event allocates nothing over a live extent.
+     */
+    virtual bool answer(const Event &event, std::uint64_t offset,
+                        Ordering &ordering) = 0;
+
+    /** Visit every live and freed extent as f(base, size, freed). */
+    virtual void forEachExtent(
+        const std::function<void(Addr, std::uint64_t, bool)> &f)
+        const = 0;
 
     /** End where @p reader stopped, rendering the findings' sites. */
     virtual void finish(const TraceReader &reader) = 0;

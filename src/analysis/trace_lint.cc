@@ -38,10 +38,18 @@ constexpr const char *kKindNames[] = {
  * disjoint -- an allocation sweeps the freed extents it overlaps and
  * is rejected if it overlaps a live one, and a free turns a live
  * extent into a freed one -- so both share one page-indexed arena.
+ * A deep pass builds one only where the flow pass stops answering.
  */
 class ExtentTracker
 {
   public:
+    /** Take over an extent of a model that agrees with this one. */
+    void
+    restore(Addr addr, std::uint64_t size, bool freed)
+    {
+        extents_.insert(Extent{addr, size, freed});
+    }
+
     /** @return false when [addr, addr+size) overlaps a live extent. */
     bool
     allocate(Addr addr, std::uint64_t size)
@@ -109,7 +117,15 @@ struct Linter
 {
     Report &report;
     TraceLintStats stats;
-    ExtentTracker &extents;
+    /**
+     * The ordering rules' extents.  Null in a deep pass until the
+     * flow pass first refuses to answer them (feedFlow).
+     */
+    ExtentTracker *extents = nullptr;
+    /** The extents when this pass holds its own. */
+    std::unique_ptr<ExtentTracker> own_extents;
+    /** The flow pass's answer for the current event. */
+    FlowPass::Ordering answer;
     /** First offset each function id was referenced at. */
     std::map<FnId, std::uint64_t> fn_uses;
     /** Header declared live-capture provenance. */
@@ -130,9 +146,15 @@ struct Linter
     /** The file being linted, whose decoded pages are released. */
     const trace::LoadedTrace *loaded = nullptr;
 
-    Linter(Report &rep, ExtentTracker &ext)
-        : report(rep), extents(ext)
+    Linter(Report &rep, ExtentTracker *ext) : report(rep), extents(ext) {}
+
+    /** Give the pass an empty tracker of its own. */
+    ExtentTracker &
+    ownExtents()
     {
+        own_extents = std::make_unique<ExtentTracker>();
+        extents = own_extents.get();
+        return *own_extents;
     }
 
     /**
@@ -154,15 +176,46 @@ struct Linter
         }
     }
 
-    void lintEvent(std::uint64_t offset, const Event &event);
+    const FlowPass::Ordering *feedFlow(const Event &event,
+                                       std::uint64_t offset);
+    void lintEvent(std::uint64_t offset, const Event &event,
+                   const FlowPass::Ordering *answered);
     void lintFault(const trace::Fault &fault, std::uint64_t size);
     void lintBody(TraceReader &reader, std::uint64_t size);
     void run(std::string_view data, Replay *replay = nullptr,
              FlowAnalysis *flow_result = nullptr);
 };
 
+/**
+ * Hand @p event to the flow pass.  While the ordering rules have no
+ * extents of their own, the pass answers them; at the first event it
+ * refuses, the rules take over its extents as they stand and keep
+ * their own from then on.
+ *
+ * @return the pass's answer, or nullptr once the rules keep their own.
+ */
+const FlowPass::Ordering *
+Linter::feedFlow(const Event &event, std::uint64_t offset)
+{
+    if (extents == nullptr) {
+        answer = FlowPass::Ordering();
+        if (flow->answer(event, offset, answer))
+            return &answer;
+        ExtentTracker &mine = ownExtents();
+        flow->forEachExtent(
+            [&](Addr addr, std::uint64_t size, bool freed) {
+                mine.restore(addr, size, freed);
+            });
+    }
+    flow->onEvent(event, offset);
+    return nullptr;
+}
+
+/** Apply the rules to @p event, asking @p answered if it is set and
+ *  the extents otherwise. */
 void
-Linter::lintEvent(std::uint64_t offset, const Event &event)
+Linter::lintEvent(std::uint64_t offset, const Event &event,
+                  const FlowPass::Ordering *answered)
 {
     switch (event.kind) {
       case EventKind::Alloc:
@@ -170,7 +223,8 @@ Linter::lintEvent(std::uint64_t offset, const Event &event)
             report.errorAtByte("trace.zero-alloc", offset,
                                "allocation of size 0 at address " +
                                    std::to_string(event.addr));
-        } else if (!extents.allocate(event.addr, event.size)) {
+        } else if (answered == nullptr &&
+                   !extents->allocate(event.addr, event.size)) {
             report.errorAtByte(
                 "trace.alloc-overlap", offset,
                 "allocation [" + std::to_string(event.addr) + ", " +
@@ -179,7 +233,8 @@ Linter::lintEvent(std::uint64_t offset, const Event &event)
         }
         break;
       case EventKind::Free:
-        if (!extents.free(event.addr)) {
+        if (answered != nullptr ? !answered->liveStart
+                                : !extents->free(event.addr)) {
             report.errorAtByte(
                 "trace.free-before-alloc", offset,
                 "free of address " + std::to_string(event.addr) +
@@ -188,14 +243,15 @@ Linter::lintEvent(std::uint64_t offset, const Event &event)
         }
         break;
       case EventKind::Realloc:
-        if (!extents.free(event.addr)) {
+        if (answered != nullptr ? !answered->liveStart
+                                : !extents->free(event.addr)) {
             report.errorAtByte(
                 "trace.free-before-alloc", offset,
                 "realloc of address " + std::to_string(event.addr) +
                     " which is not the start of a live object");
         }
-        if (event.size != 0 &&
-            !extents.allocate(event.value, event.size)) {
+        if (event.size != 0 && answered == nullptr &&
+            !extents->allocate(event.value, event.size)) {
             report.errorAtByte(
                 "trace.alloc-overlap", offset,
                 "realloc target [" + std::to_string(event.value) +
@@ -204,7 +260,8 @@ Linter::lintEvent(std::uint64_t offset, const Event &event)
         }
         break;
       case EventKind::Write:
-        if (extents.insideFreed(event.addr)) {
+        if (answered != nullptr ? answered->insideFreed
+                                : extents->insideFreed(event.addr)) {
             report.errorAtByte(
                 "trace.write-after-free", offset,
                 "pointer-write at address " +
@@ -216,7 +273,7 @@ Linter::lintEvent(std::uint64_t offset, const Event &event)
         break;
       case EventKind::FnEnter:
       case EventKind::FnExit:
-        fn_uses.emplace(event.fn, offset);
+        fn_uses.try_emplace(event.fn, offset);
         break;
     }
     ++stats.events;
@@ -298,9 +355,10 @@ Linter::lintBody(TraceReader &reader, std::uint64_t size)
     capture = reader.captureProvenance();
     stats.captureProvenance = capture;
 
-    // Each event goes to the rules, then to the consumers.  Overlong
-    // varints are findings the scan continues past; every other fault
-    // ends it, and the flow pass stops at the first footer fault.
+    // Each event goes to the flow pass, then to the rules, then to the
+    // replay.  Overlong varints are findings the scan continues past;
+    // every other fault ends it, and the flow pass stops at the first
+    // footer fault (no event follows one).
     // The pass never reads a byte twice, so every kReleaseStride
     // bytes a loaded file gives back the pages behind the cursor: a
     // worker then holds its heap graph, not its whole trace.
@@ -310,11 +368,10 @@ Linter::lintBody(TraceReader &reader, std::uint64_t size)
     for (;;) {
         while (reader.next(event)) {
             const std::uint64_t offset = reader.eventOffset();
-            lintEvent(offset, event);
+            lintEvent(offset, event,
+                      flow ? feedFlow(event, offset) : nullptr);
             if (process != nullptr && report.clean())
                 process->onEvent(event);
-            if (flow)
-                flow->onEvent(event, offset);
             if (offset >= release_at) {
                 loaded->releaseBefore(offset);
                 release_at = offset + kReleaseStride;
@@ -395,8 +452,11 @@ TraceLintStats
 lintOne(std::string_view data, Report &report, const TraceFold &fold,
         FlowAnalysis *flow, const trace::LoadedTrace *loaded)
 {
-    ExtentTracker extents;
-    Linter linter(report, extents);
+    // A deep pass's ordering rules start out on the flow pass's
+    // shadow heap (feedFlow).
+    Linter linter(report, nullptr);
+    if (flow == nullptr)
+        linter.ownExtents();
     linter.stats.bytes = data.size();
     linter.stats.segments = 1;
     linter.loaded = loaded;
@@ -466,7 +526,7 @@ lintSegments(const std::string &base, Report &report, Replay *replay)
                                    "'");
             continue;
         }
-        Linter linter(report, extents);
+        Linter linter(report, &extents);
         linter.stats.bytes = segment.bytes().size();
         linter.truncation_is_error = i + 1 < indices.size();
         linter.loaded = &segment;
